@@ -24,6 +24,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import SystemConfig
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import ConfigError, DrainStateError
+from repro.common.gcpause import collector_paused
 from repro.core.chv import ChvLayout
 from repro.core.horus import HorusDrainEngine
 from repro.core.recovery import HorusRecovery, RecoveryReport
@@ -89,7 +90,19 @@ class SecureEpdSystem:
         self._recovery: HorusRecovery | ShadowRecovery | None = None
 
         if scheme == "nosec":
-            self.hierarchy.attach(self._plain_fetch, self._plain_writeback)
+            # Closures over the device alone: bound methods of ``self``
+            # would close a system -> hierarchy -> method -> system cycle
+            # and leave every dropped system to the cyclic collector.
+            nvm = self.nvm
+
+            def fetch(address: int) -> bytes:
+                return nvm.read(address, ReadKind.DATA)
+
+            def writeback(address: int, data: bytes | None) -> None:
+                nvm.write(address, data if data is not None else _ZERO_BLOCK,
+                          WriteKind.DATA)
+
+            self.hierarchy.attach(fetch, writeback)
             self.drain_engine: DrainEngine = NonSecureDrain(
                 self.stats, self.timing, self.nvm, batched=self.batched)
         else:
@@ -152,10 +165,12 @@ class SecureEpdSystem:
     # Crash / drain / recovery
     # ------------------------------------------------------------------
 
+    @collector_paused()
     def fill_worst_case(self, seed: int | None = None) -> int:
         """Fill every line of every level dirty (the hold-up worst case)."""
         return self.hierarchy.fill_worst_case(seed, batched=self.batched)
 
+    @collector_paused()
     def crash(self, seed: int | None = None) -> DrainReport:
         """Power-outage detection: drain per the configured scheme, then
         lose all volatile state."""
@@ -192,6 +207,7 @@ class SecureEpdSystem:
         if self.controller is not None:
             self.controller.drop_volatile_state()
 
+    @collector_paused()
     def recover(self) -> RecoveryReport | None:
         """Power restoration: restore the drained state.
 
@@ -226,14 +242,3 @@ class SecureEpdSystem:
                 stats=report.stats, cycles=cycles,
                 seconds=cycles / self.config.frequency_hz)
         return self.last_recovery
-
-    # ------------------------------------------------------------------
-    # Non-secure memory side
-    # ------------------------------------------------------------------
-
-    def _plain_fetch(self, address: int) -> bytes:
-        return self.nvm.read(address, ReadKind.DATA)
-
-    def _plain_writeback(self, address: int, data: bytes | None) -> None:
-        self.nvm.write(address, data if data is not None else _ZERO_BLOCK,
-                       WriteKind.DATA)

@@ -9,6 +9,7 @@ and a worker-timeline chart (via the ``stats`` machinery), and the JSON /
 Markdown export embeds the same data for provenance.
 """
 
+import gc
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -134,16 +135,42 @@ _PHASE_START = 0.0
 _PHASE_WORKER = "main"
 
 
+class _CollectorClock:
+    """A ``gc.callbacks`` hook that sums the cyclic collector's wall time."""
+
+    def __init__(self) -> None:
+        self.installed_at = time.perf_counter()
+        self.seconds = 0.0
+        self._began = 0.0
+
+    def __call__(self, stage: str, info: dict) -> None:
+        if stage == "start":
+            self._began = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._began
+
+
 @contextmanager
 def capture_phases(profile: RunProfile, run_start: float,
                    worker: str = "main"):
-    """Route :func:`phase` spans into ``profile`` for the duration."""
+    """Route :func:`phase` spans into ``profile`` for the duration.
+
+    Also times the cyclic garbage collector while the capture is active
+    and records the total as one aggregate ``gc:collector`` phase anchored
+    at the capture's start, so host time the simulator spends in
+    collections shows up beside the phases it interrupted.  The hook is
+    installed only here: uncaptured runs pay nothing for it.
+    """
     global _PHASES, _PHASE_START, _PHASE_WORKER
     previous = (_PHASES, _PHASE_START, _PHASE_WORKER)
     _PHASES, _PHASE_START, _PHASE_WORKER = profile, run_start, worker
+    clock = _CollectorClock()
+    gc.callbacks.append(clock)
     try:
         yield profile
     finally:
+        gc.callbacks.remove(clock)
+        record_span("gc:collector", clock.seconds, clock.installed_at)
         _PHASES, _PHASE_START, _PHASE_WORKER = previous
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from repro.common.config import SystemConfig
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import AddressError, ConfigError
+from repro.common.gcpause import collector_paused
 from repro.mem.regions import MemoryLayout
 from repro.workloads.trace import MemoryOp
 
@@ -100,23 +101,31 @@ class ShardRouter:
 
     # -- trace routing ------------------------------------------------------
 
+    @collector_paused()
     def split(self, trace: list[MemoryOp]) -> list[list[MemoryOp]]:
         """Route a global trace into per-shard local sub-traces.
 
         Per-shard op order matches arrival order (the routed twin of the
         global trace), and every op lands in exactly one sub-trace — so the
         concatenated result is a permutation of the input that only reorders
-        across shards, never within one.
+        across shards, never within one.  The collector is paused because
+        a 200k-op split allocates as many ops, and the full collections
+        they triggered, not this loop, were most of the routed path's
+        overhead.
         """
         parts: list[list[MemoryOp]] = [[] for _ in range(self.num_shards)]
         size = self.shard_data_size
         total = self.total_data_size
         # Rebasing preserves the source op's validated invariants (the
         # shard base is line aligned, checked at construction), so the
-        # rebased ops bypass __post_init__; shard 0's base is zero, so its
-        # ops alias the (frozen) originals.  This loop dominates the routed
-        # path's overhead and the shard:4:efficiency benchmark gates it.
+        # rebased ops bypass __post_init__ and the frozen __setattr__ by
+        # writing the slots directly; shard 0's base is zero, so its ops
+        # alias the (frozen) originals.
         make = MemoryOp.__new__
+        slots = vars(MemoryOp)
+        set_kind = slots["kind"].__set__
+        set_address = slots["address"].__set__
+        set_data = slots["data"].__set__
         for op in trace:
             address = op.address
             if not 0 <= address < total:
@@ -124,10 +133,9 @@ class ShardRouter:
             shard, local = divmod(address, size)
             if shard:
                 rebased = make(MemoryOp)
-                fields = rebased.__dict__
-                fields["kind"] = op.kind
-                fields["address"] = local
-                fields["data"] = op.data
+                set_kind(rebased, op.kind)
+                set_address(rebased, local)
+                set_data(rebased, op.data)
                 parts[shard].append(rebased)
             else:
                 parts[0].append(op)

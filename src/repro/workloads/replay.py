@@ -34,6 +34,7 @@ from typing import Any, cast
 
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import ConfigError
+from repro.common.gcpause import collector_paused
 from repro.stats.events import ReadKind, WriteKind
 from repro.workloads.generators import replay as scalar_replay
 from repro.workloads.trace import MemoryOp, OpKind
@@ -66,8 +67,9 @@ def _eligible(system: Any, batched: bool | None) -> bool:
 
 def _run_plain(nvm: Any, mem_ops: "list[tuple[str, int, bytes | None]]") \
         -> "list[bytes | None]":
-    """Non-secure memory side: the grouped-NVM equivalent of
-    ``SecureEpdSystem._plain_fetch`` / ``_plain_writeback``.
+    """Non-secure memory side: the grouped-NVM equivalent of the per-line
+    fetch/writeback pair a nosec ``SecureEpdSystem`` attaches to its
+    hierarchy.
 
     Returns the epoch's fetch results only, in op order — the
     fill-aligned stream ``resolve_pending`` consumes directly (writes
@@ -97,6 +99,7 @@ def _run_plain(nvm: Any, mem_ops: "list[tuple[str, int, bytes | None]]") \
     return fetched
 
 
+@collector_paused()
 def replay(system: Any, trace: "list[MemoryOp]", *,
            epoch_ops: int = DEFAULT_EPOCH_OPS,
            batched: bool | None = None) -> dict[int, bytes]:

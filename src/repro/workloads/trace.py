@@ -18,9 +18,13 @@ class OpKind(Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryOp:
-    """One trace record."""
+    """One trace record.
+
+    Slotted: traces run to hundreds of thousands of ops, and slots keep
+    each one a single small object with no ``__dict__`` to materialize.
+    """
 
     kind: OpKind
     address: int
