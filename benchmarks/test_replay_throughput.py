@@ -21,9 +21,10 @@ back) and compared min/min, so transient background load lands on both
 sides and cancels out of the ratio.
 
 ``REPRO_BENCH_GATE=0`` downgrades the speedup assertion to a report-only
-print — the CI pure-python job uses it to publish the ``REPRO_ARENA=0``
-ratio without gating on it (the fallback trades the numpy decomposition
-for per-op divmods and is expected to sit below the accelerated floor).
+print — the CI pure-python job (no numpy installed) uses it to publish the
+pure-Python ratio without gating on it (the fallback trades the numpy
+decomposition for per-op divmods and is expected to sit below the
+accelerated floor).
 Byte-identity is asserted unconditionally; the knob only relaxes speed.
 """
 

@@ -5,8 +5,6 @@ from repro.cache.fill import (
     PageAllocator,
     make_allocator,
     page_of,
-    sequential_addresses,
-    strided_addresses,
     worst_case_addresses,
 )
 from repro.cache.hierarchy import CacheHierarchy
@@ -19,7 +17,5 @@ __all__ = [
     "PageAllocator",
     "make_allocator",
     "page_of",
-    "sequential_addresses",
-    "strided_addresses",
     "worst_case_addresses",
 ]

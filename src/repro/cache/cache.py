@@ -102,7 +102,3 @@ class SetAssociativeCache:
     def clear(self) -> None:
         for cache_set in self._sets:
             cache_set.clear()
-
-    def clear_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0

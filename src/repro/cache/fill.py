@@ -24,20 +24,11 @@ cache levels cannot collide either.
 """
 
 from collections.abc import Iterator
-from typing import Any
 
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.constants import CACHE_LINE_SIZE, COUNTER_BLOCK_COVERAGE
 from repro.common.errors import ConfigError
-from repro.crypto.arena import arena_accelerated
-
-_np: Any
-try:
-    import numpy
-except ImportError:  # pragma: no cover - numpy is an optional extra
-    _np = None
-else:
-    _np = numpy
+from repro.crypto import arena
 
 _BLOCKS_PER_PAGE = COUNTER_BLOCK_COVERAGE // CACHE_LINE_SIZE  # 64
 
@@ -101,22 +92,23 @@ def worst_case_addresses_bulk(config: CacheConfig,
     closed form: on a *fresh* allocator the ``k``-th draw of residue class
     ``r`` is page ``r + k*period``, so every page, offset and address of
     the fill is pure index arithmetic.  A used allocator (whose cursors
-    the closed form cannot reconstruct), a numpy-less install
-    (``REPRO_ARENA=0``), or any fill the closed form would reject (page
-    overflow, set outside its page) falls back to the scalar generator,
-    which also reproduces the generator's exact ``ConfigError`` and
-    partial allocator mutation on pathological configs.
+    the closed form cannot reconstruct), a numpy-less install, or any
+    fill the closed form would reject (page overflow, set outside its
+    page) falls back to the scalar generator, which also reproduces the
+    generator's exact ``ConfigError`` and partial allocator mutation on
+    pathological configs.
     """
-    if not (arena_accelerated() and allocator.fresh):
+    np = arena._np
+    if np is None or not allocator.fresh:
         return list(worst_case_addresses(config, allocator))
     num_sets = config.num_sets
     ways = config.ways
     period = max(1, num_sets // _BLOCKS_PER_PAGE)
-    sets = _np.arange(num_sets, dtype=_np.int64)
+    sets = np.arange(num_sets, dtype=np.int64)
     groups = sets // _BLOCKS_PER_PAGE
     residues = groups % period
     ranks = (groups // period) * _BLOCKS_PER_PAGE + sets % _BLOCKS_PER_PAGE
-    draws = ranks[:, None] * ways + _np.arange(ways, dtype=_np.int64)
+    draws = ranks[:, None] * ways + np.arange(ways, dtype=np.int64)
     pages = residues[:, None] + period * draws
     offsets = (sets[:, None] - pages * _BLOCKS_PER_PAGE) % num_sets
     if int(pages.max()) >= allocator._num_pages \
@@ -129,40 +121,13 @@ def worst_case_addresses_bulk(config: CacheConfig,
     # it: every page taken, and each class cursor one period past its
     # last draw (class r draws pages r, r+period, ..., consecutively).
     allocator._taken.update(pages.reshape(-1).tolist())
-    class_sets = _np.bincount(residues, minlength=period)
+    class_sets = np.bincount(residues, minlength=period)
     for residue in range(period):
         count = int(class_sets[residue]) * ways
         if count:
             allocator._next_free[(period, residue)] = \
                 residue + period * count
     return addresses
-
-
-def sequential_addresses(config: CacheConfig, base: int = 0) -> Iterator[int]:
-    """Best-case contiguous fill: ``num_lines`` consecutive line addresses.
-
-    A contiguous footprint maximizes security-metadata locality (64 lines per
-    counter block), the opposite extreme from :func:`worst_case_addresses`.
-    Used by the spatial-locality ablation.
-    """
-    for i in range(config.num_lines):
-        yield base + i * CACHE_LINE_SIZE
-
-
-def strided_addresses(config: CacheConfig, stride: int,
-                      base: int = 0) -> Iterator[int]:
-    """Fixed-stride fill (ignores set mapping; for ablations over locality).
-
-    ``stride`` must be a multiple of the line size.  Note a pure power-of-two
-    stride concentrates addresses in few sets; callers using this with a real
-    set-mapped cache should expect conflict evictions — the locality ablation
-    uses capacity-style accounting instead.
-    """
-    if stride % CACHE_LINE_SIZE:
-        raise ConfigError(f"stride {stride} must be a multiple of "
-                          f"{CACHE_LINE_SIZE}")
-    for i in range(config.num_lines):
-        yield base + i * stride
 
 
 def page_of(address: int) -> int:

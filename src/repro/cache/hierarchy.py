@@ -31,7 +31,6 @@ from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.common.rng import Rng, make_rng
 from repro.crypto.arena import tile_u64
-from repro.crypto.batch import batching_enabled
 
 FetchFn = Callable[[int], bytes]
 WritebackFn = Callable[[int, bytes], None]
@@ -111,10 +110,6 @@ class CacheHierarchy:
         self._soa: "tuple[SoALevel, SoALevel, SoALevel] | None" = None
 
     @property
-    def config(self) -> SystemConfig:
-        return self._config
-
-    @property
     def levels(self) -> tuple[SetAssociativeCache, ...]:
         return (self.l1, self.l2, self.llc)
 
@@ -186,7 +181,7 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
 
     def fill_worst_case(self, seed: int | None = None,
-                        batched: bool | None = None) -> int:
+                        batched: bool = True) -> int:
         """Populate every line of every level dirty, worst-case sparse.
 
         Inclusive: the LLC receives a full honest fill (every set, every way)
@@ -197,16 +192,16 @@ class CacheHierarchy:
         keeps counter pages unique hierarchy-wide).  Returns the number of
         lines installed.
 
-        ``batched`` (default: :func:`~repro.crypto.batch.batching_enabled`)
-        selects a fast path that performs the same inserts through direct
-        set operations — same allocator, same shuffle, same final lines,
-        LRU orders and statistics, minus the per-line method and dataclass
-        overhead that dominates paper-scale episode setup.
+        ``batched`` (the default) selects a fast path that performs the
+        same inserts through direct set operations — same allocator, same
+        shuffle, same final lines, LRU orders and statistics, minus the
+        per-line method and dataclass overhead that dominates paper-scale
+        episode setup.
         """
         self.invalidate_all()  # materializes any active epoch session
         allocator = make_allocator(self._config)
         rng = make_rng(seed)
-        if batching_enabled(batched):
+        if batched:
             return self._fill_worst_case_batched(allocator, rng)
 
         if not self.inclusive:

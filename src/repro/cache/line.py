@@ -22,6 +22,3 @@ class CacheLine:
             raise ValueError(
                 f"cache line payload must be {CACHE_LINE_SIZE} B, "
                 f"got {len(self.data)}")
-
-    def copy(self) -> "CacheLine":
-        return CacheLine(self.address, self.data, self.dirty)

@@ -24,13 +24,13 @@ carry only what the replay core branches on:
   Replay only ever asks "is this victim dirty" and "mark this line
   dirty", so one hash membership test replaces a ``line.dirty`` chase.
 
-What is vectorized behind the :func:`arena_accelerated` switch is the
-per-epoch address decomposition: :func:`decompose_sets` computes every
-op's set index for all three levels in one numpy u64 pass per level
-(:func:`~repro.crypto.arena.tile_u64`-style bulk kernels), with a
-byte-identical pure-Python fallback (``REPRO_ARENA=0``).  The replay core
-then maps each lane through the level's set list at C speed and runs
-divmod-free on the trace addresses.
+What is vectorized through the arena's numpy handle
+(:mod:`repro.crypto.arena`) is the per-epoch address decomposition:
+:func:`decompose_sets` computes every op's set index for all three levels
+in one numpy u64 pass per level (:func:`~repro.crypto.arena.tile_u64`-style
+bulk kernels), with a byte-identical pure-Python fallback for numpy-less
+installs.  The replay core then maps each lane through the level's set
+list at C speed and runs divmod-free on the trace addresses.
 
 Payload lanes hold the same objects the dict model would hold —
 ``bytes``, ``None``, or :class:`~repro.cache.hierarchy.PendingFill`
@@ -44,15 +44,7 @@ from typing import Any
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.line import CacheLine
 from repro.common.config import CacheConfig
-from repro.crypto.arena import arena_accelerated
-
-_np: Any
-try:
-    import numpy
-except ImportError:  # pragma: no cover - numpy is an optional extra
-    _np = None
-else:
-    _np = numpy
+from repro.crypto import arena
 
 #: Geometry tuple consumed by :func:`decompose_sets`:
 #: ``(line_size, num_sets)``.
@@ -69,9 +61,10 @@ def decompose_sets(addresses: Sequence[int],
     address numpy cannot hold) produces the same Python ints from the same
     arithmetic.
     """
-    if _np is not None and len(addresses) > 1 and arena_accelerated():
+    np = arena._np
+    if np is not None and len(addresses) > 1:
         try:
-            lane = _np.asarray(addresses, dtype=_np.uint64)
+            lane = np.asarray(addresses, dtype=np.uint64)
         except (OverflowError, TypeError, ValueError):
             pass
         else:

@@ -23,7 +23,6 @@ from repro.campaigns.classify import (
     LOST_UNPROTECTED,
     RECOVERED,
     SILENT,
-    classify_outcome,
     run_recovery_and_sweep,
 )
 from repro.campaigns.engine import (
@@ -82,7 +81,6 @@ __all__ = [
     "EpisodeProfile",
     "Scenario",
     "applicability",
-    "classify_outcome",
     "fault_plan_for",
     "fill_lines",
     "profile_episode",

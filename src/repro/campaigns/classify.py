@@ -86,9 +86,3 @@ def run_recovery_and_sweep(
             return LOST_UNPROTECTED, detail
         return SILENT, detail
     return RECOVERED, "all lines bit-exact"
-
-
-def classify_outcome(system: SecureEpdSystem,
-                     expected: dict[int, bytes]) -> tuple[str, str]:
-    """Recover and sweep with the default drive (the crash-matrix path)."""
-    return run_recovery_and_sweep(system, expected)

@@ -9,11 +9,6 @@ from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import AlignmentError
 
 
-def is_block_aligned(address: int, block_size: int = CACHE_LINE_SIZE) -> bool:
-    """Return True when ``address`` is a multiple of ``block_size``."""
-    return address % block_size == 0
-
-
 def require_block_aligned(address: int, block_size: int = CACHE_LINE_SIZE) -> int:
     """Validate alignment, returning the address for fluent use."""
     if address < 0:
@@ -25,21 +20,6 @@ def require_block_aligned(address: int, block_size: int = CACHE_LINE_SIZE) -> in
     return address
 
 
-def block_align_down(address: int, block_size: int = CACHE_LINE_SIZE) -> int:
-    """Round ``address`` down to the containing block boundary."""
-    return address - (address % block_size)
-
-
 def block_index(address: int, block_size: int = CACHE_LINE_SIZE) -> int:
     """Return the block number containing ``address``."""
     return address // block_size
-
-
-def block_address(index: int, block_size: int = CACHE_LINE_SIZE) -> int:
-    """Return the start address of block number ``index``."""
-    return index * block_size
-
-
-def blocks_in(size: int, block_size: int = CACHE_LINE_SIZE) -> int:
-    """Number of whole blocks needed to hold ``size`` bytes (ceiling)."""
-    return -(-size // block_size)

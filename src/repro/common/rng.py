@@ -45,8 +45,3 @@ def spread_seed(master_seed: int | None, *labels: int | str) -> int:
         digest.update(_SPREAD_SEPARATOR)
         digest.update(str(label).encode("utf-8"))
     return int.from_bytes(digest.digest(), "little") >> 1
-
-
-def random_block(rng: random.Random, size: int = 64) -> bytes:
-    """Return ``size`` random bytes drawn from ``rng``."""
-    return rng.getrandbits(8 * size).to_bytes(size, "little")

@@ -36,11 +36,6 @@ def cycles_to_seconds(cycles: float, frequency_hz: int = CORE_FREQUENCY_HZ) -> f
     return cycles / frequency_hz
 
 
-def cycles_to_ms(cycles: float, frequency_hz: int = CORE_FREQUENCY_HZ) -> float:
-    """Convert a cycle count to milliseconds at ``frequency_hz``."""
-    return cycles_to_seconds(cycles, frequency_hz) * 1e3
-
-
 def format_bytes(n: int) -> str:
     """Render a byte count using the largest fitting binary unit."""
     if n % GiB == 0 and n >= GiB:

@@ -16,9 +16,9 @@ contents:
 
 The engine has two executions of the same episode semantics:
 
-* the **scalar path** (``batched=False`` or ``REPRO_BATCH=0``) walks the
-  hierarchy block by block through the scalar crypto primitives — the
-  reference implementation, kept verbatim;
+* the **scalar path** (``batched=False``) walks the hierarchy block by
+  block through the scalar crypto primitives — the reference
+  implementation, kept verbatim;
 * the **batched path** (default) collects the episode's work list once,
   reserves the whole counter range, runs the crypto through
   :mod:`repro.crypto.batch`, and issues every NVM write through the grouped
@@ -42,7 +42,7 @@ from repro.core.chv import (
     VaultRotation,
 )
 from repro.crypto.arena import frame_buffer, pack_u64
-from repro.crypto.batch import batching_enabled, split_blocks
+from repro.crypto.batch import split_blocks
 from repro.crypto.counters import DrainCounter
 from repro.crypto.engine import AesEngine, MacEngine
 from repro.crypto.primitives import MacDomain
@@ -61,7 +61,7 @@ class HorusDrainEngine(DrainEngine):
     def __init__(self, controller: SecureMemoryController, nvm: NvmDevice,
                  chv: ChvLayout, drain_counter: DrainCounter,
                  timing: TimingModel, double_level_mac: bool = False,
-                 rotate_vault: bool = False, batched: bool | None = None):
+                 rotate_vault: bool = False, batched: bool = True):
         super().__init__(controller.stats, timing)
         self._controller = controller
         self._nvm = nvm
@@ -69,7 +69,7 @@ class HorusDrainEngine(DrainEngine):
         self._dc = drain_counter
         self._dlm = double_level_mac
         self.rotate_vault = rotate_vault
-        self.batched = batching_enabled(batched)
+        self.batched = batched
         self._rotation = VaultRotation.for_episode(chv, 0, False)
         self.name = "horus-dlm" if double_level_mac else "horus-slm"
         # Horus reuses the run-time AES/MAC engines during draining
@@ -161,20 +161,19 @@ class HorusDrainEngine(DrainEngine):
 
         data_addresses = chv.data_addresses(rotation.data_slots(count))
 
-        # The batch's composition is known in closed form (kinds is a
-        # CHV_DATA prefix followed by a CHV_METADATA suffix); zero-count
-        # kinds are omitted so the folded stats update touches exactly the
-        # counters the scalar path would.
-        data_count = kinds.count(WriteKind.CHV_DATA)
-        addr_blocks = -(-count // ADDRESSES_PER_BLOCK)
-        mac_blocks = -(-count // self.mac_group)
-
         if self._nvm.grouped_io:
             # No fault plan, wear tracker, or trace is watching individual
             # requests, so the interleaved stream can collapse into three
             # arena writes (data, address blocks, MAC blocks): the episode
             # touches disjoint CHV regions, so the final image and the
             # folded per-kind counters are identical to scalar issue.
+            # The data batch's composition is known in closed form (kinds
+            # is a CHV_DATA prefix followed by a CHV_METADATA suffix);
+            # zero-count kinds are omitted so the folded stats update
+            # touches exactly the counters the scalar path would.
+            data_count = kinds.count(WriteKind.CHV_DATA)
+            addr_blocks = -(-count // ADDRESSES_PER_BLOCK)
+            mac_blocks = -(-count // self.mac_group)
             data_counts = {}
             if data_count:
                 data_counts[WriteKind.CHV_DATA] = data_count
@@ -253,15 +252,7 @@ class HorusDrainEngine(DrainEngine):
                 macs, count - count % MACS_PER_BLOCK, count,
                 count // MACS_PER_BLOCK))
 
-        kind_counts = {}
-        if data_count:
-            kind_counts[WriteKind.CHV_DATA] = data_count
-        if count > data_count:
-            kind_counts[WriteKind.CHV_METADATA] = count - data_count
-        if count:
-            kind_counts[WriteKind.CHV_ADDRESS] = addr_blocks
-            kind_counts[WriteKind.CHV_MAC] = mac_blocks
-        self._nvm.write_batch(writes, kind_counts)
+        self._nvm.write_batch(writes)
 
     def _address_block(self, addresses: list[int], lo: int,
                        hi: int) -> tuple[int, bytes, WriteKind]:

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from repro.common.config import SystemConfig
 from repro.common.errors import OracleDivergenceError
 from repro.core.system import SecureEpdSystem
-from repro.crypto.batch import batching_enabled
 from repro.epd.drain import DrainReport
 from repro.workloads.replay import DEFAULT_EPOCH_OPS, replay
 from repro.workloads.trace import MemoryOp
@@ -69,7 +68,7 @@ def should_check() -> bool:
 
 @dataclass(frozen=True)
 class OracleOutcome:
-    """What one differential episode produced (the env-default run's view)."""
+    """What one differential episode produced (the batched run's view)."""
 
     drain: DrainReport
     recovery: object | None
@@ -139,18 +138,18 @@ def run_differential(config: SystemConfig, scheme: str, *,
                      **system_kwargs) -> OracleOutcome:
     """Run one episode on both paths; raise on any observable difference.
 
-    Returns the reports of whichever run matches the session's default
-    batching setting (so a caller can transparently substitute a
-    differential run for a normal one).  ``system_kwargs`` are forwarded to
-    both :class:`~repro.core.system.SecureEpdSystem` constructions —
+    Returns the batched run's reports (so a caller can transparently
+    substitute a differential run for a normal, batched one).
+    ``system_kwargs`` are forwarded to both
+    :class:`~repro.core.system.SecureEpdSystem` constructions —
     fault-matrix schemes pass ``rotate_vault``/``recovery_mode`` etc.
     """
     runs = {}
     for batched in (True, False):
         runs[batched] = _observe(config, scheme, batched, fill, fill_seed,
                                  drain_seed, recover, system_kwargs)
-    _, report_b, recovery_b, exc_b, obs_b = runs[True]
-    _, report_s, recovery_s, exc_s, obs_s = runs[False]
+    _, report, recovery, exc, obs_b = runs[True]
+    obs_s = runs[False][-1]
 
     fields = sorted(set(obs_b) | set(obs_s))
     for name in fields:
@@ -162,10 +161,6 @@ def run_differential(config: SystemConfig, scheme: str, *,
                 f"{drain_seed}): batched={_shorten(value_b)} "
                 f"scalar={_shorten(value_s)}")
 
-    if batching_enabled(None):
-        report, recovery, exc = report_b, recovery_b, exc_b
-    else:
-        report, recovery, exc = report_s, recovery_s, exc_s
     if exc is not None:
         raise exc
     return OracleOutcome(drain=report, recovery=recovery, checks=len(fields))
@@ -173,7 +168,7 @@ def run_differential(config: SystemConfig, scheme: str, *,
 
 @dataclass(frozen=True)
 class ReplayOutcome:
-    """What one differential replay produced (the env-default run's view)."""
+    """What one differential replay produced (the batched run's view)."""
 
     system: SecureEpdSystem
     expected: dict[int, bytes] | None
@@ -243,15 +238,15 @@ def run_replay_differential(config: SystemConfig, scheme: str,
     fresh system, so every observable — expected final contents, NVM image,
     lost writes, the full stats snapshot, cache hit/miss counters and
     resident lines at every level, metadata-cache contents, and the tree
-    root MAC — must match byte for byte.  Returns the view of whichever run
-    matches the session's default batching setting.
+    root MAC — must match byte for byte.  Returns the batched run's
+    view.
     """
     runs = {}
     for batched in (True, False):
         runs[batched] = _observe_replay(config, scheme, batched, trace,
                                         epoch_ops, system_kwargs)
-    system_b, expected_b, exc_b, obs_b = runs[True]
-    system_s, expected_s, exc_s, obs_s = runs[False]
+    system, expected, exc, obs_b = runs[True]
+    obs_s = runs[False][-1]
 
     fields = sorted(set(obs_b) | set(obs_s))
     for name in fields:
@@ -263,10 +258,6 @@ def run_replay_differential(config: SystemConfig, scheme: str,
                 f"(epoch_ops={epoch_ops}): batched={_shorten(value_b)} "
                 f"scalar={_shorten(value_s)}")
 
-    if batching_enabled(None):
-        system, expected, exc = system_b, expected_b, exc_b
-    else:
-        system, expected, exc = system_s, expected_s, exc_s
     if exc is not None:
         raise exc
     return ReplayOutcome(system=system, expected=expected,

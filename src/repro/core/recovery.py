@@ -24,7 +24,7 @@ from repro.common.constants import (
 from repro.common.errors import ConfigError, IntegrityError, RecoveryError
 from repro.core.chv import MAC_GROUP_DLM, MAC_GROUP_SLM, ChvLayout
 from repro.crypto.arena import unpack_u64
-from repro.crypto.batch import batching_enabled, split_blocks
+from repro.crypto.batch import split_blocks
 from repro.crypto.counters import DrainCounter
 from repro.crypto.primitives import MacDomain
 from repro.mem.nvm import NvmDevice
@@ -56,7 +56,7 @@ class HorusRecovery:
                  chv: ChvLayout, drain_counter: DrainCounter,
                  hierarchy: CacheHierarchy, timing: TimingModel,
                  double_level_mac: bool = False, mode: str = "refill",
-                 rotate_vault: bool = False, batched: bool | None = None):
+                 rotate_vault: bool = False, batched: bool = True):
         if mode not in ("refill", "writeback"):
             raise ConfigError(
                 f"recovery mode must be 'refill' or 'writeback', got {mode!r}")
@@ -68,7 +68,7 @@ class HorusRecovery:
         self._timing = timing
         self._dlm = double_level_mac
         self.rotate_vault = rotate_vault
-        self.batched = batching_enabled(batched)
+        self.batched = batched
         self.step_hook = None
         """Optional callback ``step_hook(position)`` invoked before each
         vault position is read back.  The campaign engine uses it to model

@@ -28,7 +28,6 @@ from repro.common.gcpause import collector_paused
 from repro.core.chv import ChvLayout
 from repro.core.horus import HorusDrainEngine
 from repro.core.recovery import HorusRecovery, RecoveryReport
-from repro.crypto.batch import batching_enabled
 from repro.crypto.engine import KeySchedule
 from repro.crypto.counters import DrainCounter
 from repro.epd.baseline import BaselineSecureDrain
@@ -52,7 +51,7 @@ class SecureEpdSystem:
     def __init__(self, config: SystemConfig | None = None,
                  scheme: str = "horus-dlm", recovery_mode: str = "refill",
                  inclusive: bool = True, osiris_stop_loss: int = 0,
-                 rotate_vault: bool = False, batched: bool | None = None,
+                 rotate_vault: bool = False, batched: bool = True,
                  key_schedule: "KeySchedule | None" = None):
         if scheme not in SCHEMES:
             raise ConfigError(
@@ -69,13 +68,13 @@ class SecureEpdSystem:
                 "non-inclusive hierarchies require recovery_mode='writeback'")
         self.config = config if config is not None else SystemConfig.paper()
         self.scheme = scheme
-        self.batched = batching_enabled(batched)
+        self.batched = batched
         """Whether hot paths run through the batched crypto/NVM engines.
 
-        Resolved from the ``batched`` argument, falling back to the
-        ``REPRO_BATCH`` environment switch (the differential oracle runs one
-        system per setting).  Scalar and batched execution are observably
-        identical — same NVM image, same counters, same faults lost."""
+        On by default; ``batched=False`` selects the scalar reference
+        path (the differential oracle runs one system per setting).
+        Scalar and batched execution are observably identical — same NVM
+        image, same counters, same faults lost."""
         self.stats = SimStats()
         self.timing = TimingModel(self.config)
 

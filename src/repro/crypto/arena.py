@@ -1,4 +1,4 @@
-"""Contiguous buffer arena for the epoch hot paths.
+"""Contiguous buffer kernels for the epoch hot paths.
 
 The batched engines in :mod:`repro.crypto.batch` removed the per-block
 *crypto* overhead, but the surrounding plumbing still marshalled every
@@ -8,8 +8,6 @@ one ``to_bytes`` concatenation at a time, address/MAC payload blocks were
 fresh objects just to be re-joined by the memory layer.  This module is
 the shared substrate that removes those round-trips:
 
-* a :class:`BlockArena` holds a whole epoch's blocks in one
-  ``bytearray``/``memoryview`` and hands out zero-copy per-block views;
 * ``pack_u64``/``unpack_u64``/``tile_u64`` convert between integer lanes
   and little-endian byte buffers in bulk (numpy u64 lanes where
   available, pure Python otherwise);
@@ -19,17 +17,16 @@ the shared substrate that removes those round-trips:
 
 Every kernel is *value-transparent*: the numpy path and the pure-Python
 path produce byte-identical output (property-tested against the scalar
-primitives in ``tests/test_prop_arena.py``), and ``REPRO_ARENA=0`` forces
-the pure path so CI can hold both to the same oracle.  Inputs that the
-u64 lanes cannot represent (counters at or above 2**64) transparently
-fall back to the arbitrary-precision path.
+primitives in ``tests/test_prop_arena.py``).  This is the only module
+that imports numpy; :mod:`repro.cache.fill` and :mod:`repro.cache.soa`
+reach it through :data:`_np` and :func:`arena_accelerated`, so a
+numpy-less install takes the pure path everywhere.  Inputs that the u64
+lanes cannot represent (counters at or above 2**64) transparently fall
+back to the arbitrary-precision path.
 """
 
-import os
 from collections.abc import Iterator, Sequence
 from typing import Any
-
-from repro.common.constants import CACHE_LINE_SIZE
 
 _np: Any
 try:
@@ -45,19 +42,9 @@ FRAME_SIZE = 24
 _U64_MAX = (1 << 64) - 1
 
 
-def arena_accelerated(override: bool | None = None) -> bool:
-    """Whether the numpy u64 lanes are in use.
-
-    ``REPRO_ARENA=0`` forces the pure-Python kernels (the CI leg that
-    mirrors a numpy-less install); anything else uses numpy whenever it
-    is importable.  An explicit ``override`` always wins, but can only
-    enable acceleration if numpy is actually present.
-    """
-    if _np is None:
-        return False
-    if override is not None:
-        return override
-    return os.environ.get("REPRO_ARENA", "1") != "0"
+def arena_accelerated() -> bool:
+    """Whether the numpy u64 lanes are in use (numpy is importable)."""
+    return _np is not None
 
 
 def pack_u64(values: Sequence[int]) -> bytes:
@@ -105,8 +92,8 @@ def frame_buffer(addresses: Sequence[int], counters: Sequence[int]) -> bytes:
     """All 24 B (address, counter) frames of a batch, contiguously.
 
     Byte ``24*i .. 24*i+23`` equals ``addresses[i].to_bytes(8, "little")
-    + counters[i].to_bytes(16, "little")`` — i.e. the buffer is exactly
-    ``b"".join(counter_frames(addresses, counters))``.  Counters at or
+    + counters[i].to_bytes(16, "little")``, the framing both the pad and
+    the block MAC absorb after their domain tags.  Counters at or
     above 2**64 (or any non-u64 input) take the arbitrary-precision
     path, so the output never depends on which kernel ran.
     """
@@ -161,97 +148,3 @@ def xor_bytes(a: bytes | bytearray | memoryview,
                       ^ _np.frombuffer(b, dtype="<u8")).tobytes())
     return (int.from_bytes(a, "little")
             ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
-
-
-class BlockArena:
-    """A batch of 64 B blocks stored in one contiguous buffer.
-
-    The arena is the common currency of the batched hot paths: crypto
-    kernels produce/consume its backing buffer whole, the memory layer
-    slices it per block exactly once at the storage boundary, and
-    everything in between hands around zero-copy ``memoryview`` windows
-    instead of per-block ``bytes`` objects.
-    """
-
-    __slots__ = ("count", "_buffer", "_view")
-
-    def __init__(self, count: int,
-                 buffer: bytearray | bytes | None = None) -> None:
-        if count < 0:
-            raise ValueError(f"negative block count: {count}")
-        size = count * CACHE_LINE_SIZE
-        if buffer is None:
-            buffer = bytearray(size)
-        elif len(buffer) != size:
-            raise ValueError(
-                f"buffer length {len(buffer)} does not hold {count} "
-                f"blocks of {CACHE_LINE_SIZE} B")
-        self.count = count
-        self._buffer = buffer
-        self._view = memoryview(buffer)
-
-    @classmethod
-    def from_buffer(cls, buffer: bytearray | bytes) -> "BlockArena":
-        """Wrap an existing contiguous buffer; length must be 64 B-aligned."""
-        if len(buffer) % CACHE_LINE_SIZE:
-            raise ValueError(
-                f"buffer length {len(buffer)} not a multiple of "
-                f"{CACHE_LINE_SIZE}")
-        return cls(len(buffer) // CACHE_LINE_SIZE, buffer)
-
-    @classmethod
-    def from_block(cls, block: bytes) -> "BlockArena":
-        """A one-block arena (the scalar form of :meth:`from_blocks`)."""
-        return cls(1, block)
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[bytes]) -> "BlockArena":
-        """Copy a list of 64 B blocks into one contiguous arena."""
-        return cls(len(blocks), b"".join(blocks))
-
-    def __len__(self) -> int:
-        return self.count
-
-    def _bounds(self, index: int) -> int:
-        if not 0 <= index < self.count:
-            raise IndexError(
-                f"block {index} out of range for {self.count}-block arena")
-        return index * CACHE_LINE_SIZE
-
-    def view(self, index: int) -> memoryview:
-        """Zero-copy window onto block ``index``."""
-        offset = self._bounds(index)
-        return self._view[offset:offset + CACHE_LINE_SIZE]
-
-    def block(self, index: int) -> bytes:
-        """Block ``index`` as an owned ``bytes`` copy."""
-        offset = self._bounds(index)
-        return bytes(self._view[offset:offset + CACHE_LINE_SIZE])
-
-    def store(self, index: int, data: bytes | bytearray | memoryview) -> None:
-        """Copy one 64 B block into slot ``index`` (buffer must be mutable)."""
-        if len(data) != CACHE_LINE_SIZE:
-            raise ValueError(
-                f"block must be {CACHE_LINE_SIZE} B, got {len(data)} B")
-        offset = self._bounds(index)
-        self._view[offset:offset + CACHE_LINE_SIZE] = data
-
-    def views(self) -> Iterator[memoryview]:
-        """Zero-copy windows onto every block, in order."""
-        return (self._view[offset:offset + CACHE_LINE_SIZE]
-                for offset in range(0, self.count * CACHE_LINE_SIZE,
-                                    CACHE_LINE_SIZE))
-
-    def blocks(self) -> list[bytes]:
-        """All blocks as owned ``bytes`` copies (the list-of-blocks form)."""
-        return [bytes(self._view[offset:offset + CACHE_LINE_SIZE])
-                for offset in range(0, self.count * CACHE_LINE_SIZE,
-                                    CACHE_LINE_SIZE)]
-
-    def buffer(self) -> memoryview:
-        """The whole arena as one zero-copy view."""
-        return self._view
-
-    def tobytes(self) -> bytes:
-        """The whole arena as one owned ``bytes`` buffer."""
-        return bytes(self._buffer)

@@ -21,61 +21,30 @@ primitives remain the specification, and the differential oracle
 """
 
 import hashlib
-import os
 from collections.abc import Iterable, Sequence
 
 from repro.common.constants import CACHE_LINE_SIZE, MAC_SIZE
 from repro.crypto.arena import frame_buffer, frame_views, xor_bytes
 from repro.crypto.primitives import MAC_DOMAIN, PAD_DOMAIN, MacDomain
 
-Frames = Sequence[bytes] | bytes | bytearray | memoryview | None
-"""A batch's (address, counter) hash frames: either the list form from
-:func:`counter_frames` or the contiguous form from
-:func:`repro.crypto.arena.frame_buffer` (24 B per block)."""
-
-
-def batching_enabled(override: bool | None = None) -> bool:
-    """Resolve the batched-execution default.
-
-    ``REPRO_BATCH=0`` forces every engine onto the scalar reference path
-    (the differential oracle's other half); anything else — including the
-    variable being unset — selects the batched hot path.  An explicit
-    ``batched=`` argument on a system or engine always wins.
-    """
-    if override is not None:
-        return override
-    return os.environ.get("REPRO_BATCH", "1") != "0"
-
-
-def counter_frames(addresses: Sequence[int],
-                   counters: Sequence[int]) -> list[bytes]:
-    """The per-block (address, counter) hash frame, batch-assembled.
-
-    Element ``i`` is ``int_field(addresses[i]) + int_field(counters[i], 16)``
-    — the exact bytes both the pad and the block-MAC absorb after their
-    domain tags.  Pad generation and MAC computation over the same work list
-    share one frame pass.
-    """
-    if len(addresses) != len(counters):
-        raise ValueError("addresses and counters must have equal length")
-    return [address.to_bytes(8, "little") + counter.to_bytes(16, "little")
-            for address, counter in zip(addresses, counters)]
+Frames = bytes | bytearray | memoryview | None
+"""A batch's (address, counter) hash frames: the contiguous
+:func:`repro.crypto.arena.frame_buffer` form (24 B per block), or None to
+assemble them on the spot."""
 
 
 def _resolve_frames(frames: Frames, addresses: Sequence[int],
-                    counters: Sequence[int]) -> Iterable[bytes | memoryview]:
-    """Iterate a batch's frames regardless of representation.
+                    counters: Sequence[int]) -> Iterable[memoryview]:
+    """Iterate a batch's frames as 24 B zero-copy windows.
 
-    ``None`` assembles them (contiguously, via the arena kernel); a
-    ``bytes``/``bytearray``/``memoryview`` buffer is sliced into 24 B
-    zero-copy windows; a pre-built list is returned as is.  Every form
-    yields the exact bytes :func:`counter_frames` would produce.
+    ``None`` assembles them (contiguously, via the arena kernel); element
+    ``i`` is ``int_field(addresses[i]) + int_field(counters[i], 16)`` —
+    the exact bytes both the pad and the block-MAC absorb after their
+    domain tags.
     """
     if frames is None:
         frames = frame_buffer(addresses, counters)
-    if isinstance(frames, (bytes, bytearray, memoryview)):
-        return frame_views(frames, len(addresses))
-    return frames
+    return frame_views(frames, len(addresses))
 
 
 def generate_pads(key: bytes, addresses: Sequence[int],
@@ -87,8 +56,7 @@ def generate_pads(key: bytes, addresses: Sequence[int],
     counters[i])``.  The keyed state and the pad domain tag are absorbed
     once; each block only pays for its own (address, counter) frame.
     ``frames`` lets a caller that also MACs the same batch reuse one
-    frame-assembly pass — either the :func:`counter_frames` list or the
-    contiguous :func:`repro.crypto.arena.frame_buffer` form.
+    :func:`repro.crypto.arena.frame_buffer` pass.
     """
     frame_iter = _resolve_frames(frames, addresses, counters)
     base = hashlib.blake2b(key=key, digest_size=CACHE_LINE_SIZE)
@@ -170,7 +138,7 @@ def compute_block_macs(key: bytes, buffer: bytes | bytearray | memoryview,
     ``buffer`` is the concatenation of ``len(addresses)`` 64 B blocks;
     element ``i`` equals ``compute_mac(key, block_i, int_field(addr),
     int_field(ctr, 16), domain=domain)``.  ``frames`` reuses a frame
-    pass shared with pad generation (list or contiguous form).
+    pass shared with pad generation.
     """
     if len(buffer) != CACHE_LINE_SIZE * len(addresses):
         raise ValueError(

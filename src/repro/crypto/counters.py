@@ -131,9 +131,6 @@ class SplitCounterBlock:
     def copy(self) -> "SplitCounterBlock":
         return SplitCounterBlock(self.major, list(self.minors))
 
-    def is_zero(self) -> bool:
-        return self.major == 0 and not any(self.minors)
-
 
 class DrainCounter:
     """The Horus DC/eDC register pair (both in the persistent TCB).

@@ -9,7 +9,7 @@ and (b) an optional non-functional mode where values are not actually computed
 from collections.abc import Sequence
 from typing import Protocol
 
-from repro.common.constants import CACHE_LINE_SIZE, MAC_SIZE
+from repro.common.constants import MAC_SIZE
 from repro.crypto import batch
 from repro.crypto.primitives import (
     MacDomain,
@@ -83,7 +83,7 @@ class AesEngine:
         ``None`` in non-functional mode — the return is then ``None`` too
         (each block's ciphertext is ``None``, as in the scalar path;
         callers substitute zero blocks at write time).  ``frames`` shares a
-        :func:`repro.crypto.batch.counter_frames` pass with the MAC engine.
+        :func:`repro.crypto.arena.frame_buffer` pass with the MAC engine.
         """
         self._stats.record_aes(AesKind.ENCRYPT, len(addresses))
         if not self.functional or plaintext is None:
@@ -165,7 +165,7 @@ class MacEngine:
         ``None`` is the non-functional form (placeholder MACs, same as the
         scalar path with ``ciphertext=None``).  Domain resolution is
         identical to :meth:`block_mac`; ``frames`` shares a
-        :func:`repro.crypto.batch.counter_frames` pass with the AES engine.
+        :func:`repro.crypto.arena.frame_buffer` pass with the AES engine.
         """
         count = len(addresses)
         self._stats.record_mac(kind, count)
@@ -211,8 +211,3 @@ class KeySchedule(Protocol):
               functional: bool) -> "tuple[AesEngine, MacEngine]":
         """Return the (AES engine, MAC engine) pair for one controller."""
         ...
-
-
-def zero_block() -> bytes:
-    """A fresh all-zero 64 B block."""
-    return bytes(CACHE_LINE_SIZE)

@@ -30,10 +30,6 @@ class EnergyBreakdown:
     def total_j(self) -> float:
         return self.processor_j + self.nvm_write_j + self.nvm_read_j
 
-    @property
-    def total_wh(self) -> float:
-        return self.total_j / 3600.0
-
 
 class EnergyModel:
     """Maps a drain report to its energy breakdown."""

@@ -26,10 +26,6 @@ class BaselineSecureDrain(DrainEngine):
         lazy = controller.scheme.needs_parent_update_on_writeback()
         self.name = f"base-{'lu' if lazy else 'eu'}"
 
-    @property
-    def controller(self) -> SecureMemoryController:
-        return self._controller
-
     def _run(self, hierarchy: CacheHierarchy,
              seed: int | None) -> tuple[int, int]:
         flushed = 0

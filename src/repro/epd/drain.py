@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.constants import CACHE_LINE_SIZE
-from repro.crypto.batch import batching_enabled
 from repro.stats.counters import SimStats
 from repro.stats.timing import TimingModel
 from repro.stats.events import WriteKind
@@ -92,10 +91,10 @@ class NonSecureDrain(DrainEngine):
     name = "nosec"
 
     def __init__(self, stats: SimStats, timing: TimingModel, nvm,
-                 batched: bool | None = None):
+                 batched: bool = True):
         super().__init__(stats, timing)
         self._nvm = nvm
-        self.batched = batching_enabled(batched)
+        self.batched = batched
 
     def _run(self, hierarchy: CacheHierarchy,
              seed: int | None) -> tuple[int, int]:

@@ -13,11 +13,9 @@ Keys are a SHA-256 over a canonical JSON encoding of:
   geometry/latency/security change invalidates),
 * the scheme / experiment name, fill mode, and the fill/drain seeds,
 * a *code version* fingerprint over every ``.py`` file in the ``repro``
-  package, so editing the simulator safely invalidates every cached
-  result.  ``REPRO_CODE_FINGERPRINT`` selects between the fast local
-  ``mtime`` mode (relpath, size, mtime_ns) and a checkout-stable
-  ``content`` mode (relpath, sha256); ``REPRO_CODE_VERSION`` pins the
-  fingerprint explicitly, e.g. in tests.
+  package — (relpath, size, mtime_ns) per file — so editing the simulator
+  safely invalidates every cached result.  ``REPRO_CODE_VERSION`` pins
+  the fingerprint explicitly, e.g. in tests.
 
 Corrupted or truncated cache files are treated as misses (and removed);
 the cache never turns a readable-but-wrong file into a crash.
@@ -61,44 +59,26 @@ simulator must crash the run, only bad bytes on disk may become a miss."""
 def code_version() -> str:
     """Fingerprint of the installed ``repro`` sources.
 
-    Two modes, selected by ``REPRO_CODE_FINGERPRINT``:
-
-    * ``mtime`` (the default) — sorted ``(relpath, size, mtime_ns)``
-      entries.  Fast (one ``stat`` per file) and exactly right for local
-      editing, but unstable across fresh checkouts, which reset mtimes.
-    * ``content`` — sorted ``(relpath, sha256(bytes))`` entries.  Reads
-      every source file, but identical trees fingerprint identically
-      regardless of checkout time, so CI and shared cache directories
-      get real hits.
-
-    ``REPRO_CODE_VERSION`` overrides the computed fingerprint entirely,
-    which lets tests exercise invalidation and lets deployments pin a
-    release tag.
+    Sorted ``(relpath, size, mtime_ns)`` entries: one ``stat`` per file,
+    exactly right for local editing (fresh checkouts reset mtimes, so
+    they start with a cold cache).  ``REPRO_CODE_VERSION`` overrides the
+    computed fingerprint entirely, which lets tests exercise invalidation
+    and lets deployments pin a release tag.
     """
     override = os.environ.get("REPRO_CODE_VERSION")
     if override:
         return override
-    mode = os.environ.get("REPRO_CODE_FINGERPRINT", "mtime")
-    if mode not in ("mtime", "content"):
-        raise ValueError(
-            f"REPRO_CODE_FINGERPRINT must be 'mtime' or 'content', "
-            f"got {mode!r}")
     import repro
 
     root = Path(repro.__file__).resolve().parent
     entries: list[tuple] = []
     for path in sorted(root.rglob("*.py")):
         try:
-            if mode == "content":
-                entry = (str(path.relative_to(root)),
-                         hashlib.sha256(path.read_bytes()).hexdigest())
-            else:
-                stat = path.stat()
-                entry = (str(path.relative_to(root)), stat.st_size,
-                         stat.st_mtime_ns)
+            stat = path.stat()
         except OSError:
             continue
-        entries.append(entry)
+        entries.append((str(path.relative_to(root)), stat.st_size,
+                        stat.st_mtime_ns))
     digest = hashlib.sha256(json.dumps(entries).encode()).hexdigest()
     return digest[:16]
 
@@ -238,10 +218,6 @@ class ResultCache:
         self.stores += 1
 
     # -- bookkeeping ----------------------------------------------------------
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
 
     def counters(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,

@@ -25,7 +25,6 @@ from repro.campaigns.classify import (
     LOST_UNPROTECTED,
     RECOVERED,
     SILENT,
-    classify_outcome,
 )
 from repro.campaigns.engine import (
     DRAIN_SEED,
@@ -56,11 +55,9 @@ __all__ = [
     "TORN_PREFIX",
     "EpisodeProfile",
     "MatrixCell",
-    "classify_outcome",
     "fault_plan_for",
     "fill_lines",
     "profile_episode",
-    "render_markdown",
     "run_cell",
     "run_matrix",
     "variant_name",
@@ -105,13 +102,3 @@ def run_matrix(config: SystemConfig, lines: int = 48,
             cells.append(MatrixCell(variant_name(scheme, rotate), fault,
                                     outcome, detail))
     return cells
-
-
-def render_markdown(cells: list[MatrixCell]) -> str:
-    """Detection-coverage table, one row per cell."""
-    lines = ["| scheme | fault | outcome | detail |",
-             "|---|---|---|---|"]
-    for cell in cells:
-        lines.append(f"| {cell.scheme} | {cell.fault} | {cell.outcome} "
-                     f"| {cell.detail} |")
-    return "\n".join(lines)

@@ -54,17 +54,6 @@ def param_index(label: str) -> int:
     return int(label[len(_PARAM_PREFIX):])
 
 
-def semantic(taint: Taint) -> Taint:
-    """The taint with parameter placeholders removed."""
-    return frozenset(label for label in taint if not is_param_label(label))
-
-
-def params_in(taint: Taint) -> frozenset[int]:
-    """Indices of every parameter placeholder present in ``taint``."""
-    return frozenset(param_index(label) for label in taint
-                     if is_param_label(label))
-
-
 @dataclass(frozen=True)
 class SourceSpec:
     """Introduce ``label`` at matching expressions.

@@ -101,11 +101,6 @@ class FlowAnalysis:
                 reads.update(result.attr_reads)
         return reads
 
-    def transitive_self_callee_names(self, qualname: str) -> set[str]:
-        return {self.graph.functions[reached].name
-                for reached in self.graph.transitive_self_closure(qualname)
-                if reached != qualname and reached in self.graph.functions}
-
 
 def analyze_project(project: Project, modules: list[Module],
                     config: FlowConfig) -> FlowAnalysis:

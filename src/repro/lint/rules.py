@@ -354,7 +354,6 @@ class StatsAccountingRule(Rule):
         "repro.metadata",
         "repro.crypto",
         "repro.faults",
-        "repro.pmlib",
         "repro.campaigns",
     )
 

@@ -60,42 +60,18 @@ class SparseMemory:
             self._check(address)
         self._blocks[address // CACHE_LINE_SIZE] = bytes(data)
 
-    def write_blocks(self, items) -> None:
-        """Store a batch of ``(address, data)`` 64 B blocks.
-
-        Semantically identical to :meth:`write_block` per item (same
-        validation, same resulting contents); validation runs for the whole
-        batch before the first store so a bad item cannot leave a partial
-        batch behind — the device-level fault model, not this method,
-        decides what a torn batch looks like.
-        """
-        items = list(items)
-        size = self._size
-        for address, data in items:
-            if address % CACHE_LINE_SIZE:
-                raise AddressError(f"address {address:#x} is not "
-                                   f"{CACHE_LINE_SIZE}-byte aligned")
-            if address + CACHE_LINE_SIZE > size:
-                raise AddressError(
-                    f"address {address:#x} beyond end of memory "
-                    f"({size:#x})")
-            if len(data) != CACHE_LINE_SIZE:
-                raise AddressError(
-                    f"block writes must be exactly {CACHE_LINE_SIZE} B, "
-                    f"got {len(data)}")
-        self._blocks.update(
-            (address // CACHE_LINE_SIZE, bytes(data))
-            for address, data in items)
-
     def write_arena(self, addresses, buffer) -> None:
         """Store blocks from one contiguous buffer: ``buffer[64*i:64*i+64]``
         lands at ``addresses[i]``.
 
-        Semantically identical to :meth:`write_blocks` over the zipped
-        pairs (same validation-before-store contract, same last-write-wins
-        on duplicate addresses) but the per-block payload objects are
-        never materialized — the arena is sliced exactly once here, at
-        the storage boundary.
+        Semantically identical to :meth:`write_block` per address (same
+        validation, same last-write-wins on duplicate addresses), except
+        that validation runs for the whole batch before the first store,
+        so a bad address cannot leave a partial batch behind — the
+        device-level fault model, not this method, decides what a torn
+        batch looks like.  The per-block payload objects are never
+        materialized: the arena is sliced exactly once here, at the
+        storage boundary.
         """
         count = len(addresses)
         if len(buffer) != count * CACHE_LINE_SIZE:

@@ -53,10 +53,6 @@ class MakespanResult:
     makespan_ns: float
     busiest_bank_requests: int
 
-    @property
-    def makespan_seconds(self) -> float:
-        return self.makespan_ns * 1e-9
-
 
 def replay_makespan(trace: list[tuple[int, bool]], config: SystemConfig,
                     geometry: BankGeometry) -> MakespanResult:

@@ -137,40 +137,18 @@ class NvmDevice:
         if self.trace is not None:
             self.trace.append((address, True))
 
-    def write_batch(self, items, kind_counts=None) -> None:
+    def write_batch(self, items) -> None:
         """Write a batch of ``(address, data, kind)`` blocks in list order.
 
-        Accounting is identical to issuing each item through :meth:`write`:
-        stats count every attempt by kind, wear and trace see every request
-        in order, and an attached fault plan filters each write individually
-        (so a power cut mid-batch loses exactly the tail it would have lost
-        under scalar issue).  Only the bookkeeping is grouped — when no
-        fault plan, wear tracker, or trace is attached, the batch takes a
-        fast path that bulk-loads the backend and folds the stats updates
-        into one counter update per kind.
-
-        ``kind_counts`` (a ``{WriteKind: count}`` mapping) lets a caller
-        that already knows its batch composition skip the per-item counting
-        pass; it must sum to ``len(items)`` with each kind's true count.
+        Exactly :meth:`write` per item: stats, wear and trace see every
+        request in order, and an attached fault plan filters each write
+        individually (so a power cut mid-batch loses exactly the tail it
+        would have lost under scalar issue).  Callers reach for it when
+        :attr:`grouped_io` is false and a specific interleaving must
+        survive; grouped issue goes through :meth:`write_arena`.
         """
-        if (self.fault_plan is not None or self.wear is not None
-                or self.trace is not None):
-            for address, data, kind in items:
-                self.write(address, data, kind)
-            return
-        if kind_counts is None:
-            kind_counts = {}
-            for _, _, kind in items:
-                kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        for kind in kind_counts:
-            if not isinstance(kind, WriteKind):
-                raise AddressError(
-                    f"write kind must be a WriteKind, got {kind!r}")
-        self._backend.write_blocks(
-            [(address, data) for address, data, _ in items])
-        record = self.stats.record_write
-        for kind, count in kind_counts.items():
-            record(kind, count)
+        for address, data, kind in items:
+            self.write(address, data, kind)
 
     @property
     def grouped_io(self) -> bool:
@@ -191,13 +169,14 @@ class NvmDevice:
         ``addresses[i]``), accounted like :meth:`write` per element.
 
         ``kinds`` is either one :class:`WriteKind` for the whole batch or a
-        per-element sequence; ``kind_counts`` optionally skips the counting
-        pass exactly as in :meth:`write_batch`.  When :attr:`grouped_io` is
-        false the batch degrades to scalar issue in list order, so fault
-        plans, wear, and traces observe the same per-request stream the
-        scalar path would produce.  Callers that need a specific
-        *interleaving* with other writes under a fault plan must check
-        :attr:`grouped_io` themselves and build that interleaved stream.
+        per-element sequence; ``kind_counts`` (a ``{WriteKind: count}``
+        mapping summing to ``len(addresses)``) optionally skips the
+        counting pass.  When :attr:`grouped_io` is false the batch degrades
+        to scalar issue in list order, so fault plans, wear, and traces
+        observe the same per-request stream the scalar path would produce.
+        Callers that need a specific *interleaving* with other writes under
+        a fault plan must check :attr:`grouped_io` themselves and build
+        that interleaved stream.
         """
         count = len(addresses)
         single = isinstance(kinds, WriteKind)

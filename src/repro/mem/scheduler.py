@@ -32,10 +32,6 @@ class ScheduleResult:
     reordered: int
     """Issues that were not the oldest pending request (FR-FCFS work)."""
 
-    @property
-    def makespan_seconds(self) -> float:
-        return self.makespan_ns * 1e-9
-
 
 def schedule_trace(trace: list[tuple[int, bool]], config: SystemConfig,
                    geometry: BankGeometry, policy: str = "frfcfs",

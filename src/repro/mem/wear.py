@@ -44,16 +44,6 @@ class WearTracker:
     def total_writes(self) -> int:
         return sum(self._writes.values())
 
-    def writes_at(self, address: int) -> int:
-        return self._writes[address]
-
-    def hottest_block(self) -> tuple[int, int]:
-        """(address, writes) of the most-worn block."""
-        if not self._writes:
-            return (0, 0)
-        address, count = max(self._writes.items(), key=lambda kv: kv[1])
-        return address, count
-
     def region_wear(self) -> list[RegionWear]:
         """Wear summary per layout region, ordered as the layout is."""
         per_region: dict[str, list[int]] = {
@@ -75,6 +65,3 @@ class WearTracker:
             if wear.region == region_name:
                 return wear
         raise KeyError(region_name)
-
-    def reset(self) -> None:
-        self._writes.clear()

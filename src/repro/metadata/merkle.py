@@ -7,7 +7,7 @@ NVM-resident Bonsai tree logic in :mod:`repro.secure`.
 
 from collections.abc import Sequence
 
-from repro.common.errors import ConfigError, IntegrityError
+from repro.common.errors import ConfigError
 from repro.crypto.primitives import MacDomain, compute_mac
 
 
@@ -40,10 +40,6 @@ class InMemoryMerkleTree:
             self._levels.append(level)
 
     @property
-    def arity(self) -> int:
-        return self._arity
-
-    @property
     def num_leaves(self) -> int:
         return len(self._leaves)
 
@@ -60,33 +56,3 @@ class InMemoryMerkleTree:
     def num_hashes(self) -> int:
         """Total MAC computations an eager build performs (for accounting)."""
         return sum(len(level) for level in self._levels)
-
-    def leaf(self, index: int) -> bytes:
-        return self._leaves[index]
-
-    def update_leaf(self, index: int, payload: bytes) -> None:
-        """Eagerly update one leaf and its path to the root."""
-        if not 0 <= index < len(self._leaves):
-            raise ConfigError(f"leaf {index} out of range")
-        self._leaves[index] = bytes(payload)
-        self._levels[0][index] = self._hash_group([self._leaves[index]])
-        child_index = index
-        for level in range(1, len(self._levels)):
-            parent_index = child_index // self._arity
-            start = parent_index * self._arity
-            group = self._levels[level - 1][start:start + self._arity]
-            self._levels[level][parent_index] = self._hash_group(group)
-            child_index = parent_index
-
-    def verify_all(self) -> None:
-        """Recompute the whole tree and compare to the stored digests."""
-        rebuilt = InMemoryMerkleTree(self._leaves, self._arity, self._key)
-        if rebuilt.root != self.root:
-            raise IntegrityError("Merkle root mismatch: leaves were altered")
-        for stored, fresh in zip(self._levels, rebuilt._levels):
-            if stored != fresh:
-                raise IntegrityError("Merkle level mismatch: stale interior node")
-
-    def verify_against(self, leaves: Sequence[bytes]) -> bool:
-        """True when ``leaves`` hash to this tree's root."""
-        return InMemoryMerkleTree(leaves, self._arity, self._key).root == self.root

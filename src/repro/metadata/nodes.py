@@ -44,9 +44,6 @@ class TreeNode:
     def to_bytes(self) -> bytes:
         return bytes(self._data)
 
-    def copy(self) -> "TreeNode":
-        return TreeNode(bytes(self._data))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TreeNode) and self._data == other._data
 
@@ -84,6 +81,3 @@ class DefaultNodes:
     def mac(self, level: int) -> bytes:
         """MAC of the default content at ``level``."""
         return self._macs[level]
-
-    def default_node(self, level: int) -> TreeNode:
-        return TreeNode(self._contents[level])

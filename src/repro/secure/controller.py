@@ -25,7 +25,6 @@ from repro.common.constants import (
 from repro.common.config import CacheConfig
 from repro.common.errors import ConfigError, IntegrityError
 from repro.crypto.arena import frame_buffer
-from repro.crypto.batch import batching_enabled
 from repro.crypto.counters import SplitCounterBlock
 from repro.crypto.engine import AesEngine, KeySchedule, MacEngine
 from repro.crypto.primitives import MacDomain
@@ -48,14 +47,14 @@ class SecureMemoryController:
     def __init__(self, config: SystemConfig, nvm: NvmDevice,
                  layout: MemoryLayout, stats: SimStats,
                  scheme: str | UpdateScheme = "lazy",
-                 batched: bool | None = None,
+                 batched: bool = True,
                  key_schedule: KeySchedule | None = None):
         self._config = config
         self.nvm = nvm
         self.layout = layout
         self.stats = stats
         self.functional = config.security.functional
-        self.batched = batching_enabled(batched)
+        self.batched = batched
         self.scheme = (scheme if isinstance(scheme, UpdateScheme)
                        else make_scheme(scheme))
 
@@ -802,9 +801,6 @@ class SecureMemoryController:
         """Minor overflow bumped the major: re-encrypt the whole 4 KiB page."""
         if old is None:
             raise ConfigError("overflow without captured old counters")
-        if self.batched and self.functional and self.nvm.trace is None:
-            self._reencrypt_page_batched(address, old, new, skip_slot)
-            return
         page_base = address - (address % COUNTER_BLOCK_COVERAGE)
         for slot in range(64):
             line_address = page_base + slot * CACHE_LINE_SIZE
@@ -822,40 +818,6 @@ class SecureMemoryController:
             self.nvm.write(line_address,
                            new_ct if new_ct is not None else _ZERO_BLOCK,
                            WriteKind.DATA)
-
-    def _reencrypt_page_batched(self, address: int, old: SplitCounterBlock,
-                                new: SplitCounterBlock,
-                                skip_slot: int) -> None:
-        """Batched page re-encryption through :mod:`repro.crypto.batch`.
-
-        The page's lines are independent of each other and of the MAC-cache
-        region, so lifting the crypto out of the per-slot loop cannot change
-        any value; byte and counter equivalence with the scalar loop is
-        pinned by ``tests/test_controller_edges.py``.
-        """
-        page_base = address - (address % COUNTER_BLOCK_COVERAGE)
-        is_written = self.nvm.backend.is_written
-        slots = [slot for slot in range(64)
-                 if slot != skip_slot
-                 and is_written(page_base + slot * CACHE_LINE_SIZE)]
-        if not slots:
-            return
-        line_addresses = [page_base + slot * CACHE_LINE_SIZE
-                          for slot in slots]
-        old_counters = [old.counter_for(slot) for slot in slots]
-        new_counters = [new.counter_for(slot) for slot in slots]
-        buffer = self.nvm.read_arena(line_addresses, ReadKind.DATA)
-        plaintext = self.aes.decrypt_batch(line_addresses, old_counters,
-                                           buffer)
-        new_ct = self.aes.encrypt_batch(line_addresses, new_counters,
-                                        plaintext)
-        macs = self.mac.block_mac_batch(
-            MacKind.DATA_PROTECT, new_ct, line_addresses, new_counters,
-            domain=MacDomain.DATA)
-        for line_address, mac_value in zip(line_addresses, macs):
-            self._store_data_mac(line_address, mac_value)
-        assert new_ct is not None  # batched segments are functional
-        self.nvm.write_arena(line_addresses, new_ct, WriteKind.DATA)
 
     # ------------------------------------------------------------------
     # Drain / recovery support

@@ -45,7 +45,7 @@ class ShardRunSpec:
     drain_policy: str = "simultaneous"
     power_budget_w: float | None = None
     epoch_ops: int = DEFAULT_EPOCH_OPS
-    batched: bool | None = None
+    batched: bool = True
     tenant_keys: bool = True
 
 

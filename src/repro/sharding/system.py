@@ -30,7 +30,6 @@ from repro.epd.drain import DrainReport
 from repro.sharding.drain import DrainPolicy, DrainSchedule, make_drain_policy
 from repro.sharding.keys import TenantKeyring, TenantKeySchedule
 from repro.sharding.router import ShardRouter
-from repro.stats.counters import SimStats
 from repro.workloads.replay import DEFAULT_EPOCH_OPS, replay
 from repro.workloads.trace import MemoryOp, OpKind
 
@@ -125,10 +124,6 @@ class ShardedDrainReport:
         return self.schedule.peak_power_w
 
     @property
-    def total_flushed_blocks(self) -> int:
-        return sum(report.flushed_blocks for report in self.reports)
-
-    @property
     def total_memory_requests(self) -> int:
         return sum(report.total_memory_requests for report in self.reports)
 
@@ -156,7 +151,7 @@ class ShardedSecureSystem:
                  power_budget_w: float | None = None,
                  recovery_mode: str = "refill", inclusive: bool = True,
                  rotate_vault: bool = False,
-                 batched: bool | None = None):
+                 batched: bool = True):
         self.config = config if config is not None else SystemConfig.paper()
         self.scheme = scheme
         self.router = ShardRouter(self.config, num_shards)
@@ -261,7 +256,3 @@ class ShardedSecureSystem:
         return tuple(
             observe(system, shard=shard, trace=self._shard_traces[shard])
             for shard, system in enumerate(self.shards))
-
-    def aggregate_stats(self) -> SimStats:
-        """Fleet-total operation counters."""
-        return SimStats.aggregate(system.stats for system in self.shards)

@@ -5,7 +5,7 @@ series as horizontal ASCII bars (``--chart``) so the visual shape — who
 wins, by what factor — is inspectable straight from the terminal.
 """
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import Protocol
 
 FULL = "#"
@@ -84,21 +84,6 @@ def render_spans(labels: Sequence[str], starts: Sequence[float],
         lines.append(f"{label.ljust(label_width)} |{span.ljust(width)}| "
                      f"{duration:,.3f}s @ {start:,.3f}s")
     return "\n".join(lines)
-
-
-def render_grouped(groups: Mapping[str, Mapping[str, float]],
-                   width: int = DEFAULT_WIDTH) -> str:
-    """Render grouped bars: ``{group: {series: value}}`` (e.g. LLC sweeps),
-    scaled by the global maximum so groups are comparable."""
-    peak = max((value for series in groups.values()
-                for value in series.values()), default=1.0)
-    blocks = []
-    for group, series in groups.items():
-        blocks.append(f"{group}:")
-        body = render_bars(list(series), list(series.values()),
-                           width=width, reference=peak)
-        blocks.append("  " + body.replace("\n", "\n  "))
-    return "\n".join(blocks)
 
 
 def chart_experiment(result: ResultLike, value_column: int = -1,

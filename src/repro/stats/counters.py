@@ -103,12 +103,6 @@ class SimStats:
         out.aes = self.aes - earlier.aes
         return out
 
-    def reset(self) -> None:
-        self.reads.clear()
-        self.writes.clear()
-        self.macs.clear()
-        self.aes.clear()
-
     def snapshot(self) -> dict[str, object]:
         """Plain-dict view (stable keys) for reports and JSON dumps."""
         return {

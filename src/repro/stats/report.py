@@ -5,7 +5,7 @@ helpers keep that formatting in one place (and importantly, out of the
 simulation code).
 """
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -23,21 +23,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     body = [line(headers), rule]
     body.extend(line(row) for row in materialized)
     return "\n".join(body)
-
-
-def format_breakdown(title: str, breakdown: Mapping[str, int],
-                     normalize_to: int | None = None) -> str:
-    """Render a one-column breakdown, optionally with a normalized column."""
-    headers = ["component", "count"]
-    if normalize_to:
-        headers.append("normalized")
-    rows: list[list[object]] = []
-    for key, value in breakdown.items():
-        row: list[object] = [key, value]
-        if normalize_to:
-            row.append(f"{value / normalize_to:.3f}")
-        rows.append(row)
-    return f"{title}\n{format_table(headers, rows)}"
 
 
 def _cell(value: object) -> str:

@@ -72,6 +72,3 @@ class TimingModel:
     def seconds(self, stats: SimStats) -> float:
         """Total serialized wall-clock time implied by ``stats``."""
         return self.cycles(stats) / self._config.frequency_hz
-
-    def milliseconds(self, stats: SimStats) -> float:
-        return self.seconds(stats) * 1e3

@@ -102,9 +102,3 @@ class TestCacheLine:
     def test_rejects_wrong_payload_size(self):
         with pytest.raises(ValueError):
             CacheLine(0, b"short")
-
-    def test_copy_is_independent(self):
-        line = CacheLine(64, bytes(64), dirty=True)
-        copy = line.copy()
-        copy.dirty = False
-        assert line.dirty

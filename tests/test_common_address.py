@@ -7,16 +7,6 @@ from repro.common.errors import AlignmentError
 
 
 class TestAlignment:
-    def test_aligned_addresses(self):
-        assert address.is_block_aligned(0)
-        assert address.is_block_aligned(64)
-        assert address.is_block_aligned(128 * 64)
-
-    def test_unaligned_addresses(self):
-        assert not address.is_block_aligned(1)
-        assert not address.is_block_aligned(63)
-        assert not address.is_block_aligned(65)
-
     def test_require_aligned_returns_value(self):
         assert address.require_block_aligned(256) == 256
 
@@ -29,25 +19,13 @@ class TestAlignment:
             address.require_block_aligned(-64)
 
     def test_custom_block_size(self):
-        assert address.is_block_aligned(4096, block_size=4096)
-        assert not address.is_block_aligned(64, block_size=4096)
+        assert address.require_block_aligned(4096, block_size=4096) == 4096
+        with pytest.raises(AlignmentError):
+            address.require_block_aligned(64, block_size=4096)
 
 
 class TestBlockArithmetic:
-    def test_align_down(self):
-        assert address.block_align_down(0) == 0
-        assert address.block_align_down(63) == 0
-        assert address.block_align_down(64) == 64
-        assert address.block_align_down(130) == 128
-
-    def test_block_index_and_address_are_inverse(self):
+    def test_block_index_covers_the_whole_block(self):
         for index in (0, 1, 17, 4095):
-            addr = address.block_address(index)
-            assert address.block_index(addr) == index
-
-    def test_blocks_in_rounds_up(self):
-        assert address.blocks_in(0) == 0
-        assert address.blocks_in(1) == 1
-        assert address.blocks_in(64) == 1
-        assert address.blocks_in(65) == 2
-        assert address.blocks_in(4096) == 64
+            assert address.block_index(index * 64) == index
+            assert address.block_index(index * 64 + 63) == index

@@ -35,9 +35,6 @@ class TestCycleConversions:
         cycles = units.ns_to_cycles(500)
         assert units.cycles_to_seconds(cycles) == pytest.approx(500e-9)
 
-    def test_cycles_to_ms(self):
-        assert units.cycles_to_ms(4_000_000) == pytest.approx(1.0)
-
 
 class TestFormatBytes:
     @pytest.mark.parametrize("value,expected", [

@@ -9,7 +9,7 @@ from repro.crypto.counters import DrainCounter, SplitCounterBlock
 class TestSplitCounterBlock:
     def test_fresh_block_is_zero(self):
         block = SplitCounterBlock()
-        assert block.is_zero()
+        assert block.major == 0 and not any(block.minors)
         assert block.counter_for(0) == 0
         assert block.counter_for(63) == 0
 

@@ -15,7 +15,6 @@ CASES = [
     ("attack_detection.py", []),
     ("battery_sizing.py", ["256"]),
     ("persistence_spectrum.py", ["a", "800"]),
-    ("persistent_bank.py", []),
     ("platform_study.py", ["256"]),
 ]
 

@@ -13,7 +13,7 @@ from repro.common.errors import IntegrityError, RecoveryError
 from repro.core.system import SecureEpdSystem
 from repro.faults.matrix import (DETECTED, FAULT_CLASSES, LOST_UNPROTECTED,
                                  RECOVERED, SCHEME_VARIANTS, fill_lines,
-                                 render_markdown, run_cell, run_matrix)
+                                 run_cell, run_matrix)
 
 SWEEP_LINES = 10
 MATRIX_LINES = 48
@@ -62,11 +62,6 @@ class TestCrashMatrix:
         twin = next(c for c in matrix_cells
                     if c.scheme == "horus-slm" and c.fault == "bit-flip")
         assert (cell.outcome, cell.detail) == (twin.outcome, twin.detail)
-
-    def test_markdown_table_has_all_rows(self, matrix_cells):
-        table = render_markdown(matrix_cells)
-        assert table.count("\n") == len(matrix_cells) + 1
-        assert "| horus-dlm+rot | power-cut |" in table
 
 
 class TestPowerCutSweep:

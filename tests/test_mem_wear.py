@@ -22,20 +22,10 @@ class TestWearTracker:
         for _ in range(5):
             nvm.write(0, bytes(64), WriteKind.DATA)
         nvm.write(64, bytes(64), WriteKind.DATA)
-        assert nvm.wear.writes_at(0) == 5
-        assert nvm.wear.writes_at(64) == 1
+        data = nvm.wear.wear_of("data")
+        assert data.blocks_written == 2
+        assert data.max_writes_per_block == 5
         assert nvm.wear.total_writes == 6
-
-    def test_hottest_block(self, tracked):
-        nvm, _ = tracked
-        nvm.write(64, bytes(64), WriteKind.DATA)
-        for _ in range(3):
-            nvm.write(128, bytes(64), WriteKind.DATA)
-        assert nvm.wear.hottest_block() == (128, 3)
-
-    def test_hottest_block_when_empty(self, tracked):
-        nvm, _ = tracked
-        assert nvm.wear.hottest_block() == (0, 0)
 
     def test_unaccounted_pokes_do_not_wear(self, tracked):
         nvm, _ = tracked
@@ -68,12 +58,6 @@ class TestWearTracker:
         nvm, _ = tracked
         with pytest.raises(KeyError):
             nvm.wear.wear_of("bogus")
-
-    def test_reset(self, tracked):
-        nvm, _ = tracked
-        nvm.write(0, bytes(64), WriteKind.DATA)
-        nvm.wear.reset()
-        assert nvm.wear.total_writes == 0
 
     def test_untracked_device_has_no_overhead_path(self, tiny_config):
         layout = MemoryLayout(tiny_config)

@@ -38,13 +38,13 @@ class TestTreeNode:
         with pytest.raises(AddressError):
             TreeNode(bytes(63))
 
-    def test_equality_and_copy(self):
-        node = TreeNode()
+    def test_equality(self):
+        node, twin = TreeNode(), TreeNode()
         node.set_slot(1, b"\x42" * 8)
-        copy = node.copy()
-        assert copy == node
-        copy.set_slot(1, bytes(8))
-        assert copy != node
+        twin.set_slot(1, b"\x42" * 8)
+        assert twin == node
+        twin.set_slot(1, bytes(8))
+        assert twin != node
 
 
 class TestDefaultNodes:
@@ -62,12 +62,6 @@ class TestDefaultNodes:
             assert defaults.content(level) == expected
             assert defaults.mac(level) == compute_mac(
                 self.KEY, defaults.content(level))
-
-    def test_default_node_object(self):
-        defaults = DefaultNodes(self.KEY, num_levels=2)
-        node = defaults.default_node(1)
-        assert node.get_slot(0) == defaults.mac(0)
-        assert node.get_slot(7) == defaults.mac(0)
 
     def test_levels_differ(self):
         defaults = DefaultNodes(self.KEY, num_levels=4)

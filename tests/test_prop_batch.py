@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.common.constants import CACHE_LINE_SIZE, MAC_SIZE
 from repro.crypto import batch
+from repro.crypto.arena import frame_buffer
 from repro.crypto.engine import AesEngine, MacEngine
 from repro.crypto.primitives import (
     MacDomain,
@@ -41,10 +42,8 @@ BATCH_COVERAGE = {
     "NvmDevice.read_batch":
         "oracle drain/recovery stats + tests/test_mem_nvm.py",
     "NvmDevice.write_batch":
-        "oracle NVM image + fault-plan scalar fallback tests",
+        "a plain in-order NvmDevice.write loop (the scalar issue itself)",
     "SparseMemory.read_blocks": "oracle NVM image + tests/test_mem_backend.py",
-    "SparseMemory.write_blocks":
-        "oracle NVM image + tests/test_mem_backend.py",
     "SecureMemoryController.run_ops_batch":
         "TestRunOpsEquivalence + oracle replay "
         "(repro.core.oracle.run_replay_differential)",
@@ -60,8 +59,6 @@ BATCH_COVERAGE = {
     "TenantKeyedMac.block_mac_batch":
         "tests/test_sharding_keys.py::TestTenantKeyedMac"
         "::test_block_mac_batch_matches_scalar",
-    "BlockArena.from_blocks":
-        "tests/test_prop_arena.py::TestBlockArena (round-trip vs from_block)",
     "NvmDevice.read_arena":
         "oracle drain/recovery stats + tests/test_mem_nvm.py arena tests",
     "NvmDevice.write_arena":
@@ -110,7 +107,7 @@ class TestPadEquivalence:
     @settings(max_examples=examples(50))
     def test_shared_frames_change_nothing(self, key, work):
         addrs, ctrs = work
-        frames = batch.counter_frames(addrs, ctrs)
+        frames = frame_buffer(addrs, ctrs)
         assert batch.generate_pads(key, addrs, ctrs, frames) == \
             batch.generate_pads(key, addrs, ctrs)
 

@@ -27,28 +27,6 @@ class TestMerkleProperties:
         mutated[index] = bytes(flipped)
         assert InMemoryMerkleTree(mutated).root != tree.root
 
-    @given(leaf_lists, st.data())
-    @settings(max_examples=50)
-    def test_incremental_update_equals_rebuild(self, leaves, data):
-        tree = InMemoryMerkleTree(leaves)
-        for _ in range(3):
-            index = data.draw(st.integers(0, len(leaves) - 1))
-            payload = data.draw(leaf)
-            tree.update_leaf(index, payload)
-            leaves = list(leaves)
-            leaves[index] = payload
-        assert tree.root == InMemoryMerkleTree(leaves).root
-        tree.verify_all()
-
-    @given(leaf_lists)
-    @settings(max_examples=50)
-    def test_verify_against_accepts_only_same_leaves(self, leaves):
-        tree = InMemoryMerkleTree(leaves)
-        assert tree.verify_against(leaves)
-        mutated = list(leaves)
-        mutated[0] = bytes(64) if mutated[0] != bytes(64) else b"\x01" * 64
-        assert not tree.verify_against(mutated)
-
     @given(st.lists(leaf, min_size=2, max_size=40), st.data())
     @settings(max_examples=50)
     def test_leaf_transposition_changes_root(self, leaves, data):

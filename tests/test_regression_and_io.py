@@ -1,18 +1,14 @@
-"""Regression comparison tool and trace file I/O."""
+"""Regression comparison tool."""
 
 import json
 
 import pytest
 
-from repro.common.errors import ConfigError
 from repro.experiments.regression import (
     CellDrift,
     compare_runs,
     main as regression_main,
 )
-from repro.workloads.generators import kvstore_trace
-from repro.workloads.io import load_trace, op_from_json, save_trace
-from repro.workloads.trace import MemoryOp, OpKind
 
 
 def _run_doc(value: float = 10.0, passed: bool = True) -> dict:
@@ -79,33 +75,3 @@ class TestCompareRuns:
         drift = CellDrift("figX", "base", "ratio", 10.0, 12.0)
         assert "figX[base].ratio" in str(drift)
         assert "+20.0%" in str(drift)
-
-
-class TestTraceIO:
-    def test_roundtrip_preserves_everything(self, tmp_path):
-        trace = kvstore_trace(100, footprint_blocks=32, seed=9)
-        path = save_trace(trace, tmp_path / "trace.jsonl")
-        assert load_trace(path) == trace
-
-    def test_reads_are_compact(self, tmp_path):
-        trace = [MemoryOp(OpKind.READ, 64)]
-        path = save_trace(trace, tmp_path / "t.jsonl")
-        line = path.read_text().strip()
-        assert "data" not in line
-
-    def test_write_payload_roundtrip(self, tmp_path):
-        payload = bytes(range(64))
-        trace = [MemoryOp(OpKind.WRITE, 0, payload)]
-        path = save_trace(trace, tmp_path / "t.jsonl")
-        assert load_trace(path)[0].data == payload
-
-    def test_blank_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text('{"op":"read","addr":64}\n\n\n')
-        assert len(load_trace(path)) == 1
-
-    def test_malformed_line_raises(self):
-        with pytest.raises(ConfigError):
-            op_from_json("not json at all")
-        with pytest.raises(ConfigError):
-            op_from_json('{"op":"teleport","addr":0}')

@@ -207,16 +207,6 @@ class TestObservables:
         assert a.scheme == b.scheme == "base-eu"
         assert a.as_dict()["shard"] == 0
 
-    def test_aggregate_stats_sum_shard_counters(self, tiny_config):
-        fleet = ShardedSecureSystem(tiny_config, num_shards=2,
-                                    scheme="base-eu")
-        size = fleet.router.shard_data_size
-        fleet.write(0, b"x" * 64)
-        fleet.write(size, b"y" * 64)
-        total = fleet.aggregate_stats()
-        per_shard = [shard.stats.total_aes for shard in fleet.shards]
-        assert total.total_aes == sum(per_shard)
-
     def test_observe_solo_system_matches_dataclass_fields(self, tiny_config,
                                                           base_eu_system):
         obs = observe(base_eu_system, shard=3)

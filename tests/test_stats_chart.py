@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.result import ExperimentResult
-from repro.stats.chart import chart_experiment, render_bars, render_grouped
+from repro.stats.chart import chart_experiment, render_bars
 
 
 class TestRenderBars:
@@ -46,19 +46,6 @@ class TestRenderBars:
             render_bars(["a"], [1.0, 2.0])
         with pytest.raises(ValueError):
             render_bars(["a"], [1.0], width=0)
-
-
-class TestRenderGrouped:
-    def test_groups_share_a_scale(self):
-        text = render_grouped({
-            "8MB": {"base": 10.0, "horus": 1.0},
-            "16MB": {"base": 20.0, "horus": 2.0},
-        }, width=10)
-        assert "8MB:" in text and "16MB:" in text
-        lines = [l for l in text.splitlines() if "#" in l]
-        # base@16MB is the global peak: 10 cells; base@8MB half: 5.
-        assert lines[0].count("#") == 5
-        assert lines[2].count("#") == 10
 
 
 class TestChartExperiment:

@@ -1,6 +1,6 @@
 """Report formatting."""
 
-from repro.stats.report import format_breakdown, format_table
+from repro.stats.report import format_table
 
 
 class TestFormatTable:
@@ -23,14 +23,3 @@ class TestFormatTable:
     def test_empty_rows(self):
         text = format_table(["a", "b"], [])
         assert "a" in text and "b" in text
-
-
-class TestFormatBreakdown:
-    def test_includes_title_and_entries(self):
-        text = format_breakdown("writes", {"data": 10, "mac": 2})
-        assert text.startswith("writes")
-        assert "data" in text and "10" in text
-
-    def test_normalization_column(self):
-        text = format_breakdown("writes", {"data": 50}, normalize_to=100)
-        assert "0.500" in text

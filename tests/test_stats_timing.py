@@ -50,7 +50,6 @@ class TestCycleAccounting:
         stats = SimStats()
         stats.record_write(WriteKind.DATA, 4_000_000)  # 8e9 cycles
         assert model.seconds(stats) == pytest.approx(2.0)
-        assert model.milliseconds(stats) == pytest.approx(2000.0)
 
 
 class TestNonSecureDrainCalibration:
