@@ -56,6 +56,10 @@ class TestSimulatorPinning:
         system.fill_worst_case(seed=1)
         report = system.crash(seed=2)
         validate_horus_report(report)   # raises on any divergence
+        cost = horus_drain_cost(report.flushed_blocks
+                                + report.metadata_blocks,
+                                double_level_mac=scheme == "horus-dlm")
+        assert report.total_memory_requests == cost.total_memory_requests
 
     @pytest.mark.parametrize("scheme", ["base-lu", "base-eu"])
     def test_simulated_baselines_satisfy_invariants(self, tiny_config,

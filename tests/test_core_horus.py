@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.config import SystemConfig
 from repro.core.system import SecureEpdSystem
 from repro.stats.events import AesKind, MacKind, WriteKind
 
@@ -134,3 +135,60 @@ class TestChvContents:
             report = system.crash(seed=drain_seed)
             totals.add((report.total_memory_requests, report.total_macs))
         assert len(totals) == 1
+
+
+TAIL_LENGTHS = (1, 7, 9, 63, 65)
+"""Vault lengths that end an episode mid-register.  At 63 the DLM's last
+second-level block fills only when the partial first-level register folds
+into it; at 65 a single line follows a complete 64-line DLM group."""
+
+HORUS_VARIANTS = [("horus-slm", False), ("horus-slm", True),
+                  ("horus-dlm", False), ("horus-dlm", True)]
+
+
+def _tail_line(index: int) -> bytes:
+    return (index + 1).to_bytes(8, "little") * 8
+
+
+def _tail_episode(scheme: str, rotate: bool, batched: bool, lines: int):
+    """Drain exactly ``lines`` dirty lines (one page's consecutive lines,
+    so none is evicted before the crash) and nothing else."""
+    system = SecureEpdSystem(SystemConfig.scaled(512), scheme=scheme,
+                             rotate_vault=rotate, batched=batched)
+    for index in range(lines):
+        system.hierarchy.restore_dirty(index * 64, _tail_line(index))
+    return system, system.crash(seed=2)
+
+
+class TestEpisodeTail:
+    """Episodes whose vault count is not a multiple of a coalescing group:
+    the partially filled address, MAC and second-level registers flush at
+    episode end, in the scalar engine's order."""
+
+    @pytest.mark.parametrize("lines", TAIL_LENGTHS)
+    @pytest.mark.parametrize(
+        "scheme,rotate", HORUS_VARIANTS,
+        ids=[f"{s}+rot" if r else s for s, r in HORUS_VARIANTS])
+    def test_scalar_and_batched_tails_agree(self, scheme, rotate, lines):
+        scalar, scalar_report = _tail_episode(scheme, rotate, False, lines)
+        batched, batched_report = _tail_episode(scheme, rotate, True, lines)
+        assert scalar_report.flushed_blocks == lines
+        assert scalar_report.metadata_blocks == 0
+        assert batched.nvm.backend.image() == scalar.nvm.backend.image()
+        assert batched_report.stats.snapshot() == \
+            scalar_report.stats.snapshot()
+        for system in (scalar, batched):
+            system.recover()
+            for index in range(lines):
+                assert system.read(index * 64) == _tail_line(index)
+
+    @pytest.mark.parametrize("lines", TAIL_LENGTHS)
+    def test_dlm_tail_counts(self, lines):
+        """The scalar DLM engine's partial registers cost what a full group
+        costs: one address block and one second-level MAC per started
+        group of 8, one MAC block per started group of 64."""
+        _, report = _tail_episode("horus-dlm", False, False, lines)
+        assert report.stats.macs[MacKind.CHV_DATA] == lines
+        assert report.stats.macs[MacKind.CHV_LEVEL2] == -(-lines // 8)
+        assert report.stats.writes[WriteKind.CHV_ADDRESS] == -(-lines // 8)
+        assert report.stats.writes[WriteKind.CHV_MAC] == -(-lines // 64)

@@ -4,17 +4,26 @@ checks hold at test scale."""
 import pytest
 
 from repro.experiments import ablations
+from repro.experiments.adr_comparison import run as run_adr
+from repro.experiments.availability import run as run_availability
+from repro.experiments.campaigns import run as run_campaigns
 from repro.experiments.fig06_motivation import run as run_fig6
 from repro.experiments.fig11_drain_time import run as run_fig11
 from repro.experiments.fig12_write_breakdown import run as run_fig12
 from repro.experiments.fig13_mac_breakdown import run as run_fig13
 from repro.experiments.fig14_15_llc_sweep import run_fig14, run_fig15
 from repro.experiments.fig16_recovery_time import run as run_fig16
+from repro.experiments.headline import run as run_headline
+from repro.experiments.parallelism import run as run_parallelism
 from repro.experiments.result import ExperimentResult, ShapeCheck
 from repro.experiments.runner import EXPERIMENTS, run_experiments
+from repro.experiments.runtime_overhead import run as run_runtime
+from repro.experiments.scheduling import run as run_scheduling
+from repro.experiments.sharding import run as run_sharding
 from repro.experiments.suite import DrainSuite
 from repro.experiments.table2_energy import run as run_table2
 from repro.experiments.table3_battery import run as run_table3
+from repro.experiments.wear import run as run_wear
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +45,20 @@ class TestDrainSuite:
                                 "horus-slm", "horus-dlm"}
 
 
+# ablation-faults is not in this list: at this scale two of its checks miss
+# (one silent-corruption cell), an open item in ROADMAP.md.
 @pytest.mark.parametrize("run", [run_fig6, run_fig11, run_fig12, run_fig13,
                                  run_fig16, run_table2, run_table3,
-                                 ablations.run_coalescing],
+                                 ablations.run_coalescing, run_headline,
+                                 run_adr, run_wear, run_parallelism,
+                                 run_runtime, run_availability,
+                                 run_scheduling, run_campaigns,
+                                 run_sharding],
                          ids=["fig6", "fig11", "fig12", "fig13", "fig16",
-                              "table2", "table3", "coalescing"])
+                              "table2", "table3", "coalescing", "headline",
+                              "adr-vs-epd", "wear", "parallelism",
+                              "runtime", "availability", "scheduler",
+                              "campaigns", "shards"])
 class TestExperimentShapeChecks:
     def test_runs_and_all_checks_pass(self, suite, run):
         result = run(suite)

@@ -44,8 +44,13 @@ class TestValidation:
             memory.read_block(1)
 
     def test_rejects_out_of_range(self, memory):
+        assert memory.size == 1 << 20
+        memory.write_block(memory.size - 64, b"\x07" * 64)
+        assert memory.read_block(memory.size - 64) == b"\x07" * 64
         with pytest.raises(AddressError):
             memory.read_block(1 << 20)
+        with pytest.raises(AddressError):
+            memory.write_block(memory.size, bytes(64))
 
     def test_rejects_short_payload(self, memory):
         with pytest.raises(AddressError):

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.common.errors import AddressError
+from repro.faults.plan import FaultPlan, PowerCut, TornWrite
 from repro.mem.nvm import NvmDevice
+from repro.mem.regions import MemoryLayout
+from repro.mem.wear import WearTracker
+from repro.stats.counters import SimStats
 from repro.stats.events import ReadKind, WriteKind
 
 
@@ -45,6 +49,11 @@ class TestDataPath:
     def test_unwritten_reads_zeros_but_counts(self, device):
         assert device.read(0, ReadKind.DATA) == bytes(64)
         assert device.stats.total_reads == 1
+
+    def test_size_is_the_backend_size(self, device):
+        assert device.size == device.backend.size == 1 << 20
+        with pytest.raises(AddressError):
+            device.write(device.size, bytes(64), WriteKind.DATA)
 
     def test_shared_stats_object(self):
         from repro.stats.counters import SimStats
@@ -141,3 +150,96 @@ class TestArenaIo:
         assert grouped_out == scalar_out
         assert grouped.backend.image() == scalar.backend.image()
         assert grouped.stats.snapshot() == scalar.stats.snapshot()
+
+
+def _batch_items() -> list[tuple[int, bytes, WriteKind]]:
+    """Twelve writes over five addresses (so later writes overwrite earlier
+    ones) cycling through four kinds."""
+    kinds = (WriteKind.DATA, WriteKind.COUNTER, WriteKind.CHV_DATA,
+             WriteKind.DATA)
+    return [(64 * (i % 5), bytes([i + 1]) * 64, kinds[i % 4])
+            for i in range(12)]
+
+
+def _scalar_twin(items, plan: FaultPlan | None = None) -> NvmDevice:
+    device = NvmDevice(1 << 20, SimStats())
+    device.trace = []
+    device.fault_plan = plan
+    for address, data, kind in items:
+        device.write(address, data, kind)
+    return device
+
+
+class TestWriteBatch:
+    """``write_batch`` is the scalar write issued item by item: every
+    observable equals the in-order loop of :meth:`NvmDevice.write`."""
+
+    def _batched(self, items, plan: FaultPlan | None = None) -> NvmDevice:
+        device = NvmDevice(1 << 20, SimStats())
+        device.trace = []
+        device.fault_plan = plan
+        device.write_batch(items)
+        return device
+
+    def test_equals_the_scalar_write_loop(self):
+        items = _batch_items()
+        batched, scalar = self._batched(items), _scalar_twin(items)
+        assert batched.backend.image() == scalar.backend.image()
+        assert batched.stats.snapshot() == scalar.stats.snapshot()
+        assert batched.trace == scalar.trace == [
+            (address, True) for address, _, _ in items]
+
+    def test_later_duplicates_win(self, device):
+        items = _batch_items()
+        device.write_batch(items)
+        last = {address: data for address, data, _ in items}
+        for address, data in last.items():
+            assert device.peek(address) == data
+        assert device.stats.writes[WriteKind.DATA] == 6
+        assert device.stats.writes[WriteKind.COUNTER] == 3
+        assert device.stats.writes[WriteKind.CHV_DATA] == 3
+
+    def test_empty_batch_is_a_no_op(self, device):
+        device.trace = []
+        device.write_batch([])
+        assert device.stats.total_memory_requests == 0
+        assert device.trace == []
+        assert device.backend.image() == NvmDevice(1 << 20).backend.image()
+
+    def test_power_cut_mid_batch_loses_exactly_the_tail(self):
+        """A hold-up source dying after five writes loses the batch's last
+        seven; all twelve attempts are still accounted."""
+        items = _batch_items()
+        batched = self._batched(items, FaultPlan([PowerCut(after_writes=5)]))
+        scalar = _scalar_twin(items, FaultPlan([PowerCut(after_writes=5)]))
+        assert batched.lost_writes == [
+            (address, kind) for address, _, kind in items[5:]]
+        assert batched.lost_writes == scalar.lost_writes
+        assert batched.backend.image() == scalar.backend.image()
+        assert batched.stats.total_writes == len(items)
+        assert batched.trace == scalar.trace
+
+    def test_torn_write_hits_the_same_item(self):
+        items = _batch_items()
+        batched = self._batched(items, FaultPlan([TornWrite(at_write=7)]))
+        scalar = _scalar_twin(items, FaultPlan([TornWrite(at_write=7)]))
+        assert batched.fault_plan.events == scalar.fault_plan.events
+        assert [event.write_index for event in batched.fault_plan.events] \
+            == [7]
+        assert batched.backend.image() == scalar.backend.image()
+        torn_address, torn_data, _ = items[7]
+        # No later item rewrites address 7 % 5, so the torn block stays.
+        assert all(address != torn_address for address, _, _ in items[8:])
+        assert batched.peek(torn_address) != torn_data
+        assert batched.peek(torn_address)[:32] == torn_data[:32]
+
+    def test_wear_records_every_request(self, tiny_config):
+        layout = MemoryLayout(tiny_config)
+        device = NvmDevice(layout.total_size)
+        device.wear = WearTracker(layout)
+        items = _batch_items()
+        device.write_batch(items)
+        assert device.wear.total_writes == len(items)
+        data = device.wear.wear_of("data")
+        assert data.blocks_written == 5
+        assert data.max_writes_per_block == 3

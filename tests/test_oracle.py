@@ -7,13 +7,23 @@ produces zero observable divergence — and when a divergence *is* planted,
 the oracle catches it and names the field.
 """
 
+import inspect
+
 import pytest
 
+from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import SystemConfig
 from repro.common.errors import OracleDivergenceError
 from repro.core import oracle
+from repro.core.horus import HorusDrainEngine
+from repro.core.recovery import HorusRecovery
+from repro.core.system import SecureEpdSystem
 from repro.crypto import batch
+from repro.epd.drain import NonSecureDrain
 from repro.faults.matrix import SCHEME_VARIANTS
+from repro.secure.controller import SecureMemoryController
+from repro.sharding.pool import ShardRunSpec
+from repro.sharding.system import ShardedSecureSystem
 
 CONFIG = SystemConfig.scaled(512)
 
@@ -103,6 +113,51 @@ class TestReplayZeroDivergence:
         with pytest.raises(OracleDivergenceError, match="diverged on"):
             oracle.run_replay_differential(CONFIG, "horus-dlm",
                                            self._trace("a"), epoch_ops=256)
+
+    def test_outcome_is_the_batched_run(self):
+        outcome = oracle.run_replay_differential(
+            CONFIG, "horus-slm", self._trace("b", num_ops=300),
+            epoch_ops=128)
+        assert outcome.system.batched is True
+
+
+BATCHED_ENTRY_POINTS = {
+    "system": SecureEpdSystem,
+    "controller": SecureMemoryController,
+    "horus-drain": HorusDrainEngine,
+    "horus-recovery": HorusRecovery,
+    "nosec-drain": NonSecureDrain,
+    "fill-worst-case": CacheHierarchy.fill_worst_case,
+    "shard-run-spec": ShardRunSpec,
+    "sharded-system": ShardedSecureSystem,
+}
+
+
+class TestBatchedByDefault:
+    """Every entry point that can run either path takes ``batched: bool =
+    True``; no environment variable picks the path behind the caller's
+    back (the oracle passes ``batched`` explicitly per side)."""
+
+    @pytest.mark.parametrize("entry", list(BATCHED_ENTRY_POINTS))
+    def test_signature_defaults_to_batched(self, entry):
+        parameter = inspect.signature(
+            BATCHED_ENTRY_POINTS[entry]).parameters["batched"]
+        assert parameter.default is True
+        assert parameter.annotation in (bool, "bool")
+
+    @pytest.mark.parametrize("scheme", ["nosec", "base-lu", "base-eu",
+                                        "horus-slm", "horus-dlm"])
+    def test_default_system_runs_batched_whatever_the_environment(
+            self, monkeypatch, scheme):
+        monkeypatch.setenv("REPRO_BATCH", "0")
+        system = SecureEpdSystem(CONFIG, scheme=scheme)
+        engines = [system.drain_engine, system.recovery_engine]
+        if scheme != "nosec":
+            engines.append(system.controller)
+        flags = {engine.batched for engine in engines
+                 if engine is not None and hasattr(engine, "batched")}
+        assert system.batched is True
+        assert flags == {True}
 
 
 class TestSampling:

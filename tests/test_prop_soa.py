@@ -13,7 +13,7 @@ bug would hide, so the strategies bias hard toward them.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
@@ -22,6 +22,7 @@ from repro.cache.line import CacheLine
 from repro.cache.soa import SoALevel, decompose_sets
 from repro.common.config import CacheConfig, MemoryConfig, SystemConfig
 from repro.common.constants import CACHE_LINE_SIZE
+from repro.crypto import arena
 from tests.conftest import examples
 
 LINE = CACHE_LINE_SIZE
@@ -203,13 +204,22 @@ class TestMaterializeRoundTrip:
 
 
 class TestDecomposeSets:
+    @pytest.mark.parametrize("numpy_less", [False, True],
+                             ids=["lanes", "pure"])
     @given(addresses=st.lists(st.integers(0, 2**64 - 1), max_size=24),
            geometries=st.lists(
                st.tuples(st.sampled_from([32, 64, 128, 256]),
                          st.sampled_from([1, 2, 8, 64])),
                min_size=1, max_size=3))
-    @settings(max_examples=examples(100))
-    def test_matches_scalar_formula(self, addresses, geometries):
+    @settings(max_examples=examples(100),
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_scalar_formula(self, monkeypatch, numpy_less,
+                                    addresses, geometries):
+        """Setting the arena's numpy handle to None is exactly a
+        numpy-less install; the patch is the same for every example, so
+        it is not reset between them."""
+        if numpy_less:
+            monkeypatch.setattr(arena, "_np", None)
         assert decompose_sets(addresses, geometries) == [
             [a // line_size % num_sets for a in addresses]
             for line_size, num_sets in geometries]

@@ -143,6 +143,24 @@ class TestPolicyInvariance:
         assert walls["simultaneous"].wall_seconds == pytest.approx(
             max(r.seconds for r in walls["simultaneous"].reports))
 
+    @pytest.mark.parametrize("policy", ["simultaneous", "staggered"])
+    def test_report_totals_fold_the_shards(self, tiny_config, policy):
+        """Energy and requests are per-shard sums whatever the policy; the
+        peak power is the schedule's (sum of shard powers when they
+        overlap, the largest one when staggered)."""
+        fleet = self.drained_fleet(tiny_config, policy)
+        drain = fleet.last_drain
+        assert fleet.num_shards == len(drain.reports) == 2
+        assert drain.energy_j == drain.schedule.energy_j == pytest.approx(
+            sum(energy.total_j for energy in drain.energies))
+        powers = [slot.power_w for slot in drain.schedule.slots]
+        expected_peak = sum(powers) if policy == "simultaneous" \
+            else max(powers)
+        assert drain.peak_power_w == pytest.approx(expected_peak)
+        assert drain.total_memory_requests == sum(
+            shard.last_drain.total_memory_requests for shard in fleet.shards)
+        assert drain.total_memory_requests > 0
+
     def test_schedule_equals_schedule_measured(self, tiny_config):
         """The report-level wrapper and the bare-measurement core agree,
         so pooled runs (floats only) schedule exactly like in-process."""

@@ -11,6 +11,7 @@ from repro.workloads.generators import (
     replay,
     transactional_trace,
 )
+from repro.workloads.replay import replay as epoch_replay
 from repro.workloads.trace import MemoryOp, OpKind, summarize
 
 
@@ -92,5 +93,35 @@ class TestReplay:
         system = SecureEpdSystem(tiny_config, scheme="horus-slm")
         trace = kvstore_trace(200, footprint_blocks=32, seed=5)
         expected = replay(system, trace)
+        for address, data in expected.items():
+            assert system.read(address) == data
+
+    @pytest.mark.parametrize("system_batched,argument,fused", [
+        (True, None, True),
+        (False, None, False),
+        (True, False, False),
+        (False, True, True),
+    ])
+    def test_epoch_replay_path_selection(self, tiny_config, system_batched,
+                                         argument, fused):
+        """``batched=None`` means the system's own setting; an explicit
+        value overrides it.  Either path yields the same contents."""
+        system = SecureEpdSystem(tiny_config, scheme="horus-dlm",
+                                 batched=system_batched)
+        epochs = []
+        real = system.hierarchy.replay_epoch
+
+        def counted(ops):
+            epochs.append(len(ops))
+            return real(ops)
+
+        system.hierarchy.replay_epoch = counted
+        trace = kvstore_trace(300, footprint_blocks=48, seed=7)
+        expected = epoch_replay(system, trace, epoch_ops=128,
+                                batched=argument)
+        assert bool(epochs) is fused
+        assert expected == replay(SecureEpdSystem(tiny_config,
+                                                  scheme="horus-dlm"),
+                                  trace)
         for address, data in expected.items():
             assert system.read(address) == data
