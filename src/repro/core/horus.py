@@ -162,11 +162,12 @@ class HorusDrainEngine(DrainEngine):
         data_addresses = chv.data_addresses(rotation.data_slots(count))
 
         if self._nvm.grouped_io:
-            # No fault plan, wear tracker, or trace is watching individual
-            # requests, so the interleaved stream can collapse into three
-            # arena writes (data, address blocks, MAC blocks): the episode
-            # touches disjoint CHV regions, so the final image and the
-            # folded per-kind counters are identical to scalar issue.
+            # No fault plan or trace is watching individual requests (wear
+            # counts per block, in any order), so the interleaved stream
+            # can collapse into three arena writes (data, address blocks,
+            # MAC blocks): the episode touches disjoint CHV regions, so the
+            # final image, the folded per-kind counters and the wear counts
+            # are identical to scalar issue.
             # The data batch's composition is known in closed form (kinds
             # is a CHV_DATA prefix followed by a CHV_METADATA suffix);
             # zero-count kinds are omitted so the folded stats update
@@ -206,7 +207,7 @@ class HorusDrainEngine(DrainEngine):
                 mac_buf, WriteKind.CHV_MAC)
             return
 
-        # Accounted channels (fault plan / wear / trace) observe each
+        # Accounted channels (fault plan / trace) observe each
         # request: build the interleaved per-write stream so they see the
         # exact scalar order, and lose exactly the same writes.
         if ciphertext is None:

@@ -23,9 +23,9 @@ primitives remain the specification, and the differential oracle
 import hashlib
 from collections.abc import Iterable, Sequence
 
-from repro.common.constants import CACHE_LINE_SIZE, MAC_SIZE
+from repro.common.constants import CACHE_LINE_SIZE
 from repro.crypto.arena import frame_buffer, frame_views, xor_bytes
-from repro.crypto.primitives import MAC_DOMAIN, PAD_DOMAIN, MacDomain
+from repro.crypto.primitives import PAD_DOMAIN, MacDomain, keyed_mac_state
 
 Frames = bytes | bytearray | memoryview | None
 """A batch's (address, counter) hash frames: the contiguous
@@ -115,10 +115,7 @@ def compute_macs(key: bytes,
     receive; the result matches it byte for byte under the same ``domain``.
     The keyed state and both domain tags are absorbed once for the batch.
     """
-    base = hashlib.blake2b(key=key, digest_size=MAC_SIZE)
-    base.update(MAC_DOMAIN)
-    base.update(domain.value)
-    fork = base.copy
+    fork = keyed_mac_state(key, domain).copy
     macs: list[bytes] = []
     append = macs.append
     for parts in items:
@@ -146,10 +143,7 @@ def compute_block_macs(key: bytes, buffer: bytes | bytearray | memoryview,
             f"{len(buffer)} B for {len(addresses)} addresses")
     frame_iter = _resolve_frames(frames, addresses, counters)
     view = memoryview(buffer)
-    base = hashlib.blake2b(key=key, digest_size=MAC_SIZE)
-    base.update(MAC_DOMAIN)
-    base.update(domain.value)
-    fork = base.copy
+    fork = keyed_mac_state(key, domain).copy
     macs: list[bytes] = []
     append = macs.append
     offset = 0

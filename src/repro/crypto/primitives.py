@@ -84,12 +84,23 @@ def compute_mac(key: bytes, *parts: bytes,
     pass fixed-width fields (addresses and counters as 8/16-byte integers,
     blocks as 64 B), so concatenation is injective.
     """
-    h = hashlib.blake2b(key=key, digest_size=MAC_SIZE)
-    h.update(MAC_DOMAIN)
-    h.update(domain.value)
+    h = keyed_mac_state(key, domain)
     for part in parts:
         h.update(part)
     return h.digest()
+
+
+def keyed_mac_state(key: bytes, domain: MacDomain) -> "hashlib.blake2b":
+    """The hash state every MAC under (``key``, ``domain``) starts from.
+
+    Key block, :data:`MAC_DOMAIN` and the domain tag are absorbed; a
+    caller that MACs many inputs under one domain builds this once and
+    ``copy()``-s it per MAC instead of re-running the BLAKE2b key schedule.
+    """
+    h = hashlib.blake2b(key=key, digest_size=MAC_SIZE)
+    h.update(MAC_DOMAIN)
+    h.update(domain.value)
+    return h
 
 
 def int_field(value: int, width: int = 8) -> bytes:

@@ -216,14 +216,14 @@ class RuleF3(FlowRule):
             "scalar-degradation guard"
     rationale = (
         "PR 7's arena contract: batched/grouped NVM entry points must "
-        "degrade to the scalar path whenever a fault plan, wear model, or "
-        "trace is active, or fault injection silently misses grouped I/O. "
+        "degrade to the scalar path whenever a fault plan or trace is "
+        "active, or fault injection silently misses grouped I/O. "
         "Checked structurally: every public *_batch/*_blocks/*_arena "
         "method on a fault-plan-bearing class must (transitively) read one "
         "of the guard attributes.")
     scope = ("repro.mem",)
 
-    GUARDS = frozenset({"fault_plan", "wear", "trace", "grouped_io"})
+    GUARDS = frozenset({"fault_plan", "trace", "grouped_io"})
     SUFFIXES = ("_batch", "_blocks", "_arena")
 
     def check(self, module: Module, project: Project) -> Iterator:
@@ -243,8 +243,8 @@ class RuleF3(FlowRule):
                 yield module.finding(self, info.node, (
                     f"grouped method {info.class_name}.{info.name}() never "
                     f"consults the scalar-degradation guards "
-                    f"(fault_plan/wear/trace/grouped_io); batched I/O would "
-                    f"bypass fault injection and wear accounting"))
+                    f"(fault_plan/trace/grouped_io); batched I/O would "
+                    f"bypass fault injection and request tracing"))
 
 
 @register

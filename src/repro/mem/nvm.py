@@ -154,14 +154,15 @@ class NvmDevice:
     def grouped_io(self) -> bool:
         """Whether arena-grouped issue is observationally equivalent.
 
-        A fault plan, wear tracker, or request trace needs to see every
-        write individually and in program order; when any is attached the
+        A fault plan or request trace needs to see every write
+        individually and in program order; when either is attached the
         callers must fall back to the per-request (or interleaved
         ``write_batch``) form so those channels record exactly what scalar
-        issue would have recorded.
+        issue would have recorded.  Wear does not: a per-block write count
+        is the same whatever order the writes land in, so
+        :meth:`write_arena` records it per block on the grouped path too.
         """
-        return (self.fault_plan is None and self.wear is None
-                and self.trace is None)
+        return self.fault_plan is None and self.trace is None
 
     def write_arena(self, addresses, buffer, kinds,
                     kind_counts=None) -> None:
@@ -172,8 +173,9 @@ class NvmDevice:
         per-element sequence; ``kind_counts`` (a ``{WriteKind: count}``
         mapping summing to ``len(addresses)``) optionally skips the
         counting pass.  When :attr:`grouped_io` is false the batch degrades
-        to scalar issue in list order, so fault plans, wear, and traces
-        observe the same per-request stream the scalar path would produce.
+        to scalar issue in list order, so fault plans and traces observe
+        the same per-request stream the scalar path would produce; an
+        attached wear tracker counts every block either way.
         Callers that need a specific *interleaving* with other writes under
         a fault plan must check :attr:`grouped_io` themselves and build
         that interleaved stream.
@@ -203,6 +205,9 @@ class NvmDevice:
         record = self.stats.record_write
         for kind, kind_count in kind_counts.items():
             record(kind, kind_count)
+        if self.wear is not None:
+            for address in addresses:
+                self.wear.record_write(address)
 
     def read_arena(self, addresses, kind: ReadKind) -> bytearray:
         """Read a batch into one contiguous buffer, accounted under ``kind``.

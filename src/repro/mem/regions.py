@@ -80,6 +80,8 @@ class MemoryLayout:
         mac_size = data_size // MACS_PER_BLOCK
 
         self.tree_levels = tree_level_sizes(self.num_counter_blocks, arity)
+        self.num_tree_levels = len(self.tree_levels)
+        """Node levels above the counter blocks, including the root level."""
         tree_size = sum(self.tree_levels) * CACHE_LINE_SIZE
 
         # CHV holds every flushed line plus 1/8 address blocks and up to 1/8
@@ -130,11 +132,6 @@ class MemoryLayout:
     def regions(self) -> tuple[Region, ...]:
         return (self.data, self.counters, self.macs, self.tree,
                 self.chv, self.shadow)
-
-    @property
-    def num_tree_levels(self) -> int:
-        """Node levels above the counter blocks, including the root level."""
-        return len(self.tree_levels)
 
     # -- data <-> metadata mappings -------------------------------------------
 

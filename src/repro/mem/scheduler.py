@@ -58,16 +58,23 @@ def schedule_trace(trace: list[tuple[int, bool]], config: SystemConfig,
             except StopIteration:
                 return
 
+    bank_of = geometry.bank_of
     refill()
     while pending:
-        if policy == "fcfs":
-            choice = 0
-        else:
-            choice = min(
-                range(len(pending)),
-                key=lambda i: (max(bus_free,
-                                   bank_free[geometry.bank_of(pending[i][0])]),
-                               i))
+        choice = 0
+        if policy == "frfcfs":
+            # Earliest start, ties to the oldest: scan oldest first, keep
+            # a strictly earlier start, and stop at the first request whose
+            # bank is free by the time the bus is — nothing starts sooner.
+            best = 0.0
+            for index, (address, _) in enumerate(pending):
+                ready = bank_free[bank_of(address)]
+                if ready <= bus_free:
+                    choice = index
+                    break
+                if not index or ready < best:
+                    best = ready
+                    choice = index
         if choice:
             reordered += 1
         address, is_write = pending[choice]

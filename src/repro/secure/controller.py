@@ -6,8 +6,9 @@ NVM stack of Section II — together with the three security-metadata caches of
 Table I and a pluggable integrity-tree update scheme (eager / lazy).
 
 Baseline secure EPD systems drain the cache hierarchy straight through this
-controller's :meth:`write` path (Section IV-B), which is where the paper's
-10.3x memory-access explosion comes from: each flushed line drags its
+controller's run-time write path (Section IV-B) — :meth:`write` per line, or
+its batched form :meth:`run_ops_batch` — which is where the paper's 10.3x
+memory-access explosion comes from: each flushed line drags its
 address-specific metadata through the caches, and sparse contents turn nearly
 every access into a miss plus a dirty eviction.
 """
@@ -23,7 +24,7 @@ from repro.common.constants import (
     MINOR_COUNTER_BITS,
 )
 from repro.common.config import CacheConfig
-from repro.common.errors import ConfigError, IntegrityError
+from repro.common.errors import ConfigError, IntegrityError, ReproError
 from repro.crypto.arena import frame_buffer
 from repro.crypto.counters import SplitCounterBlock
 from repro.crypto.engine import AesEngine, KeySchedule, MacEngine
@@ -93,6 +94,9 @@ class SecureMemoryController:
         # hazards — it is the writeback/victim buffer a real controller has.
         self._victims: "OrderedDict[int, tuple[MetaLine, str]]" = OrderedDict()
         self._draining_victims = False
+        self._writing_back: MetaLine | None = None
+        """The victim :meth:`drain_victims` is writing back (or last wrote
+        back): after a failed drain, the victim whose writeback raised."""
 
         self.op_hook = None
         """Optional observer called as ``op_hook(kind, address)`` (kind
@@ -218,16 +222,26 @@ class SecureMemoryController:
         prefix completes through the five stages, the overflowing op runs
         its page re-encryption on the scalar path, and a fresh segment
         resumes after it.  Accounting side channels the grouped NVM issue
-        cannot reproduce exactly (request traces, fault plans, wear) force
-        the scalar path, as does non-functional mode.  On a MAC mismatch
-        the same :class:`IntegrityError` is raised, though counters
-        recorded after the failing op may differ from scalar — the oracle
-        compares successful replays.
+        cannot reproduce exactly (request traces, fault plans) force the
+        scalar path, as do an armed :attr:`op_hook` and non-functional
+        mode; wear counts per block and rides the grouped issue.
+
+        Failures.  An exception raised in stage 1 — a counter-block or
+        tree-node MAC mismatch, or a bad address — leaves exactly the
+        scalar state: the ops stage 1 admitted before it run through
+        stages 2-5, then the error propagates.  A write-only segment (a
+        baseline drain chunk) therefore fails exactly as the per-line
+        :meth:`write` loop does: same exception, NVM image, stats,
+        metadata caches and victim buffer.  A data-MAC mismatch found by
+        stage 5's read verification raises the same
+        :class:`IntegrityError` as scalar, but the segment's later ops
+        have already run stages 1-4, so their counters and metadata state
+        may differ from scalar.
         """
         nvm = self.nvm
         if (not self.batched or not self.functional
                 or nvm.trace is not None or nvm.fault_plan is not None
-                or nvm.wear is not None or self.op_hook is not None
+                or self.op_hook is not None
                 or any(data is None
                        for kind, _, data in ops if kind == "w")):
             results = self.run_ops(ops)
@@ -273,7 +287,6 @@ class SecureMemoryController:
         meta_kinds = ("counter", "tree")
 
         pending_written: set[int] = set()
-        write_ops: list[int] = []
         write_addrs: list[int] = []
         write_ctrs: list[int] = []
         write_data: list[bytes] = []
@@ -286,7 +299,6 @@ class SecureMemoryController:
         # later stages use positional cursors instead of index maps).
         data_phase: list[int] = []
         pending_add = pending_written.add
-        w_ops = write_ops.append
         w_addrs = write_addrs.append
         w_ctrs = write_ctrs.append
         w_data = write_data.append
@@ -303,6 +315,13 @@ class SecureMemoryController:
         overflow = -1
         n = len(ops)
         index = start
+        # Failure bookkeeping for _settle_failed_op: the last op to reach
+        # a step scalar issue runs after the op's MAC access (a write's
+        # scheme hook and victim drain, a read's victim drain), the victims
+        # parked before that step, and whether the drain had started.
+        admitted = -1
+        parked: tuple[tuple[MetaLine, str], ...] = ()
+        draining = False
         try:
             while index < n:
                 kind, address, data = ops[index]
@@ -337,24 +356,27 @@ class SecureMemoryController:
                         overflow = index
                         break
                     minors[slot] = minor
-                    w_ops(index)
                     w_addrs(address)
                     w_ctrs((block.major << MINOR_COUNTER_BITS) | minor)
                     w_data(data)  # type: ignore[arg-type]
                     pending_add(address)
                     dp(index)
+                    parked = tuple(victims.values()) if victims else ()
+                    admitted, draining = index, False
                     on_data_write(self, counter_line)
                     if victims:
+                        draining = True
                         drain(meta_kinds)
                 else:
+                    if (address % CACHE_LINE_SIZE or address < 0
+                            or address >= data_size):
+                        require_data_address(address)  # raises, as scalar
                     dp(~index)
                     if is_written(address) or address in pending_written:
                         cb_address = (ctr_base
                                       + address // COUNTER_BLOCK_COVERAGE
                                       * CACHE_LINE_SIZE)
-                        if (address % CACHE_LINE_SIZE or address < 0
-                                or address >= data_size
-                                or cb_address >= ctr_end):
+                        if cb_address >= ctr_end:
                             cb_address = counter_block_address(address)
                         ctr_set = ctr_sets[cb_address // CACHE_LINE_SIZE
                                            % ctr_ns]
@@ -373,17 +395,81 @@ class SecureMemoryController:
                                                 % COUNTER_BLOCK_COVERAGE)
                                                // CACHE_LINE_SIZE])
                         if victims:
+                            parked = tuple(victims.values())
+                            admitted, draining = index, True
                             drain(meta_kinds)
                     else:
                         # Never-written memory reads as zeros with nothing
                         # to verify — the scalar path touches no metadata
-                        # either, but it does validate the address first.
-                        require_data_address(address)
+                        # either.
                         z_reads(index)
                 index += 1
+        except ReproError:
+            # Scalar issue stops at the failing op (a counter-block or
+            # tree-node MAC mismatch, a bad address) with every earlier op
+            # complete: finish the ops this phase admitted, then re-raise.
+            held = admitted == index
+            failed_victim = self._writing_back if held and draining else None
+            if not held and data_phase and data_phase[-1] == ~index:
+                # A read whose counter fetch failed: scalar issue had
+                # already read its data block, and touched no MAC yet.
+                zero_reads.append(index)
+            self._complete_segment(ops, data_phase, write_addrs, write_ctrs,
+                                   write_data, read_ops, read_addrs,
+                                   read_ctrs, zero_reads, results, fetched,
+                                   hold_last=held)
+            if held:
+                self._settle_failed_op(parked, failed_victim)
+            raise
         finally:
             counter_cache.hits += ctr_hits
             counter_cache.misses += ctr_misses
+
+        self._complete_segment(ops, data_phase, write_addrs, write_ctrs,
+                               write_data, read_ops, read_addrs, read_ctrs,
+                               zero_reads, results, fetched)
+
+        if overflow < 0:
+            return n
+
+        # Finish the overflowing write on the scalar path, reusing the
+        # counter access stage 1 already performed for it (a scalar run
+        # fetches exactly once too); its parked victims drain at the end,
+        # as the scalar end-of-op drain would.
+        _, address, data = ops[overflow]
+        old_block = block.copy()
+        block.increment(slot)
+        self._reencrypt_page(address, old_block, block, skip_slot=slot)
+        counter = block.counter_for(slot)
+        overflow_ct = self.aes.encrypt(address, counter, data)
+        mac_value = self.mac.block_mac(
+            MacKind.DATA_PROTECT, overflow_ct, address, counter,
+            domain=MacDomain.DATA)
+        self._store_data_mac(address, mac_value)
+        self.nvm.write(address,
+                       overflow_ct if overflow_ct is not None
+                       else _ZERO_BLOCK, WriteKind.DATA)
+        self.scheme.on_data_write(self, counter_line)
+        self.drain_victims()
+        return overflow + 1
+
+    def _complete_segment(self, ops: "list[tuple[str, int, bytes | None]]",
+                          data_phase: list[int], write_addrs: list[int],
+                          write_ctrs: list[int], write_data: list[bytes],
+                          read_ops: list[int], read_addrs: list[int],
+                          read_ctrs: list[int], zero_reads: list[int],
+                          results: list[bytes | None],
+                          fetched: "list[bytes | None] | None",
+                          hold_last: bool = False) -> None:
+        """Stages 2-5 of :meth:`_run_segment` for the ops its counter phase
+        admitted (``data_phase`` holds them in op order).
+
+        ``hold_last`` skips the MAC-victim drain after the last op, whose
+        own scalar end-of-op drain failed (:meth:`_settle_failed_op`)."""
+        layout = self.layout
+        nvm = self.nvm
+        victims = self._victims
+        drain = self.drain_victims
 
         # Stage 2 — one crypto batch for every write in the segment.
         write_macs: list[bytes]
@@ -399,9 +485,9 @@ class SecureMemoryController:
             ciphertext = b""
             write_macs = []
 
-        # Stage 3 — data-region NVM traffic.  The segment is fault-,
-        # wear-, and trace-free by construction (run_ops_batch
-        # eligibility), so the op-ordered run grouping collapses further:
+        # Stage 3 — data-region NVM traffic.  The segment is fault- and
+        # trace-free by construction (run_ops_batch eligibility), so the
+        # op-ordered run grouping collapses further:
         # reads that precede any same-address write see the pre-segment
         # backend and are issued as one arena read *before* the writes
         # land as one arena write; a read of data written earlier in the
@@ -414,20 +500,23 @@ class SecureMemoryController:
         backend_reads: list[int] = []
         served = 0
         wpos = 0
-        for entry in data_phase:
-            if entry >= 0:
-                offset = wpos * CACHE_LINE_SIZE
-                wpos += 1
-                pending[ops[entry][1]] = \
-                    ct_view[offset:offset + CACHE_LINE_SIZE]
-            else:
-                op_index = ~entry
-                block = pending.get(ops[op_index][1])
-                if block is None:
-                    backend_reads.append(op_index)
+        if len(write_addrs) < len(data_phase):
+            # Only segments with reads have anything to serve; a drain
+            # chunk is write-only.
+            for entry in data_phase:
+                if entry >= 0:
+                    offset = wpos * CACHE_LINE_SIZE
+                    wpos += 1
+                    pending[ops[entry][1]] = \
+                        ct_view[offset:offset + CACHE_LINE_SIZE]
                 else:
-                    read_blocks[op_index] = block
-                    served += 1
+                    op_index = ~entry
+                    block = pending.get(ops[op_index][1])
+                    if block is None:
+                        backend_reads.append(op_index)
+                    else:
+                        read_blocks[op_index] = block
+                        served += 1
         if backend_reads:
             arena = memoryview(nvm.read_arena(
                 [ops[op_index][1] for op_index in backend_reads],
@@ -461,6 +550,7 @@ class SecureMemoryController:
         wpos = 0
         zpos = 0
         num_zero = len(zero_reads)
+        held = data_phase[-1] if hold_last else None
         try:
             for entry in data_phase:
                 if entry >= 0:
@@ -512,7 +602,7 @@ class SecureMemoryController:
                 else:
                     stored_append(
                         bytes(mac_line.value[offset:offset + MAC_SIZE]))
-                if victims:
+                if victims and entry != held:
                     drain(mac_kind)
         finally:
             mac_cache.hits += mac_hits
@@ -545,29 +635,27 @@ class SecureMemoryController:
             fetched.extend(results[~entry] for entry in data_phase
                            if entry < 0)
 
-        if overflow < 0:
-            return n
+    def _settle_failed_op(self, parked: "tuple[tuple[MetaLine, str], ...]",
+                          failed_victim: MetaLine | None) -> None:
+        """Leave the failed op's data-MAC victim where scalar issue would.
 
-        # Finish the overflowing write on the scalar path, reusing the
-        # counter access stage 1 already performed for it (a scalar run
-        # fetches exactly once too); its parked victims drain at the end,
-        # as the scalar end-of-op drain would.
-        _, address, data = ops[overflow]
-        old_block = block.copy()
-        block.increment(slot)
-        self._reencrypt_page(address, old_block, block, skip_slot=slot)
-        counter = block.counter_for(slot)
-        overflow_ct = self.aes.encrypt(address, counter, data)
-        mac_value = self.mac.block_mac(
-            MacKind.DATA_PROTECT, overflow_ct, address, counter,
-            domain=MacDomain.DATA)
-        self._store_data_mac(address, mac_value)
-        self.nvm.write(address,
-                       overflow_ct if overflow_ct is not None
-                       else _ZERO_BLOCK, WriteKind.DATA)
-        self.scheme.on_data_write(self, counter_line)
-        self.drain_victims()
-        return overflow + 1
+        Scalar issue makes an op's MAC-cache access before its scheme hook
+        and end-of-op drain; the batched counter phase ran those first, so
+        the victim that access parked (if any) is still at the buffer's
+        tail.  If the drain failed (``failed_victim`` is the victim whose
+        writeback raised) on a victim parked after the access, scalar issue
+        had already written the MAC victim out; otherwise it sits right
+        behind the victims parked before the access (``parked``).
+        """
+        victims = self._victims
+        if failed_victim is not None and not any(
+                line is failed_victim for line, _ in parked):
+            self.drain_victims(("mac",))
+            return
+        ahead = {id(entry) for entry in parked}
+        for address, entry in list(victims.items()):
+            if id(entry) not in ahead and entry[1] != "mac":
+                victims.move_to_end(address)
 
     # ------------------------------------------------------------------
     # Counter blocks
@@ -782,6 +870,7 @@ class SecureMemoryController:
                         if found is None:
                             return
                         line, kind = self._victims.pop(found)
+                self._writing_back = line
                 if kind == "counter":
                     self._writeback_counter(line)
                 elif kind == "tree":

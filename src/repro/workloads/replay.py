@@ -24,7 +24,7 @@ to scalar replay; ``REPRO_ORACLE`` episodes run both and compare
 (:func:`repro.core.oracle.run_replay_differential`).
 
 Accounting side channels the grouped paths cannot reproduce exactly
-(request traces, fault plans, wear tracking) force the scalar path, as do
+(request traces, fault plans) force the scalar path, as do
 non-inclusive hierarchies and systems that lack the batch hooks entirely
 (:class:`~repro.stats.runtime.RuntimePerfModel` accepts bare test doubles).
 """
@@ -59,8 +59,7 @@ def _eligible(system: Any, batched: bool | None) -> bool:
     if getattr(system, "layout", None) is None:
         return False
     nvm = getattr(system, "nvm", None)
-    if nvm is None or nvm.trace is not None or nvm.fault_plan is not None \
-            or nvm.wear is not None:
+    if nvm is None or nvm.trace is not None or nvm.fault_plan is not None:
         return False
     return True
 
@@ -87,9 +86,9 @@ def _run_plain(nvm: Any, mem_ops: "list[tuple[str, int, bytes | None]]") \
             addresses = [mem_ops[i][1] for i in range(pos, stop)]
             fetched.extend(nvm.read_batch(addresses, ReadKind.DATA))
         else:
-            # Eligibility guarantees grouped_io (no trace/fault/wear), so
-            # the run lands as one arena write: same image, same folded
-            # stats, no per-op tuple stream.
+            # Eligibility guarantees grouped_io (no trace or fault plan),
+            # so the run lands as one arena write: same image, same folded
+            # stats and wear, no per-op tuple stream.
             addresses = [mem_ops[i][1] for i in range(pos, stop)]
             buffer = b"".join(
                 mem_ops[i][2] if mem_ops[i][2] is not None else _ZERO_BLOCK

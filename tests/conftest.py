@@ -33,6 +33,27 @@ settings.register_profile(
 settings.load_profile(HYPOTHESIS_PROFILE)
 
 
+def controller_state(controller) -> dict:
+    """What a secure controller leaves behind — NVM image, stats, metadata
+    caches in LRU order with hit/miss counters, victim buffer in FIFO
+    order — for comparing a batched run with the per-op loop."""
+    return {
+        "NVM image": controller.nvm.backend.image(),
+        "stats": controller.stats.snapshot(),
+        "metadata caches": [
+            [[(line.address, controller.line_bytes(line), line.dirty)
+              for line in cache_set.values()]
+             for cache_set in cache._sets]
+            for cache in controller.metadata_caches],
+        "cache hits/misses": [(cache.hits, cache.misses)
+                              for cache in controller.metadata_caches],
+        "victim buffer": [(address, kind, controller.line_bytes(line),
+                           line.dirty)
+                          for address, (line, kind)
+                          in controller._victims.items()],
+    }
+
+
 def examples(count: int) -> int:
     """Per-test example budget: ``count`` in CI, 10x on ``nightly``."""
     return count * (10 if HYPOTHESIS_PROFILE == "nightly" else 1)

@@ -1,6 +1,7 @@
-"""Controller edge cases: minor-counter overflow and the victim buffer.
+"""Controller edge cases: minor-counter overflow, the victim buffer, and
+batched segments that fail part-way.
 
-Two corners the mainline roundtrip tests never reach:
+Corners the mainline roundtrip tests never reach:
 
 * ``_reencrypt_page`` — a minor-counter overflow mid-write (and mid-drain)
   re-encrypts the whole 4 KiB page, skipping holes and the overflowing
@@ -8,18 +9,26 @@ Two corners the mainline roundtrip tests never reach:
   across it, stats included;
 * ``drain_victims`` — with a metadata cache at capacity, every insert parks
   a dirty victim; the buffer must drain in FIFO order and run cascading
-  writebacks to a fixed point.
+  writebacks to a fixed point;
+* a batched segment whose counter phase raises (a tampered counter block
+  or tree node, a bad address) must stop in the state the per-op loop
+  leaves: earlier ops complete, the failing op's MAC victim where the loop
+  parks it.
 """
+
+import traceback
 
 import pytest
 
 from repro.common.config import SystemConfig
+from repro.common.errors import AddressError, IntegrityError
 from repro.core.system import SecureEpdSystem
 from repro.crypto.counters import SplitCounterBlock
 from repro.mem.nvm import NvmDevice
 from repro.mem.regions import MemoryLayout
 from repro.secure.controller import SecureMemoryController
 from repro.stats.counters import SimStats
+from tests.conftest import controller_state
 
 WRITTEN_SLOTS = (0, 2, 3, 40, 63)
 OVERFLOW_SLOT = 2
@@ -73,6 +82,26 @@ class TestReencryptPageOnOverflow:
         for slot in range(64):
             written = controller.nvm.backend.is_written(slot * 64)
             assert written == (slot in WRITTEN_SLOTS)
+
+    def test_overflow_after_a_read_in_one_segment(self):
+        """A segment that reads and then overflows a write: the scalar
+        overflow tail must run on the overflowing write's counter block,
+        not on whatever the segment's data phase last touched."""
+
+        def run(batched: bool) -> SecureMemoryController:
+            controller = make_controller(batched)
+            controller.write(0, payload(1))
+            _force_overflow(controller)
+            results = controller.run_ops_batch(
+                [("r", 0, None), ("w", OVERFLOW_SLOT * 64, payload(9))])
+            assert results == [payload(1), None]
+            return controller
+
+        batched, scalar = run(batched=True), run(batched=False)
+        assert batched.nvm.backend.image() == scalar.nvm.backend.image()
+        assert batched.stats.snapshot() == scalar.stats.snapshot()
+        assert batched.read(OVERFLOW_SLOT * 64) == payload(9)
+        assert batched.get_counter_line(0).value.major == 1
 
     def test_overflow_mid_drain_matches_scalar(self):
         """A baseline secure drain hits the overflow *while flushing*: a
@@ -220,3 +249,113 @@ class TestDrainVictimsOrdering:
         line = controller.get_counter_line(data_addresses[0])
         assert line is parked_line
         assert victim_cb not in controller._victims
+
+
+class TestSchemeHookFailureParity:
+    """An eager write whose counter block is cached but whose level-1 tree
+    node is not re-fetches that node in the scheme hook — after scalar
+    issue has already stored the write's data MAC.  A tampered node then
+    fails the write there, and the batched segment must leave the MAC
+    cache, the victim buffer (the MAC victim parked where the write loop
+    parks it) and the NVM image exactly as the loop does."""
+
+    PAGES = [9 * i for i in range(160)]
+    """Pages 9 apart: their counter blocks spread over the counter-cache
+    sets and each sits under its own level-1 node, so the warm-up leaves
+    cached counters whose level-1 node the tree cache has evicted."""
+
+    def _path_cached(self, controller, cb_address: int) -> bool:
+        layout = controller.layout
+        level, index, _ = layout.parent_of_counter_block(cb_address)
+        while True:
+            if not controller.tree_cache.contains(
+                    layout.tree_node_address(level, index)):
+                return False
+            if level == layout.num_tree_levels:
+                return True
+            level, index, _ = layout.parent_of_tree_node(level, index)
+
+    def _run(self, batched: bool):
+        controller = make_controller(batched, scheme="eager")
+        for page in self.PAGES:
+            controller.write(page * 4096 + 64 * (page % 64), payload(page))
+        layout = controller.layout
+        quiet, target = [], None
+        for page in self.PAGES:
+            cb_address = layout.counter_block_address(page * 4096)
+            if not controller.counter_cache.contains(cb_address):
+                continue
+            if self._path_cached(controller, cb_address):
+                quiet.append(page)
+                continue
+            level, index, _ = layout.parent_of_counter_block(cb_address)
+            node = layout.tree_node_address(level, index)
+            if target is None and not controller.tree_cache.contains(node):
+                # A slot whose MAC block is uncached: its MAC store misses
+                # and evicts a dirty MAC line into the victim buffer.
+                slot = next(
+                    slot for slot in range(64)
+                    if not controller.mac_cache.contains(
+                        layout.mac_block_address(page * 4096 + 64 * slot)))
+                target = (page * 4096 + 64 * slot, node)
+        assert quiet and target is not None
+        address, node = target
+        controller.nvm.backend.corrupt_block(node, b"\x5a" * 64)
+        ops = [("w", page * 4096 + 128, payload(500 + page))
+               for page in quiet[:8]] + [("w", address, payload(999))]
+        with pytest.raises(IntegrityError) as failure:
+            controller.run_ops_batch(ops)
+        frames = [frame.name for frame in
+                  traceback.extract_tb(failure.value.__traceback__)]
+        return controller, str(failure.value), frames
+
+    def test_failure_in_the_hook_matches_the_write_loop(self):
+        batched, batched_error, _ = self._run(batched=True)
+        scalar, scalar_error, frames = self._run(batched=False)
+        assert "propagate_to_root" in frames
+        assert batched_error == scalar_error
+        scalar_state = controller_state(scalar)
+        assert any(kind == "mac"
+                   for _, kind, *_ in scalar_state["victim buffer"])
+        batched_state = controller_state(batched)
+        for name in scalar_state:
+            assert batched_state[name] == scalar_state[name], name
+
+
+class TestReadFailureParity:
+    """A read stops a mixed segment in the counter phase too.  A read
+    whose counter block was tampered fails after scalar issue has read its
+    data block; a read of a bad address fails before anything.  Either
+    way the ops before it complete and the state is the write loop's."""
+
+    PAGES = [9 * i for i in range(120)]
+    """Enough pages that the first ones' counter blocks were evicted (and
+    written back) by the time the segment runs."""
+
+    def _run(self, batched: bool, read_address: int):
+        controller = make_controller(batched)
+        for page in self.PAGES:
+            controller.write(page * 4096, payload(page))
+        assert not controller.counter_cache.contains(
+            controller.layout.counter_block_address(0))
+        controller.nvm.backend.corrupt_block(
+            controller.layout.counter_block_address(0), b"\x3c" * 64)
+        ops = [("w", self.PAGES[60] * 4096 + 64, payload(1)),
+               ("r", self.PAGES[61] * 4096, None),
+               ("r", read_address, None),
+               ("w", self.PAGES[62] * 4096 + 64, payload(2))]
+        with pytest.raises((IntegrityError, AddressError)) as failure:
+            controller.run_ops_batch(ops)
+        return controller, f"{failure.type.__name__}: {failure.value}"
+
+    @pytest.mark.parametrize("read_address", [0, 3, -64, 1 << 40],
+                             ids=["tampered-counter", "misaligned",
+                                  "negative", "beyond-data"])
+    def test_failing_read_matches_the_op_loop(self, read_address):
+        batched, batched_error = self._run(True, read_address)
+        scalar, scalar_error = self._run(False, read_address)
+        assert batched_error == scalar_error
+        scalar_state = controller_state(scalar)
+        batched_state = controller_state(batched)
+        for name in scalar_state:
+            assert batched_state[name] == scalar_state[name], name

@@ -1,7 +1,15 @@
 """Timed crypto engines: accounting and functional behaviour."""
 
-from repro.crypto.engine import AesEngine, MacEngine
-from repro.crypto.primitives import MacDomain
+import pytest
+
+from repro.crypto.engine import (
+    AesEngine,
+    MacEngine,
+    block_domain,
+    digest_domain,
+)
+from repro.crypto.primitives import MacDomain, compute_mac, int_field
+from repro.sharding.keys import TenantExtent, TenantKeyedMac, TenantKeyring
 from repro.stats.counters import SimStats
 from repro.stats.events import AesKind, MacKind
 
@@ -97,3 +105,49 @@ class TestMacEngine:
         engine = MacEngine(stats, functional=False)
         assert engine.digest_mac(MacKind.VERIFY, bytes(64)) == bytes(8)
         assert stats.total_macs == 1
+
+
+class TestKeyedForks:
+    """The engines fork one keyed state per domain instead of re-keying per
+    call; every fork must equal the ``compute_mac`` specification."""
+
+    CONTENT = bytes(range(64))
+    KEY = b"fork-test-mac-key"
+
+    @pytest.mark.parametrize("kind", list(MacKind), ids=lambda k: k.name)
+    @pytest.mark.parametrize("domain", [None, *MacDomain],
+                             ids=lambda d: "inherited" if d is None
+                             else d.name)
+    def test_forks_equal_compute_mac(self, kind, domain):
+        engine = MacEngine(SimStats(), key=self.KEY)
+        assert engine.block_mac(kind, self.CONTENT, 4096, 77,
+                                domain=domain) == compute_mac(
+            self.KEY, self.CONTENT, int_field(4096), int_field(77, 16),
+            domain=block_domain(kind, domain))
+        assert engine.digest_mac(kind, self.CONTENT, domain=domain) == \
+            compute_mac(self.KEY, self.CONTENT,
+                        domain=digest_domain(kind, domain))
+        assert engine.node_mac(kind, self.CONTENT, 4096) == compute_mac(
+            self.KEY, self.CONTENT, int_field(4096), domain=MacDomain.NODE)
+
+    def test_forks_do_not_leak_state_between_calls(self):
+        engine = MacEngine(SimStats(), key=self.KEY)
+        first = engine.digest_mac(MacKind.VERIFY, self.CONTENT)
+        engine.digest_mac(MacKind.VERIFY, bytes(64))
+        assert engine.digest_mac(MacKind.VERIFY, self.CONTENT) == first
+
+    def test_tenant_engine_keeps_master_keyed_digest_and_node_macs(self):
+        keyring = TenantKeyring((TenantExtent(0, 0, 4 * 64),
+                                 TenantExtent(1, 8 * 64, 4 * 64)),
+                                mac_master=self.KEY)
+        tenant = TenantKeyedMac(SimStats(), keyring)
+        master = MacEngine(SimStats(), key=self.KEY)
+        for kind in MacKind:
+            assert tenant.digest_mac(kind, self.CONTENT) == \
+                master.digest_mac(kind, self.CONTENT)
+            assert tenant.node_mac(kind, self.CONTENT, 8 * 64) == \
+                master.node_mac(kind, self.CONTENT, 8 * 64)
+        # Block MACs stay per-tenant: tenant 1's differs from the master's.
+        assert tenant.block_mac(MacKind.DATA_PROTECT, self.CONTENT, 8 * 64,
+                                3) != master.block_mac(
+            MacKind.DATA_PROTECT, self.CONTENT, 8 * 64, 3)

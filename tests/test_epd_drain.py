@@ -1,10 +1,15 @@
 """Drain engines: non-secure reference and the secure baselines."""
 
+import traceback
+
 import pytest
 
+from repro.common.config import SystemConfig
+from repro.common.errors import IntegrityError
 from repro.core.system import SecureEpdSystem
 from repro.epd.power import EADR_MIN_HOLDUP_MS, holdup_budget
 from repro.stats.events import MacKind, ReadKind, WriteKind
+from tests.conftest import controller_state
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +108,80 @@ class TestDrainReportAndHoldup:
         budget = holdup_budget(reports["nosec"])
         assert budget.meets_eadr_minimum == \
             (budget.holdup_ms <= EADR_MIN_HOLDUP_MS)
+
+
+class TestBatchedDrainFailureParity:
+    """Garbage in a counter block or tree node stops a batched Base-LU/EU
+    drain in exactly the state the per-line ``write`` loop leaves."""
+
+    CONFIG = SystemConfig.scaled(64)
+    """4,624 flushed lines: the batched drain spans two 4096-op chunks."""
+
+    GARBAGE = b"\xa5" * 64
+
+    def _metadata_above(self, system: SecureEpdSystem, address: int,
+                        level: int) -> int:
+        """Counter block (level 0) or level-``level`` tree node covering
+        the data block at ``address``."""
+        layout = system.layout
+        counter_block = layout.counter_block_address(address)
+        if level == 0:
+            return counter_block
+        index = layout.counter_block_index(counter_block)
+        return layout.tree_node_address(
+            level, index // self.CONFIG.security.tree_arity ** level)
+
+    def _failed_drain(self, scheme: str, batched: bool, position: int,
+                      level: int, warm: bool = False) -> dict:
+        system = SecureEpdSystem(self.CONFIG, scheme=scheme,
+                                 batched=batched)
+        system.fill_worst_case(seed=5)
+        drain_seed = 9
+        if warm:
+            # A recovered Base-LU holds restored dirty counters whose tree
+            # parents are not cached: the first fetch of such a parent
+            # comes from a victim writeback, not from a counter fetch.
+            system.crash(seed=drain_seed)
+            system.recover()
+            system.fill_worst_case(seed=6)
+            drain_seed = 10
+        order = [line.address
+                 for line in system.hierarchy.drain_lines(drain_seed)]
+        assert len(order) > 4096
+        if batched:
+            def no_scalar_fallback(ops):
+                raise AssertionError("batched drain fell back to run_ops")
+            system.controller.run_ops = no_scalar_fallback
+        system.nvm.backend.corrupt_block(
+            self._metadata_above(system, order[position], level),
+            self.GARBAGE)
+        with pytest.raises(IntegrityError) as failure:
+            system.crash(seed=drain_seed)
+        observed = controller_state(system.controller)
+        observed["exception"] = str(failure.value)
+        observed["failed in a writeback"] = any(
+            frame.name == "drain_victims"
+            for frame in traceback.extract_tb(failure.value.__traceback__))
+        return observed
+
+    @pytest.mark.parametrize("scheme", ["base-lu", "base-eu"])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3],
+                             ids=["counter", "tree-l1", "tree-l2", "tree-l3"])
+    @pytest.mark.parametrize("position", [0, 1000, 4500])
+    def test_tampered_metadata_fails_like_the_write_loop(self, scheme, level,
+                                                         position):
+        batched = self._failed_drain(scheme, True, position, level)
+        scalar = self._failed_drain(scheme, False, position, level)
+        for name in scalar:
+            assert batched[name] == scalar[name], name
+
+    @pytest.mark.parametrize("position", [2800, 3100])
+    def test_failed_victim_writeback_matches_the_write_loop(self, position):
+        """The tamper is first seen by a lazy victim writeback: scalar issue
+        had already stored the failing write's data MAC, so its MAC victim
+        must be parked (or written) exactly where the loop leaves it."""
+        batched = self._failed_drain("base-lu", True, position, 1, warm=True)
+        scalar = self._failed_drain("base-lu", False, position, 1, warm=True)
+        assert scalar["failed in a writeback"]
+        for name in scalar:
+            assert batched[name] == scalar[name], name

@@ -101,12 +101,44 @@ class TestArenaIo:
         with pytest.raises(AddressError):
             device.read_arena([0], "data")
 
-    def test_grouped_io_reflects_side_channels(self, device):
+    def test_grouped_io_reflects_side_channels(self, device, tiny_config):
         assert device.grouped_io
         device.trace = []
         assert not device.grouped_io
         device.trace = None
         assert device.grouped_io
+        # Wear is a per-block count, blind to write order: it rides the
+        # grouped path instead of forcing per-request issue.
+        device.wear = WearTracker(MemoryLayout(tiny_config))
+        assert device.grouped_io
+
+    def test_write_arena_under_wear_equals_the_scalar_loop(self,
+                                                          tiny_config):
+        """Grouped issue with a wear tracker attached counts exactly what
+        the scalar write loop counts, duplicates included."""
+        layout = MemoryLayout(tiny_config)
+        addresses = [64 * (i % 5) for i in range(12)] \
+            + [layout.counters.base, layout.tree.base, layout.counters.base]
+        payload = b"".join(bytes([i + 1]) * 64
+                           for i in range(len(addresses)))
+
+        def fresh() -> NvmDevice:
+            device = NvmDevice(layout.total_size)
+            device.wear = WearTracker(layout)
+            return device
+
+        grouped = fresh()
+        assert grouped.grouped_io
+        grouped.write_arena(addresses, payload, WriteKind.DATA)
+        scalar = fresh()
+        for index, address in enumerate(addresses):
+            scalar.write(address, payload[64 * index:64 * (index + 1)],
+                         WriteKind.DATA)
+        assert grouped.wear.total_writes == scalar.wear.total_writes \
+            == len(addresses)
+        assert grouped.wear.region_wear() == scalar.wear.region_wear()
+        assert grouped.backend.image() == scalar.backend.image()
+        assert grouped.stats.snapshot() == scalar.stats.snapshot()
 
     def test_write_arena_scalar_fallback_under_trace(self, device):
         """With a trace attached the arena degrades to per-request scalar

@@ -73,3 +73,34 @@ class TestWearExperimentShape:
         result = run(DrainSuite(scale=256))
         assert result.all_checks_pass, [c for c in result.checks
                                         if not c.passed]
+
+
+class TestWearUnderBatchedEpisodes:
+    """Wear rides the grouped paths: an ``ablation-wear``-shaped run (fill,
+    crash, recover, repeated) gives the batched and scalar systems the same
+    wear counts and NVM image."""
+
+    ROUNDS = 2
+
+    def _episodes(self, scheme: str, batched: bool):
+        from repro.common.config import SystemConfig
+        from repro.core.system import SecureEpdSystem
+        system = SecureEpdSystem(SystemConfig.scaled(128), scheme=scheme,
+                                 batched=batched)
+        system.nvm.wear = WearTracker(system.layout)
+        for episode in range(self.ROUNDS):
+            system.fill_worst_case(seed=episode)
+            system.crash(seed=100 + episode)
+            system.recover()
+        return system
+
+    @pytest.mark.parametrize("scheme", ["base-lu", "horus-slm"])
+    def test_batched_wear_equals_scalar(self, scheme):
+        batched = self._episodes(scheme, batched=True)
+        scalar = self._episodes(scheme, batched=False)
+        assert batched.nvm.wear.total_writes > 0
+        assert batched.nvm.wear.region_wear() == scalar.nvm.wear.region_wear()
+        assert batched.nvm.wear._writes == scalar.nvm.wear._writes
+        assert batched.nvm.wear.total_writes == scalar.nvm.wear.total_writes
+        assert batched.nvm.backend.image() == scalar.nvm.backend.image()
+        assert batched.stats.snapshot() == scalar.stats.snapshot()

@@ -54,6 +54,20 @@ class TestZeroDivergence:
                                           recovery_mode="writeback")
         assert outcome.recovery is not None
 
+    @pytest.mark.parametrize("scheme, kwargs", [
+        ("base-lu", {}),
+        ("base-eu", {}),
+        ("base-lu", {"osiris_stop_loss": 8}),
+    ], ids=["base-lu", "base-eu", "base-lu+osiris"])
+    def test_multi_chunk_baseline_drain_never_diverges(self, scheme, kwargs):
+        """Scale 64 drains 4,624 lines: the batched Base-LU/EU drain spans
+        two controller chunks and must still match the per-line loop."""
+        config = SystemConfig.scaled(64)
+        outcome = oracle.run_differential(config, scheme, recover=True,
+                                          **kwargs)
+        assert outcome.drain.flushed_blocks == config.total_cache_lines
+        assert outcome.drain.flushed_blocks > 4096
+
     def test_planted_divergence_is_caught(self, monkeypatch):
         """Corrupt one batched MAC: the oracle must refuse the episode and
         name a diverging observable."""

@@ -1,5 +1,7 @@
 """Property-based tests: banked replay and FR-FCFS scheduling bounds."""
 
+from itertools import islice
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,3 +74,48 @@ class TestSchedulingBounds:
         serial = sum(_latency(w) for _, w in trace)
         result = replay_makespan(trace, CONFIG, geometry)
         assert result.makespan_ns == serial
+
+
+def _reference_schedule(trace, geometry, policy, window):
+    """The FR-FCFS pick as a ``min`` over the whole window — the plain
+    statement of "earliest start, ties to the oldest" the scanning pick in
+    :func:`schedule_trace` must reproduce exactly."""
+    bank_free = [0.0] * geometry.total_banks
+    pending = list(trace[:window])
+    feed = iter(trace[window:])
+    bus_free = makespan = 0.0
+    reordered = 0
+    while pending:
+        if policy == "fcfs":
+            choice = 0
+        else:
+            choice = min(
+                range(len(pending)),
+                key=lambda i: (max(bus_free,
+                                   bank_free[geometry.bank_of(pending[i][0])]),
+                               i))
+        if choice:
+            reordered += 1
+        address, is_write = pending.pop(choice)
+        bank = geometry.bank_of(address)
+        start = max(bus_free, bank_free[bank])
+        done = start + _latency(is_write)
+        bank_free[bank] = done
+        bus_free = start + geometry.command_slot_ns
+        makespan = max(makespan, done)
+        pending.extend(islice(feed, window - len(pending)))
+    return makespan, reordered
+
+
+class TestSchedulerMatchesReference:
+    @given(trace=traces, geometry=geometries,
+           window=st.sampled_from([1, 4, 32]),
+           policy=st.sampled_from(["fcfs", "frfcfs"]))
+    @settings(max_examples=examples(80), derandomize=True)
+    def test_pick_is_bit_identical_to_min_over_the_window(
+            self, trace, geometry, window, policy):
+        result = schedule_trace(trace, CONFIG, geometry, policy, window)
+        makespan, reordered = _reference_schedule(trace, geometry, policy,
+                                                  window)
+        assert result.makespan_ns == makespan  # exact float bits
+        assert result.reordered == reordered
