@@ -181,11 +181,10 @@ def replay_cache_model(config: SystemConfig, ops: list):
 
     hierarchy = CacheHierarchy(config)
     fill = bytes(config.l1.line_size)
-    with hierarchy.epoch_session():
-        for start in range(0, len(ops), DEFAULT_EPOCH_OPS):
-            _, fills = hierarchy.replay_epoch(
-                ops[start:start + DEFAULT_EPOCH_OPS])
-            hierarchy.resolve_pending(fills, [fill] * len(fills))
+    for start in range(0, len(ops), DEFAULT_EPOCH_OPS):
+        _, fills = hierarchy.replay_epoch(
+            ops[start:start + DEFAULT_EPOCH_OPS])
+        hierarchy.resolve_pending(fills, [fill] * len(fills))
     return hierarchy
 
 

@@ -7,7 +7,7 @@ byte-identical NVM image and identical SimStats counters, cache hit rates,
 and access mix.
 
 The floor is the noise-safe edge of the measured speedup (2.9x with the
-struct-of-arrays cache model driving the replay core; interleaved min/min
+lane cache model driving the replay core; interleaved min/min
 wobbles by roughly 5% between runs on a loaded machine).  Raise it when
 the measured ratio moves, never ahead of it.  The remaining wall splits
 roughly 0.13s cache / 0.10s mem / 0.03s other per 100k ops on the

@@ -1,6 +1,6 @@
-"""Cache substrate: lines, set-associative caches, hierarchy, fill patterns."""
+"""Cache substrate: set-associative caches, hierarchy, fill patterns."""
 
-from repro.cache.cache import SetAssociativeCache
+from repro.cache.cache import MISS, SetAssociativeCache
 from repro.cache.fill import (
     PageAllocator,
     make_allocator,
@@ -8,12 +8,11 @@ from repro.cache.fill import (
     worst_case_addresses,
 )
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.line import CacheLine
 
 __all__ = [
+    "MISS",
     "SetAssociativeCache",
     "CacheHierarchy",
-    "CacheLine",
     "PageAllocator",
     "make_allocator",
     "page_of",

@@ -11,33 +11,32 @@ Supports the two modes the paper exercises:
   :meth:`drain_lines` enumerates the flush stream; the paper's flushed-block
   total (295,936 for Table I) is the sum of line counts over all levels, so
   inclusive duplicates are flushed once per level that holds them.
+
+Every level keeps its state in the lane form of
+:class:`~repro.cache.cache.SetAssociativeCache`; the scalar methods and the
+fused :meth:`CacheHierarchy.replay_epoch` act on that one state.
 """
 
 from collections import Counter
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from itertools import chain
 from typing import Any
 
-from repro.cache.cache import SetAssociativeCache
+from repro.cache.cache import MISS, SetAssociativeCache, decompose_sets
 from repro.cache.fill import (
     PageAllocator,
     make_allocator,
     worst_case_addresses,
     worst_case_addresses_bulk,
 )
-from repro.cache.line import CacheLine
-from repro.cache.soa import SoALevel, decompose_sets
 from repro.common.config import SystemConfig
+from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import ConfigError
 from repro.common.rng import Rng, make_rng
 from repro.crypto.arena import tile_u64
 
 FetchFn = Callable[[int], bytes]
 WritebackFn = Callable[[int, bytes], None]
-
-#: Sentinel distinguishing "absent" from a legitimate ``None`` payload in
-#: the fused pass's lane probes (non-functional hierarchies carry ``None``).
-_MISSING = object()
 
 
 def _pattern_data(address: int) -> bytes:
@@ -65,20 +64,6 @@ class PendingFill:
         return f"PendingFill({self.address:#x})"
 
 
-def _raw_line(address: int, data: Any, dirty: bool) -> CacheLine:
-    """A :class:`CacheLine` without ``__init__`` validation.
-
-    The fused pass installs :class:`PendingFill` markers as payloads, which
-    the dataclass length check would reject — and skipping per-line dataclass
-    construction is part of the fast path's point.
-    """
-    line = CacheLine.__new__(CacheLine)
-    line.address = address
-    line.data = data
-    line.dirty = dirty
-    return line
-
-
 class CacheHierarchy:
     """L1 / L2 / LLC hierarchy, inclusive (default) or non-inclusive.
 
@@ -103,78 +88,16 @@ class CacheHierarchy:
         self.access_counts: Counter[str] = Counter()
         """Where run-time accesses were served: 'l1' / 'l2' / 'llc' /
         'miss'.  Consumed by the run-time performance model."""
-        # Struct-of-arrays epoch state: None outside an epoch session.
-        # While set, the level dicts are empty and the SoA lanes are the
-        # sole representation (see cache/soa.py); every scalar entry point
-        # below materializes first via _ensure_materialized().
-        self._soa: "tuple[SoALevel, SoALevel, SoALevel] | None" = None
 
     @property
     def levels(self) -> tuple[SetAssociativeCache, ...]:
         return (self.l1, self.l2, self.llc)
 
     def __len__(self) -> int:
-        self._ensure_materialized()
         return sum(len(level) for level in self.levels)
 
     def dirty_line_count(self) -> int:
-        self._ensure_materialized()
-        return sum(1 for level in self.levels for _ in level.dirty_lines())
-
-    # ------------------------------------------------------------------
-    # Struct-of-arrays epoch sessions
-    # ------------------------------------------------------------------
-
-    def dematerialize(self) -> None:
-        """Flatten every level into its struct-of-arrays form.
-
-        Idempotent: entering twice is a no-op.  While dematerialized the
-        level dicts are empty — state lives in the SoA lanes until
-        :meth:`materialize` rebuilds the dict-of-``CacheLine`` form.
-        """
-        if self._soa is not None:
-            return
-        self._soa = (SoALevel.from_cache(self.l1),
-                     SoALevel.from_cache(self.l2),
-                     SoALevel.from_cache(self.llc))
-
-    def materialize(self) -> None:
-        """Rebuild the dict-of-``CacheLine`` form from the SoA lanes.
-
-        A no-op outside a session.  Orders (set order, LRU→MRU), values,
-        dirty bits, and payload-object identity (:class:`PendingFill`
-        markers included) are exactly what the dict pass would have left.
-        """
-        soa = self._soa
-        if soa is None:
-            return
-        self._soa = None
-        for soa_level, level in zip(soa, self.levels):
-            soa_level.restore(level)
-
-    @contextmanager
-    def epoch_session(self) -> Iterator["CacheHierarchy"]:
-        """Hold the hierarchy in SoA form across many :meth:`replay_epoch`
-        calls, amortizing the dematerialize/materialize boundary over a
-        whole trace instead of paying it per epoch."""
-        if self._soa is not None:
-            raise ConfigError("epoch sessions do not nest")
-        self.dematerialize()
-        try:
-            yield self
-        finally:
-            self.materialize()
-
-    def _ensure_materialized(self) -> None:
-        """Scalar entry points see dict state even mid-session.
-
-        Drains, fills, recovery, and the fault/attack paths all operate on
-        the dict-of-``CacheLine`` representation; any such call landing
-        inside an epoch session materializes first (the session's exit
-        materialize then becomes a no-op-then-rebuild on next epoch).
-        """
-        if self._soa is not None:
-            self.materialize()
+        return sum(len(level.dirty) for level in self.levels)
 
     # ------------------------------------------------------------------
     # Drain-mode support
@@ -193,12 +116,11 @@ class CacheHierarchy:
         lines installed.
 
         ``batched`` (the default) selects a fast path that performs the
-        same inserts through direct set operations — same allocator, same
+        same inserts through direct lane operations — same allocator, same
         shuffle, same final lines, LRU orders and statistics, minus the
-        per-line method and dataclass overhead that dominates paper-scale
-        episode setup.
+        per-line method overhead that dominates paper-scale episode setup.
         """
-        self.invalidate_all()  # materializes any active epoch session
+        self.invalidate_all()
         allocator = make_allocator(self._config)
         rng = make_rng(seed)
         if batched:
@@ -210,8 +132,7 @@ class CacheHierarchy:
                 rng.shuffle(addresses)
                 for address in addresses:
                     data = _pattern_data(address) if self._functional else None
-                    if level.insert(CacheLine(address, data, dirty=True)) \
-                            is not None:
+                    if level.insert(address, data, dirty=True) is not None:
                         raise ConfigError(
                             "worst-case fill must not evict")
             return len(self)
@@ -221,7 +142,7 @@ class CacheHierarchy:
 
         for address in llc_addresses:
             data = _pattern_data(address) if self._functional else None
-            if self.llc.insert(CacheLine(address, data, dirty=True)) is not None:
+            if self.llc.insert(address, data, dirty=True) is not None:
                 raise ConfigError("worst-case fill must not evict from LLC")
 
         for upper in (self.l2, self.l1):
@@ -234,7 +155,7 @@ class CacheHierarchy:
                 if upper.contains(address):
                     continue
                 data = _pattern_data(address) if self._functional else None
-                upper.insert(CacheLine(address, data, dirty=True))
+                upper.insert(address, data, dirty=True)
                 remaining -= 1
 
         return len(self)
@@ -242,41 +163,43 @@ class CacheHierarchy:
     def _fill_worst_case_batched(self, allocator: PageAllocator,
                                  rng: Rng) -> int:
         """The :meth:`fill_worst_case` fast path: identical address streams
-        (same allocator draws, same shuffles) installed with direct set-dict
+        (same allocator draws, same shuffles) installed with direct lane
         operations instead of per-line :meth:`SetAssociativeCache.insert`
         calls.  Insert semantics are transcribed exactly — duplicates
         replace in place and refresh LRU; a full set raises after evicting,
         as the scalar insert would."""
         functional = self._functional
-        new_line = CacheLine.__new__
 
         def bulk_insert(level: SetAssociativeCache,
                         addresses: list[int], message: str) -> None:
-            sets = level._sets
-            line_size = level.config.line_size
-            num_sets = level.config.num_sets
-            ways = level.config.ways
+            sets = level.sets
+            line_size = level.line_size
+            num_sets = level.num_sets
+            ways = level.ways
+            # Every line goes in dirty.  The dirty lane is built before the
+            # payload buffer, so its large table does not sit above that
+            # short-lived buffer on the heap and pin it there.
+            level.dirty.update(addresses)
             # One tiled buffer holds every pattern payload; per-line bytes
             # are single slices instead of to_bytes + repeat round-trips.
             payloads = tile_u64(addresses, 8) if functional else None
             offset = 0
             for address in addresses:
-                line = new_line(CacheLine)
-                line.address = address
-                line.data = payloads[offset:offset + 64] \
+                data = payloads[offset:offset + 64] \
                     if payloads is not None else None
-                line.dirty = True
                 offset += 64
                 cache_set = sets[(address // line_size) % num_sets]
                 if address in cache_set:
                     del cache_set[address]
-                    cache_set[address] = line
-                    continue
-                if len(cache_set) >= ways:
+                elif len(cache_set) >= ways:
                     del cache_set[next(iter(cache_set))]
-                    cache_set[address] = line
+                    cache_set[address] = data
+                    # The level was empty, so exactly its resident lines
+                    # are dirty when the scalar insert would stop.
+                    level.dirty.intersection_update(
+                        chain.from_iterable(sets))
                     raise ConfigError(message)
-                cache_set[address] = line
+                cache_set[address] = data
 
         if not self.inclusive:
             for level in self.levels:
@@ -291,10 +214,11 @@ class CacheHierarchy:
                     "worst-case fill must not evict from LLC")
 
         for upper in (self.l2, self.l1):
-            sets = upper._sets
-            line_size = upper.config.line_size
-            num_sets = upper.config.num_sets
-            ways = upper.config.ways
+            sets = upper.sets
+            dirty_add = upper.dirty.add
+            line_size = upper.line_size
+            num_sets = upper.num_sets
+            ways = upper.ways
             remaining = upper.config.num_lines
             for address in llc_addresses:
                 if remaining == 0:
@@ -302,9 +226,9 @@ class CacheHierarchy:
                 cache_set = sets[(address // line_size) % num_sets]
                 if len(cache_set) >= ways or address in cache_set:
                     continue
-                cache_set[address] = _raw_line(
-                    address,
-                    _pattern_data(address) if functional else None, True)
+                cache_set[address] = \
+                    _pattern_data(address) if functional else None
+                dirty_add(address)
                 remaining -= 1
 
         return len(self)
@@ -323,7 +247,7 @@ class CacheHierarchy:
             addresses.append(base + i * self._config.llc.line_size)
         for address in addresses:
             data = _pattern_data(address) if self._functional else None
-            if self.llc.insert(CacheLine(address, data, dirty=True)) is not None:
+            if self.llc.insert(address, data, dirty=True) is not None:
                 raise ConfigError("sequential fill must not evict from LLC")
         for upper in (self.l2, self.l1):
             remaining = upper.config.num_lines
@@ -333,19 +257,20 @@ class CacheHierarchy:
                 if upper.set_occupancy(upper.set_index(address)) >= upper.config.ways:
                     continue
                 data = _pattern_data(address) if self._functional else None
-                upper.insert(CacheLine(address, data, dirty=True))
+                upper.insert(address, data, dirty=True)
                 remaining -= 1
         return len(self)
 
-    def drain_lines(self, seed: int | None = None) -> Iterator[CacheLine]:
-        """The flush stream: every dirty line of every level.
+    def drain_lines(self, seed: int | None = None) \
+            -> Iterator[tuple[int, Any]]:
+        """The flush stream: ``(address, payload)`` of every dirty line of
+        every level.
 
         Upper levels drain before the LLC (as their content must reach memory
         through the flush too in the worst-case accounting); the order within
         the stream is shuffled, reflecting the paper's randomly-filled sparse
         contents.
         """
-        self._ensure_materialized()
         self._sync_coherence()
         lines = [line for level in self.levels for line in level.dirty_lines()]
         make_rng(seed).shuffle(lines)
@@ -360,14 +285,11 @@ class CacheHierarchy:
         is on-chip traffic — no accounting.
         """
         for upper, lower in ((self.l1, self.l2), (self.l2, self.llc)):
-            for line in upper.dirty_lines():
-                below = lower.lookup(line.address, touch=False)
-                if below is not None:
-                    below.data = line.data
-                    below.dirty = True
+            for address, data in upper.dirty_lines():
+                if lower.lookup(address, touch=False) is not MISS:
+                    lower.store(address, data)
 
     def invalidate_all(self) -> None:
-        self._ensure_materialized()
         for level in self.levels:
             level.clear()
 
@@ -377,10 +299,9 @@ class CacheHierarchy:
         The paper's recovery option 1 places verified CHV blocks back in the
         LLC in dirty state.
         """
-        self._ensure_materialized()
-        victim = self.llc.insert(CacheLine(address, data, dirty=True))
-        if victim is not None and victim.dirty:
-            self._do_writeback(victim)
+        victim = self.llc.insert(address, data, dirty=True)
+        if victim is not None and victim[2]:
+            self._do_writeback(victim[0], victim[1])
 
     # ------------------------------------------------------------------
     # Run-time mode
@@ -393,58 +314,59 @@ class CacheHierarchy:
 
     def read(self, address: int) -> bytes:
         """Run-time read of one line."""
-        self._ensure_materialized()
-        line = self.l1.lookup(address)
-        if line is not None:
+        data = self.l1.lookup(address)
+        if data is not MISS:
             self.access_counts["l1"] += 1
             # Payloads are None only in non-functional (counting-only)
             # runs, whose callers ignore read results entirely.
-            return line.data  # type: ignore[return-value]
+            return data  # type: ignore[no-any-return]
         if not self.inclusive:
             return self._read_non_inclusive(address)
 
-        line = self.l2.lookup(address)
-        if line is None:
-            line = self.llc.lookup(address)
-            if line is None:
+        data = self.l2.lookup(address)
+        if data is MISS:
+            data = self.llc.lookup(address)
+            if data is MISS:
                 self.access_counts["miss"] += 1
-                data = self._do_fetch(address)
-                self._install_llc(CacheLine(address, data, dirty=False))
-                line = self.llc.lookup(address, touch=False)
-                assert line is not None  # just installed
+                self._install_llc(address, self._do_fetch(address))
+                data = self.llc.lookup(address, touch=False)
+                assert data is not MISS  # just installed
             else:
                 self.access_counts["llc"] += 1
-            self._install(self.l2, CacheLine(line.address, line.data, False))
+            self._install(self.l2, address, data)
         else:
             self.access_counts["l2"] += 1
-        l2_line = self.l2.lookup(address, touch=False)
-        assert l2_line is not None  # resident: hit above or just installed
-        self._install(self.l1, CacheLine(l2_line.address, l2_line.data, False))
-        line = self.l1.lookup(address, touch=False)
-        assert line is not None  # just installed
-        return line.data  # type: ignore[return-value]
+        data = self.l2.lookup(address, touch=False)
+        assert data is not MISS  # resident: hit above or just installed
+        self._install(self.l1, address, data)
+        data = self.l1.lookup(address, touch=False)
+        assert data is not MISS  # just installed
+        return data  # type: ignore[no-any-return]
 
     def _read_non_inclusive(self, address: int) -> bytes:
         """NINE (non-inclusive, non-exclusive) fill: hits anywhere copy the
         line into L1; misses fill L1 only, and dirty victims trickle down."""
         for name, level in (("l2", self.l2), ("llc", self.llc)):
-            line = level.lookup(address)
-            if line is not None:
+            data = level.lookup(address)
+            if data is not MISS:
                 self.access_counts[name] += 1
-                self._install(self.l1, CacheLine(address, line.data, False))
-                return line.data  # type: ignore[return-value]
+                self._install(self.l1, address, data)
+                return data  # type: ignore[no-any-return]
         self.access_counts["miss"] += 1
-        data = self._do_fetch(address)
-        self._install(self.l1, CacheLine(address, data, dirty=False))
-        return data
+        fetched = self._do_fetch(address)
+        self._install(self.l1, address, fetched)
+        return fetched
 
     def write(self, address: int, data: bytes) -> None:
         """Run-time write of one full line (write-allocate into L1)."""
+        if data is not None and len(data) != CACHE_LINE_SIZE:
+            raise ValueError(
+                f"cache line payload must be {CACHE_LINE_SIZE} B, "
+                f"got {len(data)}")
         self.read(address)
-        line = self.l1.lookup(address, touch=False)
-        assert line is not None  # read() write-allocated it
-        line.data = data
-        line.dirty = True
+        resident = self.l1.lookup(address, touch=False)
+        assert resident is not MISS  # read() write-allocated it
+        self.l1.store(address, data)
         # In the EPD model the whole hierarchy is persistent: visibility is
         # persistence, so no flush is needed — this is the paper's premise.
 
@@ -459,7 +381,7 @@ class CacheHierarchy:
         ``ops`` holds ``("w", address, data)`` / ``("r", address, None)``
         tuples (block-aligned addresses).  The pass transcribes
         :meth:`read` / :meth:`write` / :meth:`_install` / :meth:`_install_llc`
-        against the set dicts directly — every lookup, LRU touch, hit/miss
+        against the level lanes directly — every lookup, LRU touch, hit/miss
         increment and ``access_counts`` bump lands exactly where the scalar
         methods put it — but *defers* the memory side: misses install
         :class:`PendingFill` markers and the would-be fetch/writeback calls
@@ -474,40 +396,20 @@ class CacheHierarchy:
         only becomes dirty through a trace write, which overwrites its
         marker), so emitted writebacks are marker-free.
 
-        The pass runs on the struct-of-arrays form (:mod:`repro.cache.soa`):
-        a direct call dematerializes on entry and materializes before
-        returning; callers replaying many epochs wrap the loop in
-        :meth:`epoch_session` to pay the boundary once per trace.
+        An LRU touch is a pop-and-reinsert on the payload lane, victim
+        selection the lane's O(1) head pop, and dirtiness one hash probe on
+        the dirty lane.
         """
         if not self.inclusive:
             raise ConfigError(
                 "fused epoch replay requires an inclusive hierarchy")
-        if self._soa is not None:
-            return self._replay_epoch_soa(ops)
-        self.dematerialize()
-        try:
-            return self._replay_epoch_soa(ops)
-        finally:
-            self.materialize()
-
-    def _replay_epoch_soa(self, ops: "list[tuple[str, int, bytes | None]]") \
-            -> "tuple[list[tuple[str, int, bytes | None]], list[PendingFill]]":
-        """The fused pass on SoA lanes: transcribes the dict pass exactly
-        (every hit/miss increment, ``access_counts`` bump, LRU movement,
-        victim choice, and emission lands in the same place), with an LRU
-        touch as a pop-and-reinsert on the payload lane, victim selection
-        as the lane's O(1) head pop, and dirtiness as one hash probe on
-        the dirty lane."""
-        soa = self._soa
-        assert soa is not None
-        soa1, soa2, soa3 = soa
         l1, l2, llc = self.l1, self.l2, self.llc
-        sets1, sets2, sets3 = soa1.sets, soa2.sets, soa3.sets
-        dty1, dty2, dty3 = soa1.dirty, soa2.dirty, soa3.dirty
-        w1, w2, w3 = soa1.ways, soa2.ways, soa3.ways
-        ls1, ns1 = soa1.line_size, soa1.num_sets
-        ls2, ns2 = soa2.line_size, soa2.num_sets
-        ls3, ns3 = soa3.line_size, soa3.num_sets
+        sets1, sets2, sets3 = l1.sets, l2.sets, llc.sets
+        dty1, dty2, dty3 = l1.dirty, l2.dirty, llc.dirty
+        w1, w2, w3 = l1.ways, l2.ways, llc.ways
+        ls1, ns1 = l1.line_size, l1.num_sets
+        ls2, ns2 = l2.line_size, l2.num_sets
+        ls3, ns3 = llc.line_size, llc.num_sets
         # One bulk pass per level turns every op address into its set index
         # (vectorized under arena acceleration), and one C-level map per
         # level turns the index lane into the payload-lane dicts themselves;
@@ -519,7 +421,7 @@ class CacheHierarchy:
         set1s = map(sets1.__getitem__, lane1)
         set2s = map(sets2.__getitem__, lane2)
         set3s = map(sets3.__getitem__, lane3)
-        missing = _MISSING
+        missing = MISS
         new_marker = PendingFill.__new__
         marker_cls = PendingFill
         mem_ops: list[tuple[str, int, bytes | None]] = []
@@ -646,8 +548,8 @@ class CacheHierarchy:
                         set1[address] = lower_data
                     l1_hits += 1
                 if kind == "w":
-                    # write(): the touch=False L1 re-lookup, then mutate
-                    # in place (a value store keeps the LRU order).
+                    # write(): the touch=False L1 re-lookup, then store in
+                    # place (a value store keeps the LRU order).
                     l1_hits += 1
                     set1[address] = payload
                     dty1.add(address)
@@ -685,28 +587,16 @@ class CacheHierarchy:
         # A marker only ever resides at lines whose address matches it:
         # payloads move between levels strictly along same-address
         # install/merge chains, and a written line stops being a marker.
-        # Each fill therefore resolves with one lookup per level instead
-        # of a full-hierarchy scan — against the SoA index/payload lanes
-        # inside an epoch session, the set dicts otherwise.
-        soa = self._soa
-        if soa is not None:
-            lanes = [(level.sets, level.line_size, level.num_sets)
-                     for level in soa]
-            for marker, data in zip(fills, fetched):
-                address = marker.address
-                for sets, line_size, num_sets in lanes:
-                    lane = sets[address // line_size % num_sets]
-                    if lane.get(address) is marker:
-                        lane[address] = data
-            return
-        levels = [(level._sets, level.config.line_size,
-                   level.config.num_sets) for level in self.levels]
+        # Each fill therefore resolves with one lane probe per level
+        # instead of a full-hierarchy scan.
+        lanes = [(level.sets, level.line_size, level.num_sets)
+                 for level in self.levels]
         for marker, data in zip(fills, fetched):
             address = marker.address
-            for sets, line_size, num_sets in levels:
-                line = sets[(address // line_size) % num_sets].get(address)
-                if line is not None and line.data is marker:
-                    line.data = data
+            for sets, line_size, num_sets in lanes:
+                lane = sets[address // line_size % num_sets]
+                if lane.get(address) is marker:
+                    lane[address] = data
 
     # ------------------------------------------------------------------
     # Internals
@@ -717,14 +607,15 @@ class CacheHierarchy:
             raise ConfigError("hierarchy is not attached to a memory side")
         return self.fetch(address)
 
-    def _do_writeback(self, line: CacheLine) -> None:
+    def _do_writeback(self, address: int, data: Any) -> None:
         if self.writeback is None:
             raise ConfigError("hierarchy is not attached to a memory side")
         # Dirty lines carry real payloads in functional runs; handlers in
         # counting-only runs never read the bytes.
-        self.writeback(line.address, line.data)  # type: ignore[arg-type]
+        self.writeback(address, data)
 
-    def _install(self, level: SetAssociativeCache, line: CacheLine) -> None:
+    def _install(self, level: SetAssociativeCache, address: int, data: Any,
+                 dirty: bool = False) -> None:
         """Install into L1 or L2; dirty victims move toward memory.
 
         Inclusive: the level below must already hold the address, so the
@@ -732,54 +623,51 @@ class CacheHierarchy:
         into the level below (possibly displacing another victim, which
         cascades), and clean victims are simply dropped.
         """
-        victim = level.insert(line)
+        victim = level.insert(address, data, dirty)
         if victim is None:
             return
+        victim_address, victim_data, victim_dirty = victim
         below = self.l2 if level is self.l1 else self.llc
         if self.inclusive:
             if level is self.l2:
                 # Inclusion: an address leaving L2 must leave L1 too, and
                 # the L1 copy may be the freshest version.
-                copy = self.l1.invalidate(victim.address)
-                if copy is not None and copy.dirty:
-                    victim.data = copy.data
-                    victim.dirty = True
-            if not victim.dirty:
+                copy = self.l1.invalidate(victim_address)
+                if copy is not None and copy[2]:
+                    _, victim_data, victim_dirty = copy
+            if not victim_dirty:
                 return
-            below_line = below.lookup(victim.address, touch=False)
-            if below_line is None:
+            if below.lookup(victim_address, touch=False) is MISS:
                 raise ConfigError(
-                    f"inclusion violated: {victim.address:#x} in "
+                    f"inclusion violated: {victim_address:#x} in "
                     f"{level.name} but not in {below.name}")
-            below_line.data = victim.data
-            below_line.dirty = True
+            below.store(victim_address, victim_data)
             return
-        if not victim.dirty:
+        if not victim_dirty:
             return
-        existing = below.lookup(victim.address, touch=False)
-        if existing is not None:
-            existing.data = victim.data
-            existing.dirty = True
+        if below.lookup(victim_address, touch=False) is not MISS:
+            below.store(victim_address, victim_data)
         elif below is self.llc:
-            self._install_llc(victim)
+            self._install_llc(victim_address, victim_data, dirty=True)
         else:
-            self._install(below, victim)
+            self._install(below, victim_address, victim_data, dirty=True)
 
-    def _install_llc(self, line: CacheLine) -> None:
+    def _install_llc(self, address: int, data: Any,
+                     dirty: bool = False) -> None:
         """Install into the LLC; dirty victims are written back to memory.
 
         Under inclusion, evicting an LLC line also back-invalidates any
         upper-level copies (taking their fresher data with them); without
         inclusion there is nothing to invalidate.
         """
-        victim = self.llc.insert(line)
+        victim = self.llc.insert(address, data, dirty)
         if victim is None:
             return
-        data, dirty = victim.data, victim.dirty
+        victim_address, victim_data, victim_dirty = victim
         if self.inclusive:
             for upper in (self.l1, self.l2):
-                copy = upper.invalidate(victim.address)
-                if copy is not None and copy.dirty:
-                    data, dirty = copy.data, True
-        if dirty:
-            self._do_writeback(CacheLine(victim.address, data, True))
+                copy = upper.invalidate(victim_address)
+                if copy is not None and copy[2]:
+                    _, victim_data, victim_dirty = copy
+        if victim_dirty:
+            self._do_writeback(victim_address, victim_data)

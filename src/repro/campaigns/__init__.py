@@ -1,6 +1,6 @@
 """Adversarial campaign engine: attacks × faults × recovery, classified.
 
-The crash matrix (:mod:`repro.faults.matrix`) answers "does every scheme
+The crash matrix (:mod:`repro.experiments.faults`) answers "does every scheme
 survive every drain-stream *fault*?".  The campaign engine generalizes the
 question to the full threat model of Section IV-A: an active adversary who
 can tamper with, spoof, splice, replay, or roll back NVM blocks — data, MAC,

@@ -8,8 +8,8 @@ Every cell runs a complete episode —
 — with exactly one scenario injected at exactly one window, then classifies
 the end state through :mod:`repro.campaigns.classify`.  The crash matrix's
 machinery (patterned fill, clean-twin episode profiling, fault plans) lives
-here now; :mod:`repro.faults.matrix` delegates so there is a single
-classification path for both suites.
+here too; the crash matrix (:mod:`repro.experiments.faults`) runs on it, so
+there is a single classification path for both suites.
 
 Injection mechanics per window:
 
@@ -91,7 +91,7 @@ _SPOOF_PAYLOAD = bytes((0xA5 ^ (i * 29)) & 0xFF for i in range(CACHE_LINE_SIZE))
 
 
 # ---------------------------------------------------------------------------
-# Fill / episode machinery (moved from repro.faults.matrix)
+# Fill / episode machinery (shared with the crash matrix)
 # ---------------------------------------------------------------------------
 
 def _build(config: SystemConfig, scheme: str, rotate_vault: bool,

@@ -97,10 +97,14 @@ class HorusDrainEngine(DrainEngine):
 
     def _run_batched(self, hierarchy: CacheHierarchy,
                      seed: int | None) -> tuple[int, int]:
-        lines = list(hierarchy.drain_lines(seed))
-        addresses = [line.address for line in lines]
-        payloads: list[bytes | None] = [line.data for line in lines]
-        flushed = len(lines)
+        # Unzipped as consumed: the stream's pairs are freed before the
+        # vault's buffers are built, which bounds the episode's peak memory.
+        addresses: list[int] = []
+        payloads: list[bytes | None] = []
+        for address, data in hierarchy.drain_lines(seed):
+            addresses.append(address)
+            payloads.append(data)
+        flushed = len(addresses)
         kinds = [WriteKind.CHV_DATA] * flushed
 
         metadata = 0
@@ -283,9 +287,8 @@ class HorusDrainEngine(DrainEngine):
         state = _EpisodeState()
 
         flushed = 0
-        for line in hierarchy.drain_lines(seed):
-            self._vault_block(state, line.address, line.data,
-                              WriteKind.CHV_DATA)
+        for address, data in hierarchy.drain_lines(seed):
+            self._vault_block(state, address, data, WriteKind.CHV_DATA)
             flushed += 1
 
         metadata = 0

@@ -119,8 +119,7 @@ def _observe(config: SystemConfig, scheme: str, batched: bool, fill: str,
             obs["recovery cycles"] = recovery.cycles
             obs["recovery stats"] = recovery.stats.snapshot()
         obs["hierarchy lines"] = [
-            sorted(((line.address, line.data, line.dirty)
-                    for line in level.lines()), key=lambda entry: entry[0])
+            sorted(level.lines(), key=lambda entry: entry[0])
             for level in system.hierarchy.levels]
 
     obs["NVM image"] = system.nvm.backend.image()
@@ -213,8 +212,7 @@ def _observe_replay(config: SystemConfig, scheme: str, batched: bool,
     obs["level hit rates"] = [(level.name, level.hits, level.misses)
                               for level in hierarchy.levels]
     obs["hierarchy lines"] = [
-        sorted(((line.address, line.data, line.dirty)
-                for line in level.lines()), key=lambda entry: entry[0])
+        sorted(level.lines(), key=lambda entry: entry[0])
         for level in hierarchy.levels]
 
     controller = system.controller

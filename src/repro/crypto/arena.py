@@ -18,7 +18,7 @@ the shared substrate that removes those round-trips:
 Every kernel is *value-transparent*: the numpy path and the pure-Python
 path produce byte-identical output (property-tested against the scalar
 primitives in ``tests/test_prop_arena.py``).  This is the only module
-that imports numpy; :mod:`repro.cache.fill` and :mod:`repro.cache.soa`
+that imports numpy; :mod:`repro.cache.fill` and :mod:`repro.cache.cache`
 reach it through :data:`_np` and :func:`arena_accelerated`, so a
 numpy-less install takes the pure path everywhere.  Inputs that the u64
 lanes cannot represent (counters at or above 2**64) transparently fall

@@ -19,7 +19,9 @@ NVM write latency behind the queue until the queue saturates.
 """
 
 from collections import OrderedDict
+from typing import Any
 
+from repro.cache.cache import MISS, SetAssociativeCache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
@@ -57,7 +59,9 @@ class AdrSecureSystem:
             self.config, self.nvm, self.layout, self.stats, scheme=scheme)
         self.hierarchy = CacheHierarchy(
             self.config, functional=self.config.security.functional)
-        self.hierarchy.attach(self.controller.read, self._volatile_writeback)
+        # Capacity evictions from a volatile hierarchy still reach NVM
+        # through the secure controller (as in any secure-memory system).
+        self.hierarchy.attach(self.controller.read, self.controller.write)
 
         self.wpq_depth = wpq_depth
         self._wpq: "OrderedDict[int, bytes]" = OrderedDict()
@@ -84,24 +88,30 @@ class AdrSecureSystem:
         update) — the per-persist run-time tax EPD systems eliminate.
         """
         self.layout.require_data_address(address)
-        line = None
-        for level in self.hierarchy.levels:
-            found = level.lookup(address, touch=False)
-            if found is not None:
-                line = found
-                break
-        if line is None:
+        cached = self._cached_line(address)
+        if cached is None:
             return  # nothing cached: already persistent (or never written)
+        level, data = cached
 
         if len(self._wpq) >= self.wpq_depth:
             # Queue full: the oldest entry's NVM write moves onto the
             # critical path before this persist can enqueue.
             self._wpq.popitem(last=False)
             self.persist_stalls += 1
-        self.controller.write(address, line.data)
-        self._wpq[address] = line.data if line.data is not None else b""
-        line.dirty = False
+        self.controller.write(address, data)
+        self._wpq[address] = data if data is not None else b""
+        level.clean(address)
         self.persists += 1
+
+    def _cached_line(self, address: int) \
+            -> tuple[SetAssociativeCache, Any] | None:
+        """The first level holding ``address`` and its payload, probing
+        each level without an LRU touch (None when nothing is cached)."""
+        for level in self.hierarchy.levels:
+            data = level.lookup(address, touch=False)
+            if data is not MISS:
+                return level, data
+        return None
 
     # ------------------------------------------------------------------
     # Crash semantics
@@ -137,8 +147,3 @@ class AdrSecureSystem:
         stall_cycles = self.persist_stalls * self.timing.write_cycles
         return (breakdown.read_cycles + breakdown.crypto_cycles
                 + stall_cycles)
-
-    def _volatile_writeback(self, address: int, data: bytes | None) -> None:
-        """Capacity evictions from a volatile hierarchy still reach NVM
-        through the secure controller (as in any secure-memory system)."""
-        self.controller.write(address, data)

@@ -44,8 +44,8 @@ class BaselineSecureDrain(DrainEngine):
         lines = hierarchy.drain_lines(seed)
         flushed = 0
         while True:
-            ops = [("w", line.address, line.data)
-                   for line in islice(lines, _CHUNK_OPS)]
+            ops = [("w", address, data)
+                   for address, data in islice(lines, _CHUNK_OPS)]
             if not ops:
                 break
             run_ops_batch(ops)

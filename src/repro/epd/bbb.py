@@ -47,7 +47,11 @@ class BbbSecureSystem:
             self.config, self.nvm, self.layout, self.stats, scheme=scheme)
         self.hierarchy = CacheHierarchy(
             self.config, functional=self.config.security.functional)
-        self.hierarchy.attach(self.controller.read, self._cache_writeback)
+        # A dirty line leaving the volatile hierarchy may still be younger
+        # than the NVM copy only if it is also bbuf-resident, in which case
+        # the bbuf write-through covers it; writing it back is safe either
+        # way.
+        self.hierarchy.attach(self.controller.read, self.controller.write)
 
         self.bbuf_lines = bbuf_lines
         self._bbuf: "OrderedDict[int, bytes]" = OrderedDict()
@@ -101,9 +105,3 @@ class BbbSecureSystem:
     def writethrough_fraction(self) -> float:
         """Fraction of writes that paid the secure write-through cost."""
         return self.bbuf_evictions / self.writes if self.writes else 0.0
-
-    def _cache_writeback(self, address: int, data: bytes | None) -> None:
-        # A dirty line leaving the volatile hierarchy may still be younger
-        # than the NVM copy only if it is also bbuf-resident, in which case
-        # the bbuf write-through covers it; writing here is safe either way.
-        self.controller.write(address, data)

@@ -52,19 +52,15 @@ class DolosAdrSystem(AdrSecureSystem):
     def persist(self, address: int) -> None:
         """Critical path: encrypt under the MSU counter, stage, done."""
         self.layout.require_data_address(address)
-        line = None
-        for level in self.hierarchy.levels:
-            found = level.lookup(address, touch=False)
-            if found is not None:
-                line = found
-                break
-        if line is None:
+        cached = self._cached_line(address)
+        if cached is None:
             return
+        level, data = cached
 
         if len(self._staged) >= self._ring_slots:
             self._drain_background(force_all=True)
         counter = self._msu_counter.next()
-        ciphertext = self.controller.aes.encrypt(address, counter, line.data)
+        ciphertext = self.controller.aes.encrypt(address, counter, data)
         self.controller.mac.block_mac(MacKind.CHV_DATA, ciphertext,
                                       address, counter,
                                       domain=MacDomain.CHV_DATA)
@@ -74,8 +70,8 @@ class DolosAdrSystem(AdrSecureSystem):
         self.nvm.write(entry + CACHE_LINE_SIZE,
                        ciphertext if ciphertext is not None else _ZERO,
                        WriteKind.CHV_DATA)
-        self._staged.append((address, counter, line.data))
-        line.dirty = False
+        self._staged.append((address, counter, data))
+        level.clean(address)
         self.persists += 1
         if len(self._staged) > self._background_batch:
             self._drain_background()

@@ -98,27 +98,19 @@ class NonSecureDrain(DrainEngine):
 
     def _run(self, hierarchy: CacheHierarchy,
              seed: int | None) -> tuple[int, int]:
-        if self.batched:
-            if self._nvm.grouped_io:
-                # One arena write: addresses in drain order, payloads as a
-                # single contiguous buffer (same image, one folded stats
-                # update — exactly what per-line issue would record).
-                lines = list(hierarchy.drain_lines(seed))
-                addresses = [line.address for line in lines]
-                buffer = b"".join(
-                    line.data if line.data is not None else _ZERO_BLOCK
-                    for line in lines)
-                self._nvm.write_arena(addresses, buffer, WriteKind.DATA)
-                return len(lines), 0
-            writes = [(line.address,
-                       line.data if line.data is not None else _ZERO_BLOCK,
-                       WriteKind.DATA)
-                      for line in hierarchy.drain_lines(seed)]
-            self._nvm.write_batch(writes)
-            return len(writes), 0
+        if self.batched and self._nvm.grouped_io:
+            # One arena write: addresses in drain order, payloads as a
+            # single contiguous buffer (same image, one folded stats
+            # update — exactly what per-line issue would record).
+            lines = list(hierarchy.drain_lines(seed))
+            addresses = [address for address, _ in lines]
+            buffer = b"".join(data if data is not None else _ZERO_BLOCK
+                              for _, data in lines)
+            self._nvm.write_arena(addresses, buffer, WriteKind.DATA)
+            return len(lines), 0
         flushed = 0
-        for line in hierarchy.drain_lines(seed):
-            payload = line.data if line.data is not None else _ZERO_BLOCK
-            self._nvm.write(line.address, payload, WriteKind.DATA)
+        for address, data in hierarchy.drain_lines(seed):
+            payload = data if data is not None else _ZERO_BLOCK
+            self._nvm.write(address, payload, WriteKind.DATA)
             flushed += 1
         return flushed, 0

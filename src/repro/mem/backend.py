@@ -70,7 +70,7 @@ class SparseMemory:
         so a bad address cannot leave a partial batch behind — the
         device-level fault model, not this method, decides what a torn
         batch looks like.  The per-block payload objects are never
-        materialized: the arena is sliced exactly once here, at the
+        built up front: the arena is sliced exactly once here, at the
         storage boundary.
         """
         count = len(addresses)

@@ -12,7 +12,7 @@ from repro.crypto.primitives import MacDomain, compute_mac
 
 
 class InMemoryMerkleTree:
-    """An eager, fully materialized hash tree over a list of leaf payloads."""
+    """An eager hash tree, every node stored, over a list of leaf payloads."""
 
     def __init__(self, leaves: Sequence[bytes], arity: int = 8,
                  key: bytes = b"repro-merkle") -> None:

@@ -10,9 +10,9 @@ from collections.abc import Iterable, Sequence
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """Render an aligned monospace table with a header rule."""
-    materialized = [[_cell(value) for value in row] for row in rows]
+    text_rows = [[_cell(value) for value in row] for row in rows]
     widths = [len(h) for h in headers]
-    for row in materialized:
+    for row in text_rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
 
@@ -21,7 +21,7 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
 
     rule = "  ".join("-" * w for w in widths)
     body = [line(headers), rule]
-    body.extend(line(row) for row in materialized)
+    body.extend(line(row) for row in text_rows)
     return "\n".join(body)
 
 

@@ -143,25 +143,24 @@ def replay(system: Any, trace: "list[MemoryOp]", *,
     loop_start = time.perf_counter() if profiled else 0.0
     t0 = t1 = 0.0
 
-    with hierarchy.epoch_session():
-        for start in range(0, len(ops_buf), epoch_ops):
-            if profiled:
-                t0 = time.perf_counter()
-            mem_ops, fills = hierarchy.replay_epoch(
-                ops_buf[start:start + epoch_ops])
-            if profiled:
-                t1 = time.perf_counter()
-                cache_s += t1 - t0
-            if controller is not None:
-                fetched = controller.run_ops_batch(mem_ops, fetches=True)
-            else:
-                fetched = _run_plain(nvm, mem_ops)
-            if profiled:
-                t0 = time.perf_counter()
-                mem_s += t0 - t1
-            hierarchy.resolve_pending(fills, fetched)
-            if profiled:
-                resolve_s += time.perf_counter() - t0
+    for start in range(0, len(ops_buf), epoch_ops):
+        if profiled:
+            t0 = time.perf_counter()
+        mem_ops, fills = hierarchy.replay_epoch(
+            ops_buf[start:start + epoch_ops])
+        if profiled:
+            t1 = time.perf_counter()
+            cache_s += t1 - t0
+        if controller is not None:
+            fetched = controller.run_ops_batch(mem_ops, fetches=True)
+        else:
+            fetched = _run_plain(nvm, mem_ops)
+        if profiled:
+            t0 = time.perf_counter()
+            mem_s += t0 - t1
+        hierarchy.resolve_pending(fills, fetched)
+        if profiled:
+            resolve_s += time.perf_counter() - t0
     if profiled:
         record_span("cache:replay", cache_s, loop_start)
         record_span("mem:replay", mem_s, loop_start + cache_s)

@@ -23,7 +23,7 @@ class MemoryOp:
     """One trace record.
 
     Slotted: traces run to hundreds of thousands of ops, and slots keep
-    each one a single small object with no ``__dict__`` to materialize.
+    each one a single small object with no ``__dict__`` to build.
     """
 
     kind: OpKind
@@ -54,7 +54,7 @@ class TraceSummary:
 
 
 def summarize(trace: list[MemoryOp]) -> TraceSummary:
-    """Compute the summary of a materialized trace."""
+    """Compute the summary of a trace held as a list."""
     writes = sum(1 for op in trace if op.kind is OpKind.WRITE)
     return TraceSummary(
         num_ops=len(trace),

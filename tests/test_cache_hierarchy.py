@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cache.fill import page_of
+from repro.cache import hierarchy as hierarchy_module
+from repro.cache.fill import page_of, worst_case_addresses
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.errors import ConfigError
 
@@ -51,21 +52,46 @@ class TestWorstCaseFill:
     def test_inclusion_holds(self, hierarchy):
         hierarchy.fill_worst_case(seed=1)
         for upper in (hierarchy.l1, hierarchy.l2):
-            for line in upper.lines():
-                assert hierarchy.llc.contains(line.address)
+            for address, _, _ in upper.lines():
+                assert hierarchy.llc.contains(address)
 
     def test_llc_lines_have_unique_counter_pages(self, hierarchy):
         hierarchy.fill_worst_case(seed=1)
-        pages = [page_of(line.address) for line in hierarchy.llc.lines()]
+        pages = [page_of(address) for address, _, _ in hierarchy.llc.lines()]
         assert len(set(pages)) == len(pages)
+
+    def test_overflowing_fill_fails_like_the_scalar_fill(self, tiny_config,
+                                                         monkeypatch):
+        """A fill with one line too many for a set raises at the same
+        insert on both paths and leaves the same lines and dirty lanes."""
+        def overflowing(config, allocator):
+            addresses = list(worst_case_addresses(config, allocator))
+            # Same set as the first line, far from every fill address.
+            return addresses + [addresses[0]
+                                + config.num_sets * config.line_size * 2**20]
+
+        monkeypatch.setattr(hierarchy_module, "worst_case_addresses_bulk",
+                            overflowing)
+        monkeypatch.setattr(hierarchy_module, "worst_case_addresses",
+                            overflowing)
+        outcomes = []
+        for batched in (True, False):
+            hierarchy = CacheHierarchy(tiny_config)
+            with pytest.raises(ConfigError, match="must not evict") as info:
+                hierarchy.fill_worst_case(seed=1, batched=batched)
+            outcomes.append((str(info.value),
+                             [list(level.lines()) for level in hierarchy.levels],
+                             [level.dirty for level in hierarchy.levels]))
+        assert outcomes[0] == outcomes[1]
+        assert 0 < len(outcomes[0][1][2]) < tiny_config.llc.num_lines + 1
 
     def test_fill_is_deterministic_per_seed(self, tiny_config):
         a = CacheHierarchy(tiny_config)
         b = CacheHierarchy(tiny_config)
         a.fill_worst_case(seed=7)
         b.fill_worst_case(seed=7)
-        assert ([line.address for line in a.llc.lines()]
-                == [line.address for line in b.llc.lines()])
+        assert ([address for address, _, _ in a.llc.lines()]
+                == [address for address, _, _ in b.llc.lines()])
 
 
 class TestDrainStream:
@@ -76,17 +102,17 @@ class TestDrainStream:
 
     def test_drain_order_is_shuffled_but_deterministic(self, hierarchy):
         hierarchy.fill_worst_case(seed=1)
-        order_a = [line.address for line in hierarchy.drain_lines(seed=3)]
-        order_b = [line.address for line in hierarchy.drain_lines(seed=3)]
-        order_c = [line.address for line in hierarchy.drain_lines(seed=4)]
+        order_a = [address for address, _ in hierarchy.drain_lines(seed=3)]
+        order_b = [address for address, _ in hierarchy.drain_lines(seed=3)]
+        order_c = [address for address, _ in hierarchy.drain_lines(seed=4)]
         assert order_a == order_b
         assert order_a != order_c
 
     def test_duplicates_match_upper_level_content(self, hierarchy):
         hierarchy.fill_worst_case(seed=1)
         from collections import Counter
-        counts = Counter(line.address
-                         for line in hierarchy.drain_lines(seed=2))
+        counts = Counter(address
+                         for address, _ in hierarchy.drain_lines(seed=2))
         extra_flushes = sum(c - 1 for c in counts.values())
         upper_lines = len(hierarchy.l1) + len(hierarchy.l2)
         assert extra_flushes == upper_lines
@@ -111,8 +137,8 @@ class TestRuntimePath:
     def test_write_marks_l1_dirty(self, attached):
         hierarchy, _ = attached
         hierarchy.write(64, b"\x01" * 64)
-        line = hierarchy.l1.lookup(64, touch=False)
-        assert line.dirty and line.data == b"\x01" * 64
+        assert hierarchy.l1.lookup(64, touch=False) == b"\x01" * 64
+        assert 64 in hierarchy.l1.dirty
 
     def test_write_visible_through_read(self, attached):
         hierarchy, _ = attached
@@ -130,6 +156,13 @@ class TestRuntimePath:
         for address, data in stub.store.items():
             assert data == (address // 64).to_bytes(8, "little") * 8
 
+    def test_write_rejects_wrong_payload_size(self, attached):
+        hierarchy, stub = attached
+        with pytest.raises(ValueError, match="64 B"):
+            hierarchy.write(0, b"short")
+        assert stub.fetches == 0
+        assert len(hierarchy) == 0 and not hierarchy.access_counts
+
     def test_detached_hierarchy_raises(self, hierarchy):
         with pytest.raises(ConfigError):
             hierarchy.read(0)
@@ -138,8 +171,8 @@ class TestRuntimePath:
 class TestRestore:
     def test_restore_dirty_places_line_in_llc(self, hierarchy):
         hierarchy.restore_dirty(4096, b"\x11" * 64)
-        line = hierarchy.llc.lookup(4096, touch=False)
-        assert line.dirty and line.data == b"\x11" * 64
+        assert hierarchy.llc.lookup(4096, touch=False) == b"\x11" * 64
+        assert 4096 in hierarchy.llc.dirty
 
     def test_invalidate_all(self, hierarchy):
         hierarchy.fill_worst_case(seed=1)
@@ -187,9 +220,7 @@ class TestReplayEpochEquivalence:
             "counts": dict(hierarchy.access_counts),
             "levels": [(level.name, level.hits, level.misses)
                        for level in hierarchy.levels],
-            "lines": [sorted((line.address, line.data, line.dirty)
-                             for line in level.lines())
-                      for level in hierarchy.levels],
+            "lines": [sorted(level.lines()) for level in hierarchy.levels],
         }
 
     def _run_both(self, tiny_config, ops, epoch_ops):

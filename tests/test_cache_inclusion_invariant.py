@@ -16,13 +16,13 @@ CONFIG = SystemConfig.scaled(512)
 
 
 def _assert_inclusive(hierarchy):
-    for line in hierarchy.l1.lines():
-        assert hierarchy.l2.contains(line.address), \
-            f"L1 line {line.address:#x} missing from L2"
-        assert hierarchy.llc.contains(line.address)
-    for line in hierarchy.l2.lines():
-        assert hierarchy.llc.contains(line.address), \
-            f"L2 line {line.address:#x} missing from LLC"
+    for address, _, _ in hierarchy.l1.lines():
+        assert hierarchy.l2.contains(address), \
+            f"L1 line {address:#x} missing from L2"
+        assert hierarchy.llc.contains(address)
+    for address, _, _ in hierarchy.l2.lines():
+        assert hierarchy.llc.contains(address), \
+            f"L2 line {address:#x} missing from LLC"
 
 
 class TestInclusionInvariant:

@@ -31,20 +31,20 @@ class TestNonInclusiveFill:
 
     def test_levels_hold_disjoint_addresses(self, nine):
         nine.fill_worst_case(seed=1)
-        l1 = {line.address for line in nine.l1.lines()}
-        l2 = {line.address for line in nine.l2.lines()}
-        llc = {line.address for line in nine.llc.lines()}
+        l1 = {address for address, _, _ in nine.l1.lines()}
+        l2 = {address for address, _, _ in nine.l2.lines()}
+        llc = {address for address, _, _ in nine.llc.lines()}
         assert not l1 & l2 and not l1 & llc and not l2 & llc
 
     def test_unique_counter_pages_across_all_levels(self, nine):
         nine.fill_worst_case(seed=1)
-        pages = [page_of(line.address)
-                 for level in nine.levels for line in level.lines()]
+        pages = [page_of(address)
+                 for level in nine.levels for address, _, _ in level.lines()]
         assert len(set(pages)) == len(pages)
 
     def test_drain_stream_has_no_duplicates(self, nine, tiny_config):
         nine.fill_worst_case(seed=1)
-        drained = [line.address for line in nine.drain_lines(seed=2)]
+        drained = [address for address, _ in nine.drain_lines(seed=2)]
         assert len(drained) == tiny_config.total_cache_lines
         assert len(set(drained)) == len(drained)
 

@@ -33,7 +33,7 @@ from repro.campaigns.__main__ import main as campaigns_main
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.experiments.cache import ResultCache
-from repro.faults.matrix import run_matrix
+from repro.experiments.faults import run_matrix
 from repro.faults.plan import AdversaryAt, FaultPlan
 
 CELL_FLOOR = 200

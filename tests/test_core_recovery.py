@@ -27,20 +27,20 @@ class TestFunctionalRecovery:
                                                     scheme):
         system = SecureEpdSystem(tiny_config, scheme=scheme)
         system.fill_worst_case(seed=1)
-        expected = {line.address: line.data
-                    for line in system.hierarchy.llc.lines()}
+        expected = {address: data
+                    for address, data, _ in system.hierarchy.llc.lines()}
         system.crash(seed=2)
         assert len(system.hierarchy) == 0
         report = system.recover()
         assert report.blocks_restored > 0
-        restored = {line.address: line.data
-                    for line in system.hierarchy.llc.lines()}
+        restored = {address: data
+                    for address, data, _ in system.hierarchy.llc.lines()}
         assert restored == expected
 
     def test_recovered_lines_are_dirty(self, tiny_config):
         system = _crashed_system(tiny_config)
         system.recover()
-        assert all(line.dirty for line in system.hierarchy.llc.lines())
+        assert all(dirty for _, _, dirty in system.hierarchy.llc.lines())
 
     def test_metadata_caches_are_restored(self, tiny_config):
         system = SecureEpdSystem(tiny_config, scheme="horus-slm")

@@ -50,12 +50,12 @@ class TestRotatedSystem:
         system = SecureEpdSystem(tiny_config, scheme=scheme,
                                  rotate_vault=True)
         system.fill_worst_case(seed=1)
-        expected = {line.address: line.data
-                    for line in system.hierarchy.llc.lines()}
+        expected = {address: data
+                    for address, data, _ in system.hierarchy.llc.lines()}
         system.crash(seed=2)
         system.recover()
-        restored = {line.address: line.data
-                    for line in system.hierarchy.llc.lines()}
+        restored = {address: data
+                    for address, data, _ in system.hierarchy.llc.lines()}
         assert restored == expected
 
     def test_multiple_episodes_recover_correctly(self, tiny_config):

@@ -5,7 +5,18 @@ import pytest
 from repro.common.errors import AddressError, ConfigError, RecoveryError
 from repro.core.chv import ChvLayout
 from repro.core.system import SCHEMES, SecureEpdSystem
+from repro.epd.adr import AdrSecureSystem
+from repro.epd.bbb import BbbSecureSystem
 from repro.mem.regions import MemoryLayout, Region
+
+#: Every system with a run-time ``write``: the five paper schemes, ADR and
+#: BBB.
+WRITERS = {
+    **{scheme: (lambda config, scheme=scheme:
+                SecureEpdSystem(config, scheme=scheme)) for scheme in SCHEMES},
+    "adr": AdrSecureSystem,
+    "bbb": BbbSecureSystem,
+}
 
 
 class TestEmptyDrains:
@@ -69,6 +80,31 @@ class TestSystemMisuse:
         system = SecureEpdSystem(tiny_config, scheme="horus-slm")
         with pytest.raises(AddressError):
             system.write(system.layout.counters.base, bytes(64))
+
+    @pytest.mark.parametrize("payload", [b"short", bytes(65)],
+                             ids=["short", "long"])
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_write_rejects_a_payload_that_is_not_one_line(
+            self, small_config, name, payload):
+        """The bad call raises, before any state changes — not a later
+        crash() far from it."""
+        system = WRITERS[name](small_config)
+        system.write(0x20000, b"\x01" * 64)
+        hierarchy = system.hierarchy
+
+        def state():
+            return ([list(level.lines()) for level in hierarchy.levels],
+                    [(level.hits, level.misses)
+                     for level in hierarchy.levels],
+                    dict(hierarchy.access_counts),
+                    system.stats.snapshot())
+
+        before = state()
+        with pytest.raises(ValueError, match="64 B"):
+            system.write(0x20040, payload)
+        with pytest.raises(ValueError, match="64 B"):
+            system.write(0x20000, payload)
+        assert state() == before
 
     def test_unaligned_runtime_address(self, tiny_config):
         system = SecureEpdSystem(tiny_config, scheme="nosec")

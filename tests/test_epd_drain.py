@@ -80,7 +80,7 @@ class TestBaselineSecureDrain:
     def test_every_flushed_ciphertext_lands_in_memory(self, tiny_config):
         system = SecureEpdSystem(tiny_config, scheme="base-lu")
         system.fill_worst_case(seed=1)
-        addresses = [line.address for line in system.hierarchy.llc.lines()]
+        addresses = [address for address, _, _ in system.hierarchy.llc.lines()]
         system.crash(seed=2)
         for address in addresses:
             assert system.nvm.backend.is_written(address)
@@ -145,8 +145,8 @@ class TestBatchedDrainFailureParity:
             system.recover()
             system.fill_worst_case(seed=6)
             drain_seed = 10
-        order = [line.address
-                 for line in system.hierarchy.drain_lines(drain_seed)]
+        order = [address
+                 for address, _ in system.hierarchy.drain_lines(drain_seed)]
         assert len(order) > 4096
         if batched:
             def no_scalar_fallback(ops):

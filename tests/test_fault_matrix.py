@@ -9,11 +9,12 @@ data/address-block/MAC-block boundary of the coalescing registers.
 
 import pytest
 
+from repro.campaigns.classify import DETECTED, LOST_UNPROTECTED, RECOVERED
+from repro.campaigns.engine import fill_lines
+from repro.campaigns.scenarios import FAULT_CLASSES, SCHEME_VARIANTS
 from repro.common.errors import IntegrityError, RecoveryError
 from repro.core.system import SecureEpdSystem
-from repro.faults.matrix import (DETECTED, FAULT_CLASSES, LOST_UNPROTECTED,
-                                 RECOVERED, SCHEME_VARIANTS, fill_lines,
-                                 run_cell, run_matrix)
+from repro.experiments.faults import run_matrix
 
 SWEEP_LINES = 10
 MATRIX_LINES = 48
@@ -57,8 +58,9 @@ class TestCrashMatrix:
 
     def test_single_cell_runner_matches_matrix(self, tiny_config,
                                                matrix_cells):
-        cell = run_cell(tiny_config, "horus-slm", False, "bit-flip",
-                        lines=MATRIX_LINES)
+        (cell,) = run_matrix(tiny_config, lines=MATRIX_LINES,
+                             faults=("bit-flip",),
+                             variants=(("horus-slm", False),))
         twin = next(c for c in matrix_cells
                     if c.scheme == "horus-slm" and c.fault == "bit-flip")
         assert (cell.outcome, cell.detail) == (twin.outcome, twin.detail)

@@ -21,6 +21,9 @@ from repro.common.config import SystemConfig
 from repro.common.errors import AddressError, AlignmentError
 from repro.common.gcpause import collector_paused
 from repro.core.system import SCHEMES, SecureEpdSystem
+from repro.epd.adr import AdrSecureSystem
+from repro.epd.bbb import BbbSecureSystem
+from repro.epd.dolos import DolosAdrSystem
 from repro.experiments.profile import RunProfile, capture_phases
 from repro.experiments.runner import run_experiments_profiled
 from repro.mem.regions import MemoryLayout
@@ -139,6 +142,31 @@ class TestNoCyclicGarbage:
         system.crash(seed=2)
         system.recover()
         del system
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("system_class", [
+        AdrSecureSystem, BbbSecureSystem, DolosAdrSystem],
+        ids=["adr", "bbb", "dolos"])
+    def test_persistence_domain_systems_leave_no_cycles(
+            self, system_class, collector_disabled):
+        """The ADR, BBB and Dolos systems hand their hierarchy the
+        controller's own methods, never a method of the system itself."""
+        config = SystemConfig.scaled(SCALE)
+        trace = _small_trace(config)
+        gc.collect()
+        system = system_class(config)
+        persist = getattr(system, "persist", None)
+        for op in trace:
+            if op.kind is OpKind.WRITE:
+                system.write(op.address, op.data)
+                if persist is not None:
+                    persist(op.address)
+            else:
+                system.read(op.address)
+        system.crash()
+        if isinstance(system, DolosAdrSystem):
+            system.recover()
+        del system, persist
         assert gc.collect() == 0
 
     def test_sharded_fleet_leaves_no_cycles(self, collector_disabled):

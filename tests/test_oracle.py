@@ -12,6 +12,7 @@ import inspect
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
+from repro.campaigns.scenarios import SCHEME_VARIANTS
 from repro.common.config import SystemConfig
 from repro.common.errors import OracleDivergenceError
 from repro.core import oracle
@@ -20,7 +21,6 @@ from repro.core.recovery import HorusRecovery
 from repro.core.system import SecureEpdSystem
 from repro.crypto import batch
 from repro.epd.drain import NonSecureDrain
-from repro.faults.matrix import SCHEME_VARIANTS
 from repro.secure.controller import SecureMemoryController
 from repro.sharding.pool import ShardRunSpec
 from repro.sharding.system import ShardedSecureSystem

@@ -28,7 +28,7 @@ class TestNonSecureLosesSilently:
     def test_truncated_drain_drops_lines(self, tiny_config):
         system = SecureEpdSystem(tiny_config, scheme="nosec")
         system.fill_worst_case(seed=1)
-        addresses = [line.address for line in system.hierarchy.llc.lines()]
+        addresses = [address for address, _, _ in system.hierarchy.llc.lines()]
         system.nvm.write_budget = len(addresses) // 4
         system.crash(seed=2)
         persisted = sum(

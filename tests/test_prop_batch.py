@@ -48,8 +48,8 @@ BATCH_COVERAGE = {
         "TestRunOpsEquivalence + oracle replay "
         "(repro.core.oracle.run_replay_differential)",
     "CacheHierarchy.replay_epoch":
-        "tests/test_prop_soa.py (SoA-vs-dict identity over arbitrary op "
-        "sequences) + oracle replay + tests/test_golden_replay.py",
+        "tests/test_prop_soa.py (fused-vs-scalar identity over arbitrary "
+        "op sequences) + oracle replay + tests/test_golden_replay.py",
     "TenantKeyedAes.encrypt_batch":
         "tests/test_sharding_keys.py::TestTenantKeyedAes"
         "::test_batch_matches_scalar_across_tenant_runs",

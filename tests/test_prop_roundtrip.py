@@ -33,8 +33,8 @@ class TestHorusRoundtripProperties:
             system.hierarchy.restore_dirty(address, data)
         system.crash(seed=1)
         system.recover()
-        restored = {line.address: line.data
-                    for line in system.hierarchy.llc.lines()}
+        restored = {address: data
+                    for address, data, _ in system.hierarchy.llc.lines()}
         assert restored == contents
 
     @given(contents=dirty_contents())

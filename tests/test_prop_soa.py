@@ -1,25 +1,23 @@
-"""Property-based equivalence: the SoA epoch pass vs the dict-model spec.
+"""Property-based equivalence: the fused epoch pass vs the scalar spec.
 
 The scalar :class:`~repro.cache.hierarchy.CacheHierarchy` read/write loop
-over dict-of-:class:`~repro.cache.line.CacheLine` sets is the
-specification; :meth:`~repro.cache.hierarchy.CacheHierarchy.replay_epoch`
-runs the same ops through :class:`~repro.cache.soa.SoALevel` lanes and must
-leave *identical* observables on every op sequence — hit/miss counters,
+is the specification; :meth:`~repro.cache.hierarchy.CacheHierarchy.replay_epoch`
+runs the same ops straight on the same level lanes and must leave
+*identical* observables on every op sequence — hit/miss counters,
 ``access_counts``, per-set LRU→MRU orders, payloads, dirty bits, the
 emitted memory-op stream (order included), and the memory image after
 applying it.  Degenerate geometries (single way, single set), duplicate
-addresses, and arbitrary epoch boundaries are exactly where a transcription
-bug would hide, so the strategies bias hard toward them.
+addresses, arbitrary epoch boundaries, and scalar calls interleaved between
+epochs are exactly where a transcription bug would hide, so the strategies
+bias hard toward them.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.cache import SetAssociativeCache
+from repro.cache.cache import decompose_sets
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.line import CacheLine
-from repro.cache.soa import SoALevel, decompose_sets
 from repro.common.config import CacheConfig, MemoryConfig, SystemConfig
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.crypto import arena
@@ -82,14 +80,17 @@ def _apply_mem_ops(memory: _Memory, mem_ops) -> list:
 
 
 def _state(hierarchy: CacheHierarchy, memory: _Memory) -> dict:
+    for level in hierarchy.levels:
+        resident = {address for lane in level.sets for address in lane}
+        assert level.dirty <= resident, "dirty lane names an absent line"
     return {
         "levels": [(level.name, level.hits, level.misses)
                    for level in hierarchy.levels],
         "access": dict(hierarchy.access_counts),
         "sets": [
-            [[(line.address, bytes(line.data), line.dirty)
-              for line in cache_set.values()]
-             for cache_set in level._sets]
+            [[(address, bytes(data), address in level.dirty)
+              for address, data in lane.items()]
+             for lane in level.sets]
             for level in hierarchy.levels],
         "store": dict(memory.store),
         "log": list(memory.log),
@@ -111,24 +112,29 @@ def op_sequences(draw, pool_lines: int, min_size=0, max_size=40):
     return ops
 
 
-def _run_scalar(config: SystemConfig, ops) -> dict:
-    hierarchy, memory = _attached(config)
+def _scalar_ops(hierarchy: CacheHierarchy, ops) -> None:
     for kind, address, data in ops:
         if kind == "w":
             hierarchy.write(address, data)
         else:
             hierarchy.read(address)
+
+
+def _epoch(hierarchy: CacheHierarchy, memory: _Memory, ops) -> None:
+    mem_ops, fills = hierarchy.replay_epoch(list(ops))
+    hierarchy.resolve_pending(fills, _apply_mem_ops(memory, mem_ops))
+
+
+def _run_scalar(config: SystemConfig, ops) -> dict:
+    hierarchy, memory = _attached(config)
+    _scalar_ops(hierarchy, ops)
     return _state(hierarchy, memory)
 
 
 def _run_epochs(config: SystemConfig, ops, epoch_ops: int) -> dict:
     hierarchy, memory = _attached(config)
-    with hierarchy.epoch_session():
-        for start in range(0, len(ops), epoch_ops):
-            mem_ops, fills = hierarchy.replay_epoch(
-                list(ops[start:start + epoch_ops]))
-            hierarchy.resolve_pending(fills,
-                                      _apply_mem_ops(memory, mem_ops))
+    for start in range(0, len(ops), epoch_ops):
+        _epoch(hierarchy, memory, ops[start:start + epoch_ops])
     return _state(hierarchy, memory)
 
 
@@ -152,55 +158,26 @@ class TestEpochMatchesScalar:
         config = GEOMETRIES["direct-mapped"]
         assert _run_epochs(config, ops, 4) == _run_scalar(config, ops)
 
-    @given(ops=op_sequences(pool_lines=24, min_size=1))
-    @settings(max_examples=examples(25), deadline=None)
-    def test_session_boundaries_are_invisible(self, ops):
-        """Many sessions of one epoch each (materialize/dematerialize
-        round trip between every epoch) still match one scalar run."""
-        config = GEOMETRIES["mixed"]
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @given(ops=op_sequences(pool_lines=24, min_size=1),
+           epoch_ops=st.integers(1, 9),
+           fused=st.lists(st.booleans(), min_size=1, max_size=6))
+    @settings(max_examples=examples(40), deadline=None)
+    def test_scalar_calls_between_epochs(self, geometry, ops, epoch_ops,
+                                         fused):
+        """One hierarchy alternates fused epochs with scalar read()/write()
+        chunks (``fused`` cycles over the chunks) and still matches a
+        scalar-only run: both act on the one lane state, so no boundary
+        sits between them."""
+        config = GEOMETRIES[geometry]
         hierarchy, memory = _attached(config)
-        for start in range(0, len(ops), 5):
-            with hierarchy.epoch_session():
-                mem_ops, fills = hierarchy.replay_epoch(
-                    list(ops[start:start + 5]))
-                hierarchy.resolve_pending(
-                    fills, _apply_mem_ops(memory, mem_ops))
+        for chunk, start in enumerate(range(0, len(ops), epoch_ops)):
+            part = ops[start:start + epoch_ops]
+            if fused[chunk % len(fused)]:
+                _epoch(hierarchy, memory, part)
+            else:
+                _scalar_ops(hierarchy, part)
         assert _state(hierarchy, memory) == _run_scalar(config, ops)
-
-
-class TestMaterializeRoundTrip:
-    """SoALevel.from_cache / restore preserve every line property."""
-
-    @given(entries=st.lists(
-        st.tuples(st.integers(0, 63), st.booleans(),
-                  st.integers(0, 255)),
-        max_size=32))
-    @settings(max_examples=examples(50))
-    def test_round_trip_is_identity(self, entries):
-        config = CacheConfig("L", 16 * LINE, 4, 1)
-        cache = SetAssociativeCache(config)
-        for line_index, dirty, fill in entries:
-            cache.insert(CacheLine(line_index * LINE,
-                                   bytes([fill]) * LINE, dirty=dirty))
-        before = [[(line.address, line.data, line.dirty)
-                   for line in cache_set.values()]
-                  for cache_set in cache._sets]
-        payloads = [line.data for cache_set in cache._sets
-                    for line in cache_set.values()]
-
-        level = SoALevel.from_cache(cache)
-        assert len(cache) == 0, "dematerialize consumes the source sets"
-        assert len(level) == sum(len(s) for s in before)
-        level.restore(cache)
-
-        after = [[(line.address, line.data, line.dirty)
-                  for line in cache_set.values()]
-                 for cache_set in cache._sets]
-        assert after == before
-        restored = [line.data for cache_set in cache._sets
-                    for line in cache_set.values()]
-        for old, new in zip(payloads, restored):
-            assert old is new, "payloads travel by reference"
 
 
 class TestDecomposeSets:

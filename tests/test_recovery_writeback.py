@@ -14,8 +14,8 @@ class TestWritebackRecovery:
         system = SecureEpdSystem(tiny_config, scheme=scheme,
                                  recovery_mode="writeback")
         system.fill_worst_case(seed=1)
-        addresses = [line.address
-                     for line in list(system.hierarchy.llc.lines())[:32]]
+        addresses = [address for address, _, _
+                     in list(system.hierarchy.llc.lines())[:32]]
         system.crash(seed=2)
         system.recover()
         assert len(system.hierarchy.llc) == 0
