@@ -10,8 +10,8 @@ two lanes:
   trace scale than an ``OrderedDict``'s ``move_to_end``/``popitem``), and a
   value store on a resident key leaves the order untouched (the
   merge-without-touch the ``touch=False`` paths rely on).  Payloads are
-  ``bytes``, ``None`` in counting-only runs, or a
-  :class:`~repro.cache.hierarchy.PendingFill` marker inside a replay epoch.
+  ``bytes``, or a :class:`~repro.cache.hierarchy.PendingFill` marker
+  inside a replay epoch.
 * ``dirty`` — the set of resident dirty addresses.
 
 The methods below are the scalar specification.  The fused epoch replay and
@@ -28,8 +28,10 @@ from repro.common.config import CacheConfig
 from repro.crypto import arena
 
 MISS: Any = object()
-"""What :meth:`SetAssociativeCache.lookup` returns for an absent address
-(``None`` is a legitimate payload in counting-only runs)."""
+"""What :meth:`SetAssociativeCache.lookup` returns for an absent address.
+
+A sentinel rather than ``None``: the lanes never inspect payloads, so no
+payload value is reserved to mean "absent"."""
 
 Line = tuple[int, Any, bool]
 """A resident line: ``(address, payload, dirty)``."""

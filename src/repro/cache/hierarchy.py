@@ -75,10 +75,8 @@ class CacheHierarchy:
     LLCs, whose capacity cannot hold the whole recovered hierarchy.
     """
 
-    def __init__(self, config: SystemConfig, functional: bool = True,
-                 inclusive: bool = True):
+    def __init__(self, config: SystemConfig, inclusive: bool = True):
         self._config = config
-        self._functional = functional
         self.inclusive = inclusive
         self.l1 = SetAssociativeCache(config.l1)
         self.l2 = SetAssociativeCache(config.l2)
@@ -131,8 +129,8 @@ class CacheHierarchy:
                 addresses = list(worst_case_addresses(level.config, allocator))
                 rng.shuffle(addresses)
                 for address in addresses:
-                    data = _pattern_data(address) if self._functional else None
-                    if level.insert(address, data, dirty=True) is not None:
+                    if level.insert(address, _pattern_data(address),
+                                    dirty=True) is not None:
                         raise ConfigError(
                             "worst-case fill must not evict")
             return len(self)
@@ -141,8 +139,8 @@ class CacheHierarchy:
         rng.shuffle(llc_addresses)
 
         for address in llc_addresses:
-            data = _pattern_data(address) if self._functional else None
-            if self.llc.insert(address, data, dirty=True) is not None:
+            if self.llc.insert(address, _pattern_data(address),
+                               dirty=True) is not None:
                 raise ConfigError("worst-case fill must not evict from LLC")
 
         for upper in (self.l2, self.l1):
@@ -154,8 +152,7 @@ class CacheHierarchy:
                     continue
                 if upper.contains(address):
                     continue
-                data = _pattern_data(address) if self._functional else None
-                upper.insert(address, data, dirty=True)
+                upper.insert(address, _pattern_data(address), dirty=True)
                 remaining -= 1
 
         return len(self)
@@ -168,7 +165,6 @@ class CacheHierarchy:
         calls.  Insert semantics are transcribed exactly — duplicates
         replace in place and refresh LRU; a full set raises after evicting,
         as the scalar insert would."""
-        functional = self._functional
 
         def bulk_insert(level: SetAssociativeCache,
                         addresses: list[int], message: str) -> None:
@@ -182,11 +178,10 @@ class CacheHierarchy:
             level.dirty.update(addresses)
             # One tiled buffer holds every pattern payload; per-line bytes
             # are single slices instead of to_bytes + repeat round-trips.
-            payloads = tile_u64(addresses, 8) if functional else None
+            payloads = tile_u64(addresses, 8)
             offset = 0
             for address in addresses:
-                data = payloads[offset:offset + 64] \
-                    if payloads is not None else None
+                data = payloads[offset:offset + 64]
                 offset += 64
                 cache_set = sets[(address // line_size) % num_sets]
                 if address in cache_set:
@@ -226,8 +221,7 @@ class CacheHierarchy:
                 cache_set = sets[(address // line_size) % num_sets]
                 if len(cache_set) >= ways or address in cache_set:
                     continue
-                cache_set[address] = \
-                    _pattern_data(address) if functional else None
+                cache_set[address] = _pattern_data(address)
                 dirty_add(address)
                 remaining -= 1
 
@@ -246,8 +240,8 @@ class CacheHierarchy:
         for i in range(self._config.llc.num_lines):
             addresses.append(base + i * self._config.llc.line_size)
         for address in addresses:
-            data = _pattern_data(address) if self._functional else None
-            if self.llc.insert(address, data, dirty=True) is not None:
+            if self.llc.insert(address, _pattern_data(address),
+                               dirty=True) is not None:
                 raise ConfigError("sequential fill must not evict from LLC")
         for upper in (self.l2, self.l1):
             remaining = upper.config.num_lines
@@ -256,8 +250,7 @@ class CacheHierarchy:
                     break
                 if upper.set_occupancy(upper.set_index(address)) >= upper.config.ways:
                     continue
-                data = _pattern_data(address) if self._functional else None
-                upper.insert(address, data, dirty=True)
+                upper.insert(address, _pattern_data(address), dirty=True)
                 remaining -= 1
         return len(self)
 
@@ -293,7 +286,7 @@ class CacheHierarchy:
         for level in self.levels:
             level.clear()
 
-    def restore_dirty(self, address: int, data: bytes | None) -> None:
+    def restore_dirty(self, address: int, data: bytes) -> None:
         """Recovery hook: refill a recovered block into the LLC, dirty.
 
         The paper's recovery option 1 places verified CHV blocks back in the
@@ -317,8 +310,6 @@ class CacheHierarchy:
         data = self.l1.lookup(address)
         if data is not MISS:
             self.access_counts["l1"] += 1
-            # Payloads are None only in non-functional (counting-only)
-            # runs, whose callers ignore read results entirely.
             return data  # type: ignore[no-any-return]
         if not self.inclusive:
             return self._read_non_inclusive(address)
@@ -359,10 +350,12 @@ class CacheHierarchy:
 
     def write(self, address: int, data: bytes) -> None:
         """Run-time write of one full line (write-allocate into L1)."""
-        if data is not None and len(data) != CACHE_LINE_SIZE:
+        if not isinstance(data, bytes) or len(data) != CACHE_LINE_SIZE:
+            got = (f"{len(data)} B" if isinstance(data, bytes)
+                   else type(data).__name__)
             raise ValueError(
-                f"cache line payload must be {CACHE_LINE_SIZE} B, "
-                f"got {len(data)}")
+                f"cache line payload must be {CACHE_LINE_SIZE} B of bytes, "
+                f"got {got}")
         self.read(address)
         resident = self.l1.lookup(address, touch=False)
         assert resident is not MISS  # read() write-allocated it
@@ -610,8 +603,6 @@ class CacheHierarchy:
     def _do_writeback(self, address: int, data: Any) -> None:
         if self.writeback is None:
             raise ConfigError("hierarchy is not attached to a memory side")
-        # Dirty lines carry real payloads in functional runs; handlers in
-        # counting-only runs never read the bytes.
         self.writeback(address, data)
 
     def _install(self, level: SetAssociativeCache, address: int, data: Any,

@@ -737,10 +737,6 @@ def run_campaign(config: SystemConfig,
     :class:`~repro.experiments.cache.ResultCache`) makes re-runs
     incremental per cell.
     """
-    if not config.security.functional:
-        raise ConfigError(
-            "campaigns classify functional episodes; "
-            "config.security.functional must be True")
     tasks: list[tuple[str, bool, Scenario, str]] = []
     skips: list[CampaignSkip] = []
     for scheme, rotate in variants:

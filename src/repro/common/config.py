@@ -84,9 +84,6 @@ class SecurityConfig:
     mac_cache_ways: int = 8
     tree_cache_size: int = kib(256)
     tree_cache_ways: int = 8
-    functional: bool = True
-    """When False, MAC/pad values are not actually computed (counts and timing
-    only) — roughly halves simulation time for pure performance studies."""
 
     def __post_init__(self) -> None:
         if self.tree_arity < 2:

@@ -14,16 +14,20 @@ contents:
 * after the hierarchy — the metadata-cache content is vaulted the same way
   (negligible; Fig. 12's rightmost component).
 
-The engine has two executions of the same episode semantics:
+Every vaulted block is 64 real bytes, encrypted and MACed for real: recovery
+(:mod:`repro.core.recovery`) detects tampering only by recomputing those
+MACs.  The engine has two executions of the same episode semantics:
 
-* the **scalar path** (``batched=False``) walks the hierarchy block by
-  block through the scalar crypto primitives — the reference
-  implementation, kept verbatim;
+* the **scalar path** walks the hierarchy block by block through the scalar
+  crypto primitives — the reference implementation, kept verbatim.  It is
+  taken with ``batched=False`` and whenever a fault plan or request trace
+  watches the device (:attr:`~repro.mem.nvm.NvmDevice.grouped_io` is
+  false), so those channels see the exact interleaved write order and lose
+  exactly the same writes;
 * the **batched path** (default) collects the episode's work list once,
   reserves the whole counter range, runs the crypto through
-  :mod:`repro.crypto.batch`, and issues every NVM write through the grouped
-  device path — byte-identical output, identical operation counters,
-  identical write order (so fault plans lose exactly the same writes), at a
+  :mod:`repro.crypto.batch`, and lands the episode as three arena writes —
+  byte-identical image, identical operation counters and wear, at a
   fraction of the interpreter overhead.  The differential oracle
   (:mod:`repro.core.oracle`) holds the two paths to each other.
 """
@@ -42,7 +46,6 @@ from repro.core.chv import (
     VaultRotation,
 )
 from repro.crypto.arena import frame_buffer, pack_u64
-from repro.crypto.batch import split_blocks
 from repro.crypto.counters import DrainCounter
 from repro.crypto.engine import AesEngine, MacEngine
 from repro.crypto.primitives import MacDomain
@@ -51,8 +54,6 @@ from repro.mem.nvm import NvmDevice
 from repro.secure.controller import SecureMemoryController
 from repro.stats.events import MacKind, WriteKind
 from repro.stats.timing import TimingModel
-
-_ZERO_BLOCK = bytes(CACHE_LINE_SIZE)
 
 
 class HorusDrainEngine(DrainEngine):
@@ -87,7 +88,7 @@ class HorusDrainEngine(DrainEngine):
             self._chv, self._dc.value, self.rotate_vault,
             group_align=self.mac_group)
         self._dc.begin_episode()
-        if self.batched:
+        if self.batched and self._nvm.grouped_io:
             return self._run_batched(hierarchy, seed)
         return self._run_scalar(hierarchy, seed)
 
@@ -100,7 +101,7 @@ class HorusDrainEngine(DrainEngine):
         # Unzipped as consumed: the stream's pairs are freed before the
         # vault's buffers are built, which bounds the episode's peak memory.
         addresses: list[int] = []
-        payloads: list[bytes | None] = []
+        payloads: list[bytes] = []
         for address, data in hierarchy.drain_lines(seed):
             addresses.append(address)
             payloads.append(data)
@@ -128,9 +129,9 @@ class HorusDrainEngine(DrainEngine):
             raise ConfigError("CHV overflow: episode exceeds vault capacity")
         return flushed, metadata
 
-    def _vault_batch(self, addresses: list[int], payloads: list,
+    def _vault_batch(self, addresses: list[int], payloads: list[bytes],
                      kinds: list[WriteKind]) -> None:
-        """Crypto, coalescing, and the single grouped NVM issue."""
+        """Crypto, coalescing, and the grouped NVM issue."""
         count = len(addresses)
         if not count:
             # An empty episode records nothing, exactly like the scalar
@@ -142,141 +143,58 @@ class HorusDrainEngine(DrainEngine):
         counters = range(start, start + count)
         frames = frame_buffer(addresses, counters)
 
-        plaintext = None
-        if count and payloads[0] is not None:
-            plaintext = b"".join(payloads)
-        ciphertext = self._aes.encrypt_batch(addresses, counters, plaintext,
-                                             frames)
+        ciphertext = self._aes.encrypt_batch(
+            addresses, counters, b"".join(payloads), frames)
         macs = self._mac.block_mac_batch(
             MacKind.CHV_DATA, ciphertext, addresses, counters,
             domain=MacDomain.CHV_DATA, frames=frames)
-        mac_raw = b"".join(macs)
-
-        level2: list[bytes] = []
-        level2_raw = b""
-        if self._dlm and count:
-            mac_view = memoryview(mac_raw)
-            groups = [mac_view[i:i + CACHE_LINE_SIZE]
-                      for i in range(0, len(mac_raw), CACHE_LINE_SIZE)]
-            level2 = self._mac.digest_mac_batch(
-                MacKind.CHV_LEVEL2, groups, len(groups),
-                domain=MacDomain.CHV_LEVEL2)
-            level2_raw = b"".join(level2)
-
-        data_addresses = chv.data_addresses(rotation.data_slots(count))
-
-        if self._nvm.grouped_io:
-            # No fault plan or trace is watching individual requests (wear
-            # counts per block, in any order), so the interleaved stream
-            # can collapse into three arena writes (data, address blocks,
-            # MAC blocks): the episode touches disjoint CHV regions, so the
-            # final image, the folded per-kind counters and the wear counts
-            # are identical to scalar issue.
-            # The data batch's composition is known in closed form (kinds
-            # is a CHV_DATA prefix followed by a CHV_METADATA suffix);
-            # zero-count kinds are omitted so the folded stats update
-            # touches exactly the counters the scalar path would.
-            data_count = kinds.count(WriteKind.CHV_DATA)
-            addr_blocks = -(-count // ADDRESSES_PER_BLOCK)
-            mac_blocks = -(-count // self.mac_group)
-            data_counts = {}
-            if data_count:
-                data_counts[WriteKind.CHV_DATA] = data_count
-            if count > data_count:
-                data_counts[WriteKind.CHV_METADATA] = count - data_count
-            self._nvm.write_arena(
-                data_addresses,
-                ciphertext if ciphertext is not None
-                else bytes(count * CACHE_LINE_SIZE),
-                WriteKind.CHV_DATA, data_counts)
-
-            addr_buf = pack_u64(addresses)
-            if len(addr_buf) < addr_blocks * CACHE_LINE_SIZE:
-                addr_buf = addr_buf.ljust(addr_blocks * CACHE_LINE_SIZE,
-                                          b"\0")
-            addr_group = rotation.address_group
-            self._nvm.write_arena(
-                [chv.address_block_address(addr_group(g))
-                 for g in range(addr_blocks)],
-                addr_buf, WriteKind.CHV_ADDRESS)
-
-            mac_buf = level2_raw if self._dlm else mac_raw
-            if len(mac_buf) < mac_blocks * CACHE_LINE_SIZE:
-                mac_buf = mac_buf.ljust(mac_blocks * CACHE_LINE_SIZE, b"\0")
-            mac_group = rotation.mac_group
-            self._nvm.write_arena(
-                [chv.mac_block_address(mac_group(g, self.mac_group),
-                                       self.mac_group)
-                 for g in range(mac_blocks)],
-                mac_buf, WriteKind.CHV_MAC)
-            return
-
-        # Accounted channels (fault plan / trace) observe each
-        # request: build the interleaved per-write stream so they see the
-        # exact scalar order, and lose exactly the same writes.
-        if ciphertext is None:
-            data_payloads: list[bytes] = [_ZERO_BLOCK] * count
-        else:
-            data_payloads = split_blocks(ciphertext)
-        data_writes = list(zip(data_addresses, data_payloads, kinds))
-        writes: list[tuple[int, bytes, WriteKind]] = []
-        extend = writes.extend
-        append = writes.append
-        full_groups = count // ADDRESSES_PER_BLOCK
-        # Interleave per coalescing group, preserving the scalar write
-        # order: 8 data writes, the group's address block, then (SLM) its
-        # MAC block or (DLM) a second-level block after every 8th group.
-        for g in range(full_groups):
-            lo = g * ADDRESSES_PER_BLOCK
-            hi = lo + ADDRESSES_PER_BLOCK
-            extend(data_writes[lo:hi])
-            append(self._address_block(addresses, lo, hi))
-            if self._dlm:
-                if hi % MAC_GROUP_DLM == 0:
-                    group = hi // MAC_GROUP_DLM - 1
-                    append(self._mac_block(
-                        level2, group * MACS_PER_BLOCK,
-                        (group + 1) * MACS_PER_BLOCK, group))
-            else:
-                append(self._mac_block(macs, lo, hi, g))
-
-        # Partial coalescing registers flush at episode end, address block
-        # first — the scalar _finalize order.
-        if count % ADDRESSES_PER_BLOCK:
-            extend(data_writes[full_groups * ADDRESSES_PER_BLOCK:])
-            append(self._address_block(
-                addresses, full_groups * ADDRESSES_PER_BLOCK, count))
+        mac_buf = b"".join(macs)
         if self._dlm:
-            full_blocks = count // MAC_GROUP_DLM
-            if len(level2) > full_blocks * MACS_PER_BLOCK:
-                append(self._mac_block(
-                    level2, full_blocks * MACS_PER_BLOCK, len(level2),
-                    full_blocks))
-        elif count % MACS_PER_BLOCK:
-            append(self._mac_block(
-                macs, count - count % MACS_PER_BLOCK, count,
-                count // MACS_PER_BLOCK))
+            mac_view = memoryview(mac_buf)
+            groups = [mac_view[i:i + CACHE_LINE_SIZE]
+                      for i in range(0, len(mac_buf), CACHE_LINE_SIZE)]
+            mac_buf = b"".join(self._mac.digest_mac_batch(
+                MacKind.CHV_LEVEL2, groups, len(groups),
+                domain=MacDomain.CHV_LEVEL2))
 
-        self._nvm.write_batch(writes)
+        # No fault plan or trace watches individual requests (_run routes
+        # only grouped-I/O devices here), so the scalar interleaving
+        # collapses into three arena writes (data, address blocks, MAC
+        # blocks): the episode touches disjoint CHV regions, so the final
+        # image, the folded per-kind counters and the per-block wear counts
+        # are identical to scalar issue.  The data batch's composition is
+        # known in closed form (kinds is a CHV_DATA prefix followed by a
+        # CHV_METADATA suffix); zero-count kinds are omitted so the folded
+        # stats update touches exactly the counters the scalar path would.
+        data_count = kinds.count(WriteKind.CHV_DATA)
+        addr_blocks = -(-count // ADDRESSES_PER_BLOCK)
+        mac_blocks = -(-count // self.mac_group)
+        data_counts = {}
+        if data_count:
+            data_counts[WriteKind.CHV_DATA] = data_count
+        if count > data_count:
+            data_counts[WriteKind.CHV_METADATA] = count - data_count
+        self._nvm.write_arena(
+            chv.data_addresses(rotation.data_slots(count)), ciphertext,
+            WriteKind.CHV_DATA, data_counts)
 
-    def _address_block(self, addresses: list[int], lo: int,
-                       hi: int) -> tuple[int, bytes, WriteKind]:
-        payload = b"".join(address.to_bytes(8, "little")
-                           for address in addresses[lo:hi])
-        if hi - lo < ADDRESSES_PER_BLOCK:
-            payload = payload.ljust(CACHE_LINE_SIZE, b"\0")
-        group = self._rotation.address_group(lo // ADDRESSES_PER_BLOCK)
-        return (self._chv.address_block_address(group), payload,
-                WriteKind.CHV_ADDRESS)
+        addr_buf = pack_u64(addresses)
+        if len(addr_buf) < addr_blocks * CACHE_LINE_SIZE:
+            addr_buf = addr_buf.ljust(addr_blocks * CACHE_LINE_SIZE, b"\0")
+        addr_group = rotation.address_group
+        self._nvm.write_arena(
+            [chv.address_block_address(addr_group(g))
+             for g in range(addr_blocks)],
+            addr_buf, WriteKind.CHV_ADDRESS)
 
-    def _mac_block(self, macs: list[bytes], lo: int, hi: int,
-                   group: int) -> tuple[int, bytes, WriteKind]:
-        payload = b"".join(macs[lo:hi])
-        if len(payload) < CACHE_LINE_SIZE:
-            payload = payload.ljust(CACHE_LINE_SIZE, b"\0")
-        rotated = self._rotation.mac_group(group, self.mac_group)
-        return (self._chv.mac_block_address(rotated, self.mac_group),
-                payload, WriteKind.CHV_MAC)
+        if len(mac_buf) < mac_blocks * CACHE_LINE_SIZE:
+            mac_buf = mac_buf.ljust(mac_blocks * CACHE_LINE_SIZE, b"\0")
+        mac_group = rotation.mac_group
+        self._nvm.write_arena(
+            [chv.mac_block_address(mac_group(g, self.mac_group),
+                                   self.mac_group)
+             for g in range(mac_blocks)],
+            mac_buf, WriteKind.CHV_MAC)
 
     # ------------------------------------------------------------------
     # Scalar reference path
@@ -304,7 +222,7 @@ class HorusDrainEngine(DrainEngine):
         return flushed, metadata
 
     def _vault_block(self, state: "_EpisodeState", address: int,
-                     data: bytes | None, kind: WriteKind) -> None:
+                     data: bytes, kind: WriteKind) -> None:
         position = state.position
         if position >= self._chv.capacity:
             raise ConfigError("CHV overflow: episode exceeds vault capacity")
@@ -313,8 +231,7 @@ class HorusDrainEngine(DrainEngine):
         ciphertext = self._aes.encrypt(address, counter, data)
         self._nvm.write(
             self._chv.data_address(self._rotation.data_slot(position)),
-            ciphertext if ciphertext is not None else _ZERO_BLOCK,
-            kind)
+            ciphertext, kind)
 
         state.address_register.append(address)
         if len(state.address_register) == ADDRESSES_PER_BLOCK:

@@ -84,10 +84,6 @@ class HorusRecovery:
         self.name = "horus-dlm" if double_level_mac else "horus-slm"
 
     def recover(self) -> RecoveryReport:
-        if not self._controller.functional:
-            raise ConfigError(
-                "functional recovery requires SecurityConfig.functional=True; "
-                "use estimate_recovery() for counting-only studies")
         count = self._dc.ephemeral
         if count == 0:
             raise RecoveryError("no drain episode to recover")

@@ -22,7 +22,6 @@ Typical use::
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import SystemConfig
-from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import ConfigError, DrainStateError
 from repro.common.gcpause import collector_paused
 from repro.core.chv import ChvLayout
@@ -41,8 +40,6 @@ from repro.stats.events import ReadKind, WriteKind
 from repro.stats.timing import TimingModel
 
 SCHEMES = ("nosec", "base-lu", "base-eu", "horus-slm", "horus-dlm")
-
-_ZERO_BLOCK = bytes(CACHE_LINE_SIZE)
 
 
 class SecureEpdSystem:
@@ -80,9 +77,7 @@ class SecureEpdSystem:
 
         self.layout = MemoryLayout(self.config)
         self.nvm = NvmDevice(self.layout.total_size, self.stats)
-        self.hierarchy = CacheHierarchy(
-            self.config, functional=self.config.security.functional,
-            inclusive=inclusive)
+        self.hierarchy = CacheHierarchy(self.config, inclusive=inclusive)
 
         self.controller: SecureMemoryController | None = None
         self.drain_counter: DrainCounter | None = None
@@ -97,9 +92,8 @@ class SecureEpdSystem:
             def fetch(address: int) -> bytes:
                 return nvm.read(address, ReadKind.DATA)
 
-            def writeback(address: int, data: bytes | None) -> None:
-                nvm.write(address, data if data is not None else _ZERO_BLOCK,
-                          WriteKind.DATA)
+            def writeback(address: int, data: bytes) -> None:
+                nvm.write(address, data, WriteKind.DATA)
 
             self.hierarchy.attach(fetch, writeback)
             self.drain_engine: DrainEngine = NonSecureDrain(

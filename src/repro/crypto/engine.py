@@ -1,15 +1,14 @@
 """Timed crypto engines.
 
-The engines wrap the pure primitives with (a) operation accounting into a
-:class:`~repro.stats.counters.SimStats` — the quantities Figures 13/15 report —
-and (b) an optional non-functional mode where values are not actually computed
-(counting-only), which speeds up pure performance experiments.
+The engines wrap the pure primitives with operation accounting into a
+:class:`~repro.stats.counters.SimStats` — the quantities Figures 13/15 report.
+Every call computes real values over real 64 B blocks: there is no
+counting-only mode, so every MAC comparison downstream is a real check.
 """
 
 from collections.abc import Sequence
 from typing import Protocol
 
-from repro.common.constants import MAC_SIZE
 from repro.crypto import batch
 from repro.crypto.primitives import (
     MacDomain,
@@ -20,8 +19,6 @@ from repro.crypto.primitives import (
 )
 from repro.stats.counters import SimStats
 from repro.stats.events import AesKind, MacKind
-
-_PLACEHOLDER_MAC = bytes(MAC_SIZE)
 
 _BLOCK_DOMAINS = {MacKind.CHV_DATA: MacDomain.CHV_DATA}
 _DIGEST_DOMAINS = {MacKind.CHV_LEVEL2: MacDomain.CHV_LEVEL2}
@@ -53,52 +50,41 @@ def digest_domain(kind: MacKind, domain: MacDomain | None) -> MacDomain:
 class AesEngine:
     """Counter-mode encryption engine (one pad generation per operation)."""
 
-    def __init__(self, stats: SimStats, key: bytes = DEFAULT_AES_KEY,
-                 functional: bool = True) -> None:
+    def __init__(self, stats: SimStats,
+                 key: bytes = DEFAULT_AES_KEY) -> None:
         self._stats = stats
         self._key = key
-        self.functional = functional
 
-    def encrypt(self, address: int, counter: int, plaintext: bytes | None) -> bytes | None:
+    def encrypt(self, address: int, counter: int, plaintext: bytes) -> bytes:
         """Encrypt one block; accounts one AES operation."""
         self._stats.record_aes(AesKind.ENCRYPT)
-        if not self.functional or plaintext is None:
-            return plaintext
         return encrypt_block(self._key, address, counter, plaintext)
 
-    def decrypt(self, address: int, counter: int, ciphertext: bytes | None) -> bytes | None:
+    def decrypt(self, address: int, counter: int, ciphertext: bytes) -> bytes:
         """Decrypt one block; accounts one AES operation."""
         self._stats.record_aes(AesKind.DECRYPT)
-        if not self.functional or ciphertext is None:
-            return ciphertext
         return decrypt_block(self._key, address, counter, ciphertext)
 
     def encrypt_batch(self, addresses: Sequence[int],
                       counters: Sequence[int],
-                      plaintext: bytes | bytearray | memoryview | None,
-                      frames: batch.Frames = None) -> bytes | None:
+                      plaintext: bytes | bytearray | memoryview,
+                      frames: batch.Frames = None) -> bytes:
         """Encrypt a contiguous batch; accounts one AES op per block.
 
-        ``plaintext`` is the concatenation of the batch's blocks, or
-        ``None`` in non-functional mode — the return is then ``None`` too
-        (each block's ciphertext is ``None``, as in the scalar path;
-        callers substitute zero blocks at write time).  ``frames`` shares a
-        :func:`repro.crypto.arena.frame_buffer` pass with the MAC engine.
+        ``plaintext`` is the concatenation of the batch's blocks.
+        ``frames`` shares a :func:`repro.crypto.arena.frame_buffer` pass
+        with the MAC engine.
         """
         self._stats.record_aes(AesKind.ENCRYPT, len(addresses))
-        if not self.functional or plaintext is None:
-            return None
         return batch.encrypt_blocks(self._key, addresses, counters,
                                     plaintext, frames)
 
     def decrypt_batch(self, addresses: Sequence[int],
                       counters: Sequence[int],
-                      ciphertext: bytes | bytearray | memoryview | None,
-                      frames: batch.Frames = None) -> bytes | None:
+                      ciphertext: bytes | bytearray | memoryview,
+                      frames: batch.Frames = None) -> bytes:
         """Decrypt a contiguous batch; accounts one AES op per block."""
         self._stats.record_aes(AesKind.DECRYPT, len(addresses))
-        if not self.functional or ciphertext is None:
-            return None
         return batch.decrypt_blocks(self._key, addresses, counters,
                                     ciphertext, frames)
 
@@ -106,18 +92,17 @@ class AesEngine:
 class MacEngine:
     """MAC engine; every call is one hash-latency operation."""
 
-    def __init__(self, stats: SimStats, key: bytes = DEFAULT_MAC_KEY,
-                 functional: bool = True) -> None:
+    def __init__(self, stats: SimStats,
+                 key: bytes = DEFAULT_MAC_KEY) -> None:
         self._stats = stats
         self._key = key
-        self.functional = functional
         # One keyed state per domain, forked per call: the BLAKE2b key
         # schedule costs more than hashing a 64 B block, and the scalar
         # metadata walk MACs several blocks per flushed line.
         self._states = {domain: keyed_mac_state(key, domain)
                         for domain in MacDomain}
 
-    def block_mac(self, kind: MacKind, ciphertext: bytes | None,
+    def block_mac(self, kind: MacKind, ciphertext: bytes,
                   address: int, counter: int,
                   domain: MacDomain | None = None) -> bytes:
         """MAC over (ciphertext, address, counter): the BMT-style data MAC and
@@ -130,26 +115,22 @@ class MacEngine:
         never verify outside the domain it was written for.
         """
         self._stats.record_mac(kind)
-        if not self.functional or ciphertext is None:
-            return _PLACEHOLDER_MAC
         h = self._states[block_domain(kind, domain)].copy()
         h.update(ciphertext)
         h.update(int_field(address))
         h.update(int_field(counter, 16))
         return h.digest()
 
-    def node_mac(self, kind: MacKind, content: bytes | None,
+    def node_mac(self, kind: MacKind, content: bytes,
                  address: int) -> bytes:
         """MAC over a 64 B metadata block bound to its address (tree slots)."""
         self._stats.record_mac(kind)
-        if not self.functional or content is None:
-            return _PLACEHOLDER_MAC
         h = self._states[MacDomain.NODE].copy()
         h.update(content)
         h.update(int_field(address))
         return h.digest()
 
-    def digest_mac(self, kind: MacKind, content: bytes | None,
+    def digest_mac(self, kind: MacKind, content: bytes,
                    domain: MacDomain | None = None) -> bytes:
         """MAC over raw content (Horus-DLM second level, cache-tree levels).
 
@@ -158,50 +139,36 @@ class MacEngine:
         node domain; verifiers of DLM MACs pass ``domain`` explicitly.
         """
         self._stats.record_mac(kind)
-        if not self.functional or content is None:
-            return _PLACEHOLDER_MAC
         h = self._states[digest_domain(kind, domain)].copy()
         h.update(content)
         return h.digest()
 
     def block_mac_batch(self, kind: MacKind,
-                        buffer: bytes | bytearray | memoryview | None,
+                        buffer: bytes | bytearray | memoryview,
                         addresses: Sequence[int], counters: Sequence[int],
                         domain: MacDomain | None = None,
                         frames: batch.Frames = None) -> list[bytes]:
         """Batched :meth:`block_mac`: one accounted MAC per element.
 
-        ``buffer`` holds the batch's ciphertext blocks contiguously;
-        ``None`` is the non-functional form (placeholder MACs, same as the
-        scalar path with ``ciphertext=None``).  Domain resolution is
-        identical to :meth:`block_mac`; ``frames`` shares a
-        :func:`repro.crypto.arena.frame_buffer` pass with the AES engine.
+        ``buffer`` holds the batch's ciphertext blocks contiguously.
+        Domain resolution is identical to :meth:`block_mac`; ``frames``
+        shares a :func:`repro.crypto.arena.frame_buffer` pass with the AES
+        engine.
         """
-        count = len(addresses)
-        self._stats.record_mac(kind, count)
-        if not self.functional or buffer is None:
-            return [_PLACEHOLDER_MAC] * count
+        self._stats.record_mac(kind, len(addresses))
         return batch.compute_block_macs(self._key, buffer, addresses,
                                         counters, block_domain(kind, domain),
                                         frames)
 
     def digest_mac_batch(self, kind: MacKind,
-                         contents: Sequence[bytes | memoryview] | None,
+                         contents: Sequence[bytes | memoryview],
                          count: int,
                          domain: MacDomain | None = None) -> list[bytes]:
         """Batched :meth:`digest_mac` over ``count`` raw contents."""
         self._stats.record_mac(kind, count)
-        if not self.functional or contents is None:
-            return [_PLACEHOLDER_MAC] * count
         return batch.compute_macs(self._key,
                                   ((content,) for content in contents),
                                   domain=digest_domain(kind, domain))
-
-    def verify_equal(self, expected: bytes, actual: bytes) -> bool:
-        """Compare MACs; in non-functional mode everything verifies."""
-        if not self.functional:
-            return True
-        return expected == actual
 
 
 class KeySchedule(Protocol):
@@ -217,7 +184,6 @@ class KeySchedule(Protocol):
     (``None``) is the plain master-keyed pair.
     """
 
-    def build(self, stats: SimStats,
-              functional: bool) -> "tuple[AesEngine, MacEngine]":
+    def build(self, stats: SimStats) -> "tuple[AesEngine, MacEngine]":
         """Return the (AES engine, MAC engine) pair for one controller."""
         ...

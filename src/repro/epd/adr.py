@@ -57,8 +57,7 @@ class AdrSecureSystem:
         # persistence).  Lazy would need Osiris/Anubis machinery per write.
         self.controller = SecureMemoryController(
             self.config, self.nvm, self.layout, self.stats, scheme=scheme)
-        self.hierarchy = CacheHierarchy(
-            self.config, functional=self.config.security.functional)
+        self.hierarchy = CacheHierarchy(self.config)
         # Capacity evictions from a volatile hierarchy still reach NVM
         # through the secure controller (as in any secure-memory system).
         self.hierarchy.attach(self.controller.read, self.controller.write)
@@ -99,7 +98,7 @@ class AdrSecureSystem:
             self._wpq.popitem(last=False)
             self.persist_stalls += 1
         self.controller.write(address, data)
-        self._wpq[address] = data if data is not None else b""
+        self._wpq[address] = data
         level.clean(address)
         self.persists += 1
 

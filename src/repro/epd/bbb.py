@@ -45,8 +45,7 @@ class BbbSecureSystem:
         self.nvm = NvmDevice(self.layout.total_size, self.stats)
         self.controller = SecureMemoryController(
             self.config, self.nvm, self.layout, self.stats, scheme=scheme)
-        self.hierarchy = CacheHierarchy(
-            self.config, functional=self.config.security.functional)
+        self.hierarchy = CacheHierarchy(self.config)
         # A dirty line leaving the volatile hierarchy may still be younger
         # than the NVM copy only if it is also bbuf-resident, in which case
         # the bbuf write-through covers it; writing it back is safe either

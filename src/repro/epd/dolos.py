@@ -23,8 +23,6 @@ from repro.crypto.primitives import MacDomain
 from repro.epd.adr import AdrSecureSystem
 from repro.stats.events import MacKind, ReadKind, WriteKind
 
-_ZERO = bytes(CACHE_LINE_SIZE)
-
 
 class DolosAdrSystem(AdrSecureSystem):
     """ADR whose persist critical path is one MSU staging write."""
@@ -35,7 +33,7 @@ class DolosAdrSystem(AdrSecureSystem):
         if background_batch <= 0:
             raise ConfigError("background batch must be positive")
         self._msu_counter = DrainCounter()
-        self._staged: deque[tuple[int, int, bytes | None]] = deque()
+        self._staged: deque[tuple[int, int, bytes]] = deque()
         self._background_batch = background_batch
         self.background_writes = 0
         # The staging area reuses the reserved shadow region: Dolos needs a
@@ -67,8 +65,7 @@ class DolosAdrSystem(AdrSecureSystem):
         entry = self._staging.block_at((counter % self._ring_slots) * 2)
         self.nvm.write(entry, address.to_bytes(8, "little")
                        .ljust(CACHE_LINE_SIZE, b"\0"), WriteKind.CHV_ADDRESS)
-        self.nvm.write(entry + CACHE_LINE_SIZE,
-                       ciphertext if ciphertext is not None else _ZERO,
+        self.nvm.write(entry + CACHE_LINE_SIZE, ciphertext,
                        WriteKind.CHV_DATA)
         self._staged.append((address, counter, data))
         level.clean(address)

@@ -10,12 +10,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.common.constants import CACHE_LINE_SIZE
 from repro.stats.counters import SimStats
 from repro.stats.timing import TimingModel
 from repro.stats.events import WriteKind
-
-_ZERO_BLOCK = bytes(CACHE_LINE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -104,13 +101,11 @@ class NonSecureDrain(DrainEngine):
             # update — exactly what per-line issue would record).
             lines = list(hierarchy.drain_lines(seed))
             addresses = [address for address, _ in lines]
-            buffer = b"".join(data if data is not None else _ZERO_BLOCK
-                              for _, data in lines)
+            buffer = b"".join(data for _, data in lines)
             self._nvm.write_arena(addresses, buffer, WriteKind.DATA)
             return len(lines), 0
         flushed = 0
         for address, data in hierarchy.drain_lines(seed):
-            payload = data if data is not None else _ZERO_BLOCK
-            self._nvm.write(address, payload, WriteKind.DATA)
+            self._nvm.write(address, data, WriteKind.DATA)
             flushed += 1
         return flushed, 0

@@ -107,14 +107,12 @@ def episode_key(config: SystemConfig, scheme: str, fill: str,
 
 
 def experiment_key(name: str, config: SystemConfig, scale: int,
-                   functional: bool, fill_seed: int,
-                   drain_seed: int) -> str:
+                   fill_seed: int, drain_seed: int) -> str:
     """Cache key for one whole experiment result."""
     return _digest("experiment", {
         "experiment": name,
         "config": config_token(config),
         "scale": scale,
-        "functional": functional,
         "fill_seed": fill_seed,
         "drain_seed": drain_seed,
     })

@@ -130,12 +130,11 @@ _WORKER_SUITE: DrainSuite | None = None
 _WORKER_CACHE: ResultCache | None = None
 
 
-def _worker_init(scale: int, functional: bool, cache_spec: dict | None,
+def _worker_init(scale: int, cache_spec: dict | None,
                  prewarmed: dict) -> None:
     global _WORKER_SUITE, _WORKER_CACHE
     _WORKER_CACHE = ResultCache(**cache_spec) if cache_spec else None
-    _WORKER_SUITE = DrainSuite(scale=scale, functional=functional,
-                               cache=_WORKER_CACHE)
+    _WORKER_SUITE = DrainSuite(scale=scale, cache=_WORKER_CACHE)
     for (scheme, llc_size), report in prewarmed.items():
         _WORKER_SUITE.seed_report(scheme, llc_size, report)
 
@@ -145,20 +144,17 @@ def _worker_experiment(name: str):
     start = time.perf_counter()
     result = EXPERIMENTS[name](_WORKER_SUITE)
     if _WORKER_CACHE is not None:
-        key = experiment_key(name, _WORKER_SUITE.config(),
-                             _WORKER_SUITE.scale, _WORKER_SUITE.functional,
-                             FILL_SEED, DRAIN_SEED)
-        _WORKER_CACHE.put(key, result)
+        _WORKER_CACHE.put(_experiment_cache_key(name, _WORKER_SUITE), result)
     seconds = time.perf_counter() - start
     counters = _WORKER_CACHE.counters() if _WORKER_CACHE else {}
     return name, result, seconds, str(os.getpid()), counters
 
 
-def _episode_task(scale: int, functional: bool, scheme: str,
-                  llc_size: int | None, cache_spec: dict | None):
+def _episode_task(scale: int, scheme: str, llc_size: int | None,
+                  cache_spec: dict | None):
     """Compute one default-path drain episode (parallel prewarm)."""
     cache = ResultCache(**cache_spec) if cache_spec else None
-    suite = DrainSuite(scale=scale, functional=functional, cache=cache)
+    suite = DrainSuite(scale=scale, cache=cache)
     start = time.perf_counter()
     report = suite.drain(scheme, llc_size=llc_size)
     seconds = time.perf_counter() - start
@@ -176,8 +172,8 @@ def _episode_label(scheme: str, llc_size: int | None) -> str:
 
 
 def run_experiments_profiled(
-        names: list[str], scale: int = 16, functional: bool = True,
-        jobs: int = 1, cache: ResultCache | None = None,
+        names: list[str], scale: int = 16, jobs: int = 1,
+        cache: ResultCache | None = None,
 ) -> tuple[list[ExperimentResult], RunProfile]:
     """Run the named experiments; return results plus a :class:`RunProfile`.
 
@@ -192,11 +188,10 @@ def run_experiments_profiled(
         raise KeyError(f"unknown experiments: {unknown}")
 
     if jobs <= 1:
-        results = _run_serial(names, scale, functional, cache, profile,
-                              run_start)
+        results = _run_serial(names, scale, cache, profile, run_start)
     else:
-        results = _run_parallel(names, scale, functional, jobs, cache,
-                                profile, run_start)
+        results = _run_parallel(names, scale, jobs, cache, profile,
+                                run_start)
 
     profile.wall_seconds = time.perf_counter() - run_start
     if cache is not None:
@@ -206,11 +201,11 @@ def run_experiments_profiled(
 
 def _experiment_cache_key(name: str, suite: DrainSuite) -> str:
     return experiment_key(name, suite.config(), suite.scale,
-                          suite.functional, FILL_SEED, DRAIN_SEED)
+                          FILL_SEED, DRAIN_SEED)
 
 
-def _run_serial(names, scale, functional, cache, profile, run_start):
-    suite = DrainSuite(scale=scale, functional=functional, cache=cache)
+def _run_serial(names, scale, cache, profile, run_start):
+    suite = DrainSuite(scale=scale, cache=cache)
     results = []
     for name in names:
         started = time.perf_counter() - run_start
@@ -234,10 +229,10 @@ def _run_serial(names, scale, functional, cache, profile, run_start):
     return results
 
 
-def _run_parallel(names, scale, functional, jobs, cache, profile, run_start):
+def _run_parallel(names, scale, jobs, cache, profile, run_start):
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    suite = DrainSuite(scale=scale, functional=functional, cache=cache)
+    suite = DrainSuite(scale=scale, cache=cache)
     cache_spec = cache.spec() if cache is not None else None
 
     # Phase 0: serve whole experiments straight from the persistent cache.
@@ -284,8 +279,8 @@ def _run_parallel(names, scale, functional, jobs, cache, profile, run_start):
     if to_compute:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                pool.submit(_episode_task, scale, functional, scheme,
-                            llc_size, cache_spec): (scheme, llc_size)
+                pool.submit(_episode_task, scale, scheme, llc_size,
+                            cache_spec): (scheme, llc_size)
                 for scheme, llc_size in to_compute
             }
             for future in as_completed(futures):
@@ -302,7 +297,7 @@ def _run_parallel(names, scale, functional, jobs, cache, profile, run_start):
     if scheduled:
         with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_worker_init,
-                initargs=(scale, functional, cache_spec, prewarmed)) as pool:
+                initargs=(scale, cache_spec, prewarmed)) as pool:
             futures = [pool.submit(_worker_experiment, name)
                        for name in scheduled]
             for future in as_completed(futures):
@@ -317,13 +312,12 @@ def _run_parallel(names, scale, functional, jobs, cache, profile, run_start):
     return [finished[name] for name in names]
 
 
-def run_experiments(names: list[str], scale: int = 16,
-                    functional: bool = True, jobs: int = 1,
+def run_experiments(names: list[str], scale: int = 16, jobs: int = 1,
                     cache: ResultCache | None = None
                     ) -> list[ExperimentResult]:
     """Run the named experiments over one shared drain suite."""
     results, _ = run_experiments_profiled(
-        names, scale=scale, functional=functional, jobs=jobs, cache=cache)
+        names, scale=scale, jobs=jobs, cache=cache)
     return results
 
 
@@ -336,8 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", type=int, default=16,
                         help="config shrink factor, power of two "
                              "(1 = full paper scale; default 16)")
-    parser.add_argument("--fast", action="store_true",
-                        help="counting-only mode (skips real crypto values)")
     parser.add_argument("--jobs", type=int, default=default_jobs(),
                         metavar="N",
                         help="worker processes (default: all cores; "
@@ -375,8 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.no_cache:
         cache = ResultCache(root=args.cache_dir, refresh=args.refresh)
     results, profile = run_experiments_profiled(
-        names, scale=args.scale, functional=not args.fast,
-        jobs=args.jobs, cache=cache)
+        names, scale=args.scale, jobs=args.jobs, cache=cache)
 
     if args.output:
         from repro.experiments.export import write_results

@@ -27,23 +27,17 @@ FILL_MODES = ("sparse", "sequential")
 class DrainSuite:
     """Runs and memoizes worst-case drain episodes."""
 
-    def __init__(self, scale: int = 16, functional: bool = True,
-                 llc_size: int = mib(16), cache=None):
+    def __init__(self, scale: int = 16, llc_size: int = mib(16),
+                 cache=None):
         self.scale = scale
-        self.functional = functional
         self.llc_size = llc_size
         self.cache = cache
         self._reports: dict[tuple[int, str], DrainReport] = {}
         self._episodes: dict[tuple, DrainReport] = {}
 
     def config(self, llc_size: int | None = None) -> SystemConfig:
-        config = SystemConfig.scaled(
+        return SystemConfig.scaled(
             self.scale, llc_size if llc_size is not None else self.llc_size)
-        if not self.functional:
-            from dataclasses import replace
-            config = replace(
-                config, security=replace(config.security, functional=False))
-        return config
 
     def drain(self, scheme: str, llc_size: int | None = None) -> DrainReport:
         """The worst-case drain report for ``scheme`` (memoized)."""

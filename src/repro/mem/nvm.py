@@ -143,9 +143,10 @@ class NvmDevice:
         Exactly :meth:`write` per item: stats, wear and trace see every
         request in order, and an attached fault plan filters each write
         individually (so a power cut mid-batch loses exactly the tail it
-        would have lost under scalar issue).  Callers reach for it when
-        :attr:`grouped_io` is false and a specific interleaving must
-        survive; grouped issue goes through :meth:`write_arena`.
+        would have lost under scalar issue).  The simulator's engines issue
+        through :meth:`write` and :meth:`write_arena`; this entry point
+        stays public because ``bench_e2e``'s per-layer tracer wraps it by
+        name (``mem.batch_s``).
         """
         for address, data, kind in items:
             self.write(address, data, kind)
@@ -156,9 +157,8 @@ class NvmDevice:
 
         A fault plan or request trace needs to see every write
         individually and in program order; when either is attached the
-        callers must fall back to the per-request (or interleaved
-        ``write_batch``) form so those channels record exactly what scalar
-        issue would have recorded.  Wear does not: a per-block write count
+        callers must fall back to per-request issue so those channels
+        record exactly what scalar issue would have recorded.  Wear does not: a per-block write count
         is the same whatever order the writes land in, so
         :meth:`write_arena` records it per block on the grouped path too.
         """
@@ -176,9 +176,9 @@ class NvmDevice:
         to scalar issue in list order, so fault plans and traces observe
         the same per-request stream the scalar path would produce; an
         attached wear tracker counts every block either way.
-        Callers that need a specific *interleaving* with other writes under
-        a fault plan must check :attr:`grouped_io` themselves and build
-        that interleaved stream.
+        Callers whose scalar order interleaves this batch with other
+        writes must check :attr:`grouped_io` themselves and take their
+        scalar path when it is false.
         """
         count = len(addresses)
         single = isinstance(kinds, WriteKind)

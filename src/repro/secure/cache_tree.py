@@ -61,11 +61,10 @@ class ShadowRecovery:
         num_leaves = count + address_blocks
         num_macs = num_leaves + sum(tree_level_sizes(num_leaves, arity))
         controller.stats.record_mac(MacKind.CACHE_TREE, num_macs)
-        if controller.functional:
-            root = InMemoryMerkleTree(contents + address_payloads, arity).root
-            if root != controller.cache_tree_root:
-                raise IntegrityError(
-                    "metadata-cache shadow image failed verification")
+        root = InMemoryMerkleTree(contents + address_payloads, arity).root
+        if root != controller.cache_tree_root:
+            raise IntegrityError(
+                "metadata-cache shadow image failed verification")
 
         for position, (address, content) in enumerate(zip(addresses,
                                                           contents)):

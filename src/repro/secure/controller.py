@@ -54,7 +54,6 @@ class SecureMemoryController:
         self.nvm = nvm
         self.layout = layout
         self.stats = stats
-        self.functional = config.security.functional
         self.batched = batched
         self.scheme = (scheme if isinstance(scheme, UpdateScheme)
                        else make_scheme(scheme))
@@ -63,10 +62,10 @@ class SecureMemoryController:
         # drain engine captures them at construction), so alternate keying
         # is injected here rather than swapped in afterwards.
         if key_schedule is None:
-            self.aes = AesEngine(stats, functional=self.functional)
-            self.mac = MacEngine(stats, functional=self.functional)
+            self.aes = AesEngine(stats)
+            self.mac = MacEngine(stats)
         else:
-            self.aes, self.mac = key_schedule.build(stats, self.functional)
+            self.aes, self.mac = key_schedule.build(stats)
         self._defaults = DefaultNodes(self.mac._key, layout.num_tree_levels)
 
         sec = config.security
@@ -111,7 +110,7 @@ class SecureMemoryController:
     # Public data path
     # ------------------------------------------------------------------
 
-    def write(self, address: int, plaintext: bytes | None) -> None:
+    def write(self, address: int, plaintext: bytes) -> None:
         """Encrypt and persist one 64 B data block with full protection.
 
         This is both the run-time LLC-writeback path and the per-line step of
@@ -135,8 +134,7 @@ class SecureMemoryController:
             MacKind.DATA_PROTECT, ciphertext, address, counter,
             domain=MacDomain.DATA)
         self._store_data_mac(address, mac_value)
-        self.nvm.write(address, ciphertext if ciphertext is not None
-                       else _ZERO_BLOCK, WriteKind.DATA)
+        self.nvm.write(address, ciphertext, WriteKind.DATA)
         self.scheme.on_data_write(self, counter_line)
         self.drain_victims()
 
@@ -158,12 +156,12 @@ class SecureMemoryController:
         actual_mac = self.mac.block_mac(
             MacKind.VERIFY, ciphertext, address, counter,
             domain=MacDomain.DATA)
-        if self.functional and stored_mac != actual_mac:
+        if stored_mac != actual_mac:
             raise IntegrityError(
                 f"data MAC mismatch at {address:#x}", address)
         plaintext = self.aes.decrypt(address, counter, ciphertext)
         self.drain_victims()
-        return plaintext if plaintext is not None else _ZERO_BLOCK
+        return plaintext
 
     # ------------------------------------------------------------------
     # Batched run-time execution (epoch replay)
@@ -222,9 +220,10 @@ class SecureMemoryController:
         prefix completes through the five stages, the overflowing op runs
         its page re-encryption on the scalar path, and a fresh segment
         resumes after it.  Accounting side channels the grouped NVM issue
-        cannot reproduce exactly (request traces, fault plans) force the
-        scalar path, as do an armed :attr:`op_hook` and non-functional
-        mode; wear counts per block and rides the grouped issue.
+        cannot reproduce exactly (request traces, fault plans: see
+        :attr:`~repro.mem.nvm.NvmDevice.grouped_io`) force the scalar path,
+        as does an armed :attr:`op_hook`; wear counts per block and rides
+        the grouped issue.
 
         Failures.  An exception raised in stage 1 — a counter-block or
         tree-node MAC mismatch, or a bad address — leaves exactly the
@@ -238,16 +237,12 @@ class SecureMemoryController:
         have already run stages 1-4, so their counters and metadata state
         may differ from scalar.
         """
-        nvm = self.nvm
-        if (not self.batched or not self.functional
-                or nvm.trace is not None or nvm.fault_plan is not None
-                or self.op_hook is not None
-                or any(data is None
-                       for kind, _, data in ops if kind == "w")):
+        if (not self.batched or not self.nvm.grouped_io
+                or self.op_hook is not None):
             results = self.run_ops(ops)
             if fetches:
-                # Cold path only (hooked / traced / non-functional runs):
-                # the scalar results carry one entry per op.
+                # Cold path only (hooked / traced / faulted runs): the
+                # scalar results carry one entry per op.
                 return [result for op, result in zip(ops, results)
                         if op[0] == "r"]
             return results
@@ -446,9 +441,7 @@ class SecureMemoryController:
             MacKind.DATA_PROTECT, overflow_ct, address, counter,
             domain=MacDomain.DATA)
         self._store_data_mac(address, mac_value)
-        self.nvm.write(address,
-                       overflow_ct if overflow_ct is not None
-                       else _ZERO_BLOCK, WriteKind.DATA)
+        self.nvm.write(address, overflow_ct, WriteKind.DATA)
         self.scheme.on_data_write(self, counter_line)
         self.drain_victims()
         return overflow + 1
@@ -477,7 +470,6 @@ class SecureMemoryController:
             frames = frame_buffer(write_addrs, write_ctrs)
             ciphertext = self.aes.encrypt_batch(
                 write_addrs, write_ctrs, b"".join(write_data), frames)
-            assert ciphertext is not None  # functional mode, data present
             write_macs = self.mac.block_mac_batch(
                 MacKind.DATA_PROTECT, ciphertext, write_addrs, write_ctrs,
                 domain=MacDomain.DATA, frames=frames)
@@ -623,7 +615,6 @@ class SecureMemoryController:
                     raise IntegrityError(
                         f"data MAC mismatch at {address:#x}", address)
             plaintext = self.aes.decrypt_batch(read_addrs, read_ctrs, read_ct)
-            assert plaintext is not None
             for pos, op_index in enumerate(read_ops):
                 results[op_index] = plaintext[pos * CACHE_LINE_SIZE:
                                               (pos + 1) * CACHE_LINE_SIZE]
@@ -681,7 +672,7 @@ class SecureMemoryController:
         actual = self.mac.digest_mac(MacKind.VERIFY, raw,
                                      domain=MacDomain.NODE)
         expected = self._counter_slot_mac(cb_address)
-        if self.functional and actual != expected:
+        if actual != expected:
             raise IntegrityError(
                 f"counter block MAC mismatch at {cb_address:#x}", cb_address)
 
@@ -731,7 +722,7 @@ class SecureMemoryController:
         actual = self.mac.digest_mac(MacKind.VERIFY, raw,
                                      domain=MacDomain.NODE)
         expected = self._node_parent_mac(level, index)
-        if self.functional and actual != expected:
+        if actual != expected:
             raise IntegrityError(
                 f"tree node ({level},{index}) MAC mismatch", address)
 
@@ -904,9 +895,7 @@ class SecureMemoryController:
                 MacKind.DATA_PROTECT, new_ct, line_address,
                 new.counter_for(slot), domain=MacDomain.DATA)
             self._store_data_mac(line_address, mac_value)
-            self.nvm.write(line_address,
-                           new_ct if new_ct is not None else _ZERO_BLOCK,
-                           WriteKind.DATA)
+            self.nvm.write(line_address, new_ct, WriteKind.DATA)
 
     # ------------------------------------------------------------------
     # Drain / recovery support

@@ -147,7 +147,7 @@ class OsirisRecovery:
                     mac = controller.mac.block_mac(
                         MacKind.VERIFY, ciphertext, data_address, candidate,
                         domain=MacDomain.DATA)
-                    if controller.mac.verify_equal(stored_mac, mac):
+                    if stored_mac == mac:
                         if delta:
                             self._apply_delta(block, slot, delta)
                             changed = True

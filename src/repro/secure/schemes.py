@@ -103,24 +103,14 @@ class LazyUpdateScheme(UpdateScheme):
         num_leaves = len(lines) + len(address_payloads)
         num_macs = num_leaves + sum(tree_level_sizes(num_leaves, arity))
         controller.stats.record_mac(MacKind.CACHE_TREE, num_macs)
-        if controller.functional:
-            contents = [controller.line_bytes(line) for line in lines]
-            controller.cache_tree_root = InMemoryMerkleTree(
-                contents + address_payloads, arity).root
-        else:
-            controller.cache_tree_root = b"\0" * 8
+        leaves = [controller.line_bytes(line) for line in lines]
+        leaves += address_payloads
+        controller.cache_tree_root = InMemoryMerkleTree(leaves, arity).root
 
         shadow = controller.layout.shadow
-        index = 0
-        for line in lines:
-            controller.nvm.write(shadow.block_at(index),
-                                 controller.line_bytes(line),
-                                 WriteKind.SHADOW)
-            index += 1
-        for payload in address_payloads:
+        for index, payload in enumerate(leaves):
             controller.nvm.write(shadow.block_at(index), payload,
                                  WriteKind.SHADOW)
-            index += 1
         controller.shadow_count = len(lines)
 
 

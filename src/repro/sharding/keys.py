@@ -20,7 +20,7 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from repro.common.constants import CACHE_LINE_SIZE, MAC_SIZE
+from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import ConfigError
 from repro.crypto import batch
 from repro.crypto.engine import (
@@ -41,7 +41,6 @@ from repro.stats.counters import SimStats
 from repro.stats.events import AesKind, MacKind
 
 TENANT_KEY_SIZE = 32
-_PLACEHOLDER_MAC = bytes(MAC_SIZE)
 
 MASTER_TENANT = -1
 """Pseudo tenant id for addresses no extent owns (master-keyed)."""
@@ -184,36 +183,28 @@ class TenantKeyedAes(AesEngine):
     extent use the master key, so metadata-path users are unaffected.
     """
 
-    def __init__(self, stats: SimStats, keyring: TenantKeyring,
-                 functional: bool = True) -> None:
-        super().__init__(stats, key=keyring.aes_master, functional=functional)
+    def __init__(self, stats: SimStats, keyring: TenantKeyring) -> None:
+        super().__init__(stats, key=keyring.aes_master)
         self.keyring = keyring
 
     def encrypt(self, address: int, counter: int,
-                plaintext: bytes | None) -> bytes | None:
+                plaintext: bytes) -> bytes:
         """Encrypt one block under its owning tenant's key."""
         self._stats.record_aes(AesKind.ENCRYPT)
-        if not self.functional or plaintext is None:
-            return plaintext
         key = self.keyring.aes_key(self.keyring.tenant_of(address))
         return encrypt_block(key, address, counter, plaintext)
 
     def decrypt(self, address: int, counter: int,
-                ciphertext: bytes | None) -> bytes | None:
+                ciphertext: bytes) -> bytes:
         """Decrypt one block under its owning tenant's key."""
         self._stats.record_aes(AesKind.DECRYPT)
-        if not self.functional or ciphertext is None:
-            return ciphertext
         key = self.keyring.aes_key(self.keyring.tenant_of(address))
         return decrypt_block(key, address, counter, ciphertext)
 
     def _run_batch(self, kind: AesKind, addresses: Sequence[int],
                    counters: Sequence[int],
-                   buffer: bytes | bytearray | memoryview | None
-                   ) -> bytes | None:
+                   buffer: bytes | bytearray | memoryview) -> bytes:
         self._stats.record_aes(kind, len(addresses))
-        if not self.functional or buffer is None:
-            return None
         view = memoryview(buffer)
         parts: list[bytes] = []
         for start, end, tenant in self.keyring.key_runs(addresses):
@@ -225,8 +216,8 @@ class TenantKeyedAes(AesEngine):
 
     def encrypt_batch(self, addresses: Sequence[int],
                       counters: Sequence[int],
-                      plaintext: bytes | bytearray | memoryview | None,
-                      frames: batch.Frames = None) -> bytes | None:
+                      plaintext: bytes | bytearray | memoryview,
+                      frames: batch.Frames = None) -> bytes:
         """Batched :meth:`encrypt`: one crypto batch per same-tenant run.
 
         ``frames`` is accepted for interface parity but recomputed per run
@@ -238,8 +229,8 @@ class TenantKeyedAes(AesEngine):
 
     def decrypt_batch(self, addresses: Sequence[int],
                       counters: Sequence[int],
-                      ciphertext: bytes | bytearray | memoryview | None,
-                      frames: batch.Frames = None) -> bytes | None:
+                      ciphertext: bytes | bytearray | memoryview,
+                      frames: batch.Frames = None) -> bytes:
         """Batched :meth:`decrypt` (counter mode: same op as encryption)."""
         return self._run_batch(AesKind.DECRYPT, addresses, counters,
                                ciphertext)
@@ -254,33 +245,27 @@ class TenantKeyedMac(MacEngine):
     tree spans all tenants and its content is controller metadata.
     """
 
-    def __init__(self, stats: SimStats, keyring: TenantKeyring,
-                 functional: bool = True) -> None:
-        super().__init__(stats, key=keyring.mac_master, functional=functional)
+    def __init__(self, stats: SimStats, keyring: TenantKeyring) -> None:
+        super().__init__(stats, key=keyring.mac_master)
         self.keyring = keyring
 
-    def block_mac(self, kind: MacKind, ciphertext: bytes | None,
+    def block_mac(self, kind: MacKind, ciphertext: bytes,
                   address: int, counter: int,
                   domain: MacDomain | None = None) -> bytes:
         """Per-block data/CHV MAC under the owning tenant's key."""
         self._stats.record_mac(kind)
-        if not self.functional or ciphertext is None:
-            return _PLACEHOLDER_MAC
         key = self.keyring.mac_key(self.keyring.tenant_of(address))
         return compute_mac(key, ciphertext, int_field(address),
                            int_field(counter, 16),
                            domain=block_domain(kind, domain))
 
     def block_mac_batch(self, kind: MacKind,
-                        buffer: bytes | bytearray | memoryview | None,
+                        buffer: bytes | bytearray | memoryview,
                         addresses: Sequence[int], counters: Sequence[int],
                         domain: MacDomain | None = None,
                         frames: batch.Frames = None) -> list[bytes]:
         """Batched :meth:`block_mac`: one MAC batch per same-tenant run."""
-        count = len(addresses)
-        self._stats.record_mac(kind, count)
-        if not self.functional or buffer is None:
-            return [_PLACEHOLDER_MAC] * count
+        self._stats.record_mac(kind, len(addresses))
         resolved = block_domain(kind, domain)
         view = memoryview(buffer)
         macs: list[bytes] = []
@@ -302,8 +287,7 @@ class TenantKeySchedule:
 
     keyring: TenantKeyring
 
-    def build(self, stats: SimStats,
-              functional: bool) -> tuple[AesEngine, MacEngine]:
+    def build(self, stats: SimStats) -> tuple[AesEngine, MacEngine]:
         """Return the tenant-keyed engine pair for one controller."""
-        return (TenantKeyedAes(stats, self.keyring, functional=functional),
-                TenantKeyedMac(stats, self.keyring, functional=functional))
+        return (TenantKeyedAes(stats, self.keyring),
+                TenantKeyedMac(stats, self.keyring))

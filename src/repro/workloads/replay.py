@@ -32,7 +32,6 @@ non-inclusive hierarchies and systems that lack the batch hooks entirely
 import time
 from typing import Any, cast
 
-from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import ConfigError
 from repro.common.gcpause import collector_paused
 from repro.stats.events import ReadKind, WriteKind
@@ -42,8 +41,6 @@ from repro.workloads.trace import MemoryOp, OpKind
 DEFAULT_EPOCH_OPS = 4096
 """Trace ops per fused epoch: big enough to amortize the batched crypto
 kernels, small enough that an epoch's deferred fills stay cache-resident."""
-
-_ZERO_BLOCK = bytes(CACHE_LINE_SIZE)
 
 
 def _eligible(system: Any, batched: bool | None) -> bool:
@@ -59,9 +56,7 @@ def _eligible(system: Any, batched: bool | None) -> bool:
     if getattr(system, "layout", None) is None:
         return False
     nvm = getattr(system, "nvm", None)
-    if nvm is None or nvm.trace is not None or nvm.fault_plan is not None:
-        return False
-    return True
+    return nvm is not None and nvm.grouped_io
 
 
 def _run_plain(nvm: Any, mem_ops: "list[tuple[str, int, bytes | None]]") \
@@ -90,9 +85,8 @@ def _run_plain(nvm: Any, mem_ops: "list[tuple[str, int, bytes | None]]") \
             # so the run lands as one arena write: same image, same folded
             # stats and wear, no per-op tuple stream.
             addresses = [mem_ops[i][1] for i in range(pos, stop)]
-            buffer = b"".join(
-                mem_ops[i][2] if mem_ops[i][2] is not None else _ZERO_BLOCK
-                for i in range(pos, stop))
+            buffer = b"".join(cast(bytes, mem_ops[i][2])
+                              for i in range(pos, stop))
             nvm.write_arena(addresses, buffer, WriteKind.DATA)
         pos = stop
     return fetched

@@ -34,8 +34,8 @@ class MemoryOp:
         if self.address % CACHE_LINE_SIZE:
             raise AlignmentError(
                 f"trace address {self.address:#x} not line aligned")
-        if self.kind is OpKind.WRITE and self.data is not None \
-                and len(self.data) != CACHE_LINE_SIZE:
+        if self.kind is OpKind.WRITE and (
+                self.data is None or len(self.data) != CACHE_LINE_SIZE):
             raise AlignmentError("trace write payload must be one full line")
 
 

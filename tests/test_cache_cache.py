@@ -24,7 +24,8 @@ class TestLookupInsert:
         assert cache.misses == 1 and cache.hits == 1
 
     def test_none_payload_is_a_hit(self, cache):
-        """Counting-only runs carry None payloads; MISS tells them apart."""
+        """The lanes never inspect payloads, so no payload value means
+        "absent": even ``None`` is a hit, and only MISS marks a miss."""
         cache.insert(0, None)
         assert cache.lookup(0) is None
         assert cache.hits == 1 and cache.misses == 0

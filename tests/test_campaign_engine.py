@@ -188,14 +188,6 @@ class TestApplicability:
             run_campaign_cell(tiny_config, "nosec", False,
                               Scenario("tamper", "chv"), "pre-recovery")
 
-    def test_run_campaign_rejects_non_functional_config(self, tiny_config):
-        from dataclasses import replace
-        config = replace(
-            tiny_config,
-            security=replace(tiny_config.security, functional=False))
-        with pytest.raises(ConfigError, match="functional"):
-            run_campaign(config)
-
 
 class TestMatrixParity:
     """One classification path: the 28-cell crash matrix delegates to the

@@ -192,3 +192,34 @@ class TestEpisodeTail:
         assert report.stats.macs[MacKind.CHV_LEVEL2] == -(-lines // 8)
         assert report.stats.writes[WriteKind.CHV_ADDRESS] == -(-lines // 8)
         assert report.stats.writes[WriteKind.CHV_MAC] == -(-lines // 64)
+
+
+class TestWatchedDevice:
+    """A fault plan or request trace watches every write, so a batched
+    engine drains such a device through the scalar engine: the same
+    requests in the same order, and a power cut loses the same tail."""
+
+    @pytest.mark.parametrize("watch", ["power-cut", "trace"])
+    @pytest.mark.parametrize("scheme", ["horus-slm", "horus-dlm"])
+    def test_batched_drain_matches_scalar_write_for_write(
+            self, tiny_config, scheme, watch):
+        observed = []
+        for batched in (False, True):
+            system = SecureEpdSystem(tiny_config, scheme=scheme,
+                                     batched=batched)
+            system.fill_worst_case(seed=1)
+            if watch == "trace":
+                system.nvm.trace = []
+            else:
+                # Mid-group: 8 data writes, then the group's address block
+                # and (SLM) MAC block, so the cut exposes the interleaving.
+                system.nvm.write_budget = 37
+            report = system.crash(seed=2)
+            observed.append((system.nvm.backend.image(),
+                             list(system.nvm.lost_writes), system.nvm.trace,
+                             report.stats.snapshot()))
+        scalar, batched = observed
+        assert batched == scalar
+        # The watch saw the drain: the cut lost writes, or the trace grew.
+        assert scalar[1] if watch == "power-cut" else scalar[2]
+

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common.errors import ConfigError, DrainStateError
+from repro.attacks.adversary import Adversary
+from repro.common.errors import ConfigError, DrainStateError, IntegrityError
 from repro.core.system import SCHEMES, SecureEpdSystem
 
 
@@ -104,6 +105,24 @@ class TestCrashRecoverLifecycle:
         system.recover()
         assert system.read(0) == b"\x01" * 64
         assert system.read(64) == b"\x02" * 64
+
+    @pytest.mark.parametrize(
+        "scheme", ["base-lu", "base-eu", "horus-slm", "horus-dlm"])
+    def test_line_tampered_while_down_never_reads_back_clean(self,
+                                                             tiny_config,
+                                                             scheme):
+        """Every MAC check runs on real bytes: a line tampered in NVM
+        between crash and recovery fails the Horus vault check during
+        recovery, or the baselines' next read of it."""
+        system = SecureEpdSystem(tiny_config, scheme=scheme)
+        system.write(0, b"\x5a" * 64)
+        system.crash(seed=2)
+        drained_to = (system.drain_engine._chv.data_address(0)
+                      if scheme.startswith("horus") else 0)
+        Adversary(system.nvm).tamper(drained_to)
+        with pytest.raises(IntegrityError):
+            system.recover()
+            system.read(0)
 
 
 class TestBaseLuRecovery:

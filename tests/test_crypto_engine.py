@@ -31,18 +31,6 @@ class TestAesEngine:
         assert ciphertext != plaintext
         assert engine.decrypt(4096, 5, ciphertext) == plaintext
 
-    def test_non_functional_mode_passes_through_but_counts(self):
-        stats = SimStats()
-        engine = AesEngine(stats, functional=False)
-        payload = b"\x55" * 64
-        assert engine.encrypt(0, 1, payload) == payload
-        assert stats.total_aes == 1
-
-    def test_none_payload_counts_only(self):
-        stats = SimStats()
-        engine = AesEngine(stats)
-        assert engine.encrypt(0, 1, None) is None
-        assert stats.total_aes == 1
 
 
 class TestMacEngine:
@@ -91,20 +79,6 @@ class TestMacEngine:
         assert engine.node_mac(MacKind.VERIFY, content, 0) != \
             engine.digest_mac(MacKind.VERIFY, content)
 
-    def test_verify_equal_functional(self):
-        engine = MacEngine(SimStats())
-        assert engine.verify_equal(b"x" * 8, b"x" * 8)
-        assert not engine.verify_equal(b"x" * 8, b"y" * 8)
-
-    def test_verify_equal_non_functional_always_passes(self):
-        engine = MacEngine(SimStats(), functional=False)
-        assert engine.verify_equal(b"x" * 8, b"y" * 8)
-
-    def test_non_functional_macs_are_placeholder(self):
-        stats = SimStats()
-        engine = MacEngine(stats, functional=False)
-        assert engine.digest_mac(MacKind.VERIFY, bytes(64)) == bytes(8)
-        assert stats.total_macs == 1
 
 
 class TestKeyedForks:

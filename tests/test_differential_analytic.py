@@ -23,9 +23,7 @@ SCALES = (8, 16, 32)
 
 @pytest.fixture(scope="module", params=SCALES, ids=lambda s: f"scale{s}")
 def suite(request) -> DrainSuite:
-    # Counting-only mode: the differential invariants are about operation
-    # counts, which functional=False preserves (test_fast_mode pins that).
-    return DrainSuite(scale=request.param, functional=False)
+    return DrainSuite(scale=request.param)
 
 
 class TestHorusMatchesClosedForm:

@@ -81,8 +81,8 @@ class TestSystemMisuse:
         with pytest.raises(AddressError):
             system.write(system.layout.counters.base, bytes(64))
 
-    @pytest.mark.parametrize("payload", [b"short", bytes(65)],
-                             ids=["short", "long"])
+    @pytest.mark.parametrize("payload", [b"short", bytes(65), None],
+                             ids=["short", "long", "none"])
     @pytest.mark.parametrize("name", sorted(WRITERS))
     def test_write_rejects_a_payload_that_is_not_one_line(
             self, small_config, name, payload):

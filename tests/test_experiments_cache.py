@@ -75,10 +75,8 @@ class TestKeying:
 
     def test_experiment_key_separates_experiments(self):
         config = SystemConfig.scaled(SCALE)
-        a = experiment_key("fig11", config, SCALE, True,
-                           FILL_SEED, DRAIN_SEED)
-        b = experiment_key("fig12", config, SCALE, True,
-                           FILL_SEED, DRAIN_SEED)
+        a = experiment_key("fig11", config, SCALE, FILL_SEED, DRAIN_SEED)
+        b = experiment_key("fig12", config, SCALE, FILL_SEED, DRAIN_SEED)
         assert a != b
         # Experiment and episode namespaces never collide.
         assert a != _key(config)

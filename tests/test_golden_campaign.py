@@ -32,7 +32,8 @@ from repro.campaigns.scenarios import (
     SCHEME_VARIANTS,
     WINDOWS,
 )
-from repro.crypto.engine import MAC_SIZE, MacEngine
+from repro.common.constants import MAC_SIZE
+from repro.crypto.engine import MacEngine
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "campaign_matrix.json"
 

@@ -201,7 +201,7 @@ class TestTenantKeySchedule:
     def test_build_returns_keyed_engines_on_shared_stats(self):
         stats = SimStats()
         schedule = TenantKeySchedule(two_tenant_ring())
-        aes, mac = schedule.build(stats, True)
+        aes, mac = schedule.build(stats)
         assert isinstance(aes, TenantKeyedAes)
         assert isinstance(mac, TenantKeyedMac)
         aes.encrypt(0, 1, BLOCK)
@@ -209,8 +209,17 @@ class TestTenantKeySchedule:
         assert stats.aes[AesKind.ENCRYPT] == 1
         assert stats.macs[MacKind.DATA_PROTECT] == 1
 
-    def test_non_functional_build_skips_crypto_values(self):
-        aes, mac = TenantKeySchedule(two_tenant_ring()).build(SimStats(),
-                                                              False)
-        assert aes.encrypt(0, 1, BLOCK) == BLOCK
-        assert mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 0, 1) == bytes(8)
+    def test_built_engines_compute_real_keyed_values(self):
+        """The schedule's engines encrypt and MAC for real, under each
+        tenant's own key: no pass-through, no placeholder MAC."""
+        size = 4 * LINE
+        aes, mac = TenantKeySchedule(two_tenant_ring(size)).build(SimStats())
+        ciphertext = aes.encrypt(0, 1, BLOCK)
+        assert ciphertext != BLOCK
+        assert aes.decrypt(0, 1, ciphertext) == BLOCK
+        tag = mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 0, 1)
+        assert tag != bytes(len(tag))
+        # Tenant 1's tag is keyed apart from the master key's.
+        assert mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 2 * size, 1) != \
+            MacEngine(SimStats()).block_mac(MacKind.DATA_PROTECT, BLOCK,
+                                            2 * size, 1)

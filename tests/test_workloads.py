@@ -20,9 +20,14 @@ class TestTraceRecords:
         with pytest.raises(AlignmentError):
             MemoryOp(OpKind.READ, 100)
 
-    def test_rejects_partial_write_payload(self):
+    @pytest.mark.parametrize("payload", [b"short", None],
+                             ids=["short", "none"])
+    def test_rejects_partial_write_payload(self, payload):
+        """A write carries one real line: the batched replay installs trace
+        payloads straight into the cache lanes, so a short or missing
+        payload must fail here, not inside a later writeback or drain."""
         with pytest.raises(AlignmentError):
-            MemoryOp(OpKind.WRITE, 0, b"short")
+            MemoryOp(OpKind.WRITE, 0, payload)
 
     def test_summary(self):
         trace = [MemoryOp(OpKind.READ, 0),
