@@ -12,7 +12,7 @@ recovery re-derive the counter value used for any CHV position without
 persisting per-block counters.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 from repro.common.constants import (
     CACHE_LINE_SIZE,
@@ -22,41 +22,51 @@ from repro.common.constants import (
 )
 from repro.common.errors import CounterOverflowError
 
-_MINOR_LIMIT = 1 << MINOR_COUNTER_BITS
+_MINOR_MASK = (1 << MINOR_COUNTER_BITS) - 1
 _MAJOR_LIMIT = 1 << MAJOR_COUNTER_BITS
 
-# The chunked wire codec assumes the paper's exact split-counter geometry
-# (64 x 7-bit minors -> eight 7-byte groups); any other geometry falls back
-# to the generic shift loop.
-_CHUNKED_WIRE = MINOR_COUNTER_BITS == 7 and MINOR_COUNTERS_PER_BLOCK == 64 \
-    and CACHE_LINE_SIZE == 64
 
-
-@dataclass
 class SplitCounterBlock:
-    """A 64 B split-counter block: 1 major + 64 minor counters."""
+    """A 64 B split-counter block: 1 major + 64 minor counters.
 
-    major: int = 0
-    minors: list[int] = field(
-        default_factory=lambda: [0] * MINOR_COUNTERS_PER_BLOCK)
+    The minors live in one integer, :attr:`packed`: minor ``slot`` is bits
+    ``[7*slot, 7*slot + 7)``, so the little-endian bytes of ``packed`` are
+    exactly the wire form's last 56 bytes.  Reads and increments are
+    shift, mask and add; the codec is two int conversions.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.major < _MAJOR_LIMIT:
-            raise CounterOverflowError(f"major counter {self.major} out of range")
-        if len(self.minors) != MINOR_COUNTERS_PER_BLOCK:
+    __slots__ = ("major", "packed")
+
+    def __init__(self, major: int = 0,
+                 minors: Sequence[int] = (0,) * MINOR_COUNTERS_PER_BLOCK
+                 ) -> None:
+        if not 0 <= major < _MAJOR_LIMIT:
+            raise CounterOverflowError(f"major counter {major} out of range")
+        if len(minors) != MINOR_COUNTERS_PER_BLOCK:
             raise ValueError(
                 f"need exactly {MINOR_COUNTERS_PER_BLOCK} minor counters")
-        for minor in self.minors:
-            if not 0 <= minor < _MINOR_LIMIT:
+        self.major = major
+        self.packed = 0
+        for slot, minor in enumerate(minors):
+            if not 0 <= minor <= _MINOR_MASK:
                 raise CounterOverflowError(f"minor counter {minor} out of range")
+            self.packed |= minor << (slot * MINOR_COUNTER_BITS)
+
+    @property
+    def minors(self) -> tuple[int, ...]:
+        """The 64 minor counters, as a read-only snapshot."""
+        return tuple((self.packed >> (slot * MINOR_COUNTER_BITS)) & _MINOR_MASK
+                     for slot in range(MINOR_COUNTERS_PER_BLOCK))
 
     def counter_for(self, slot: int) -> int:
         """Full encryption counter of line ``slot``: ``major || minor``."""
-        return (self.major << MINOR_COUNTER_BITS) | self.minors[slot]
+        return (self.major << MINOR_COUNTER_BITS) | (
+            (self.packed >> (slot * MINOR_COUNTER_BITS)) & _MINOR_MASK)
 
     def will_overflow(self, slot: int) -> bool:
         """True when the next :meth:`increment` of ``slot`` wraps the minor."""
-        return self.minors[slot] + 1 >= _MINOR_LIMIT
+        return (self.packed >> (slot * MINOR_COUNTER_BITS)) & _MINOR_MASK \
+            == _MINOR_MASK
 
     def increment(self, slot: int) -> bool:
         """Advance the counter of line ``slot`` before a write.
@@ -65,14 +75,14 @@ class SplitCounterBlock:
         all minors reset, and the caller must re-encrypt the whole page
         (the split-counter contract).
         """
-        minor = self.minors[slot] + 1
-        if minor < _MINOR_LIMIT:
-            self.minors[slot] = minor
+        shift = slot * MINOR_COUNTER_BITS
+        if (self.packed >> shift) & _MINOR_MASK != _MINOR_MASK:
+            self.packed += 1 << shift
             return False
         if self.major + 1 >= _MAJOR_LIMIT:
             raise CounterOverflowError("major counter exhausted")
         self.major += 1
-        self.minors = [0] * MINOR_COUNTERS_PER_BLOCK
+        self.packed = 0
         return True
 
     # -- 64 B wire format -----------------------------------------------------
@@ -81,23 +91,8 @@ class SplitCounterBlock:
     # block covers 4 KiB with zero padding).
 
     def to_bytes(self) -> bytes:
-        if _CHUNKED_WIRE:
-            # 8 minors = 56 bits = 7 bytes: packing per chunk keeps the
-            # intermediate ints machine-sized instead of accumulating one
-            # 448-bit integer (this serializes every counter writeback).
-            out = bytearray(self.major.to_bytes(8, "little"))
-            m = self.minors
-            for i in range(0, MINOR_COUNTERS_PER_BLOCK, 8):
-                chunk = (m[i] | m[i + 1] << 7 | m[i + 2] << 14
-                         | m[i + 3] << 21 | m[i + 4] << 28 | m[i + 5] << 35
-                         | m[i + 6] << 42 | m[i + 7] << 49)
-                out += chunk.to_bytes(7, "little")
-            return bytes(out)
-        packed = 0
-        for i, minor in enumerate(self.minors):
-            packed |= minor << (i * MINOR_COUNTER_BITS)
         return (self.major.to_bytes(8, "little")
-                + packed.to_bytes(CACHE_LINE_SIZE - 8, "little"))
+                + self.packed.to_bytes(CACHE_LINE_SIZE - 8, "little"))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SplitCounterBlock":
@@ -107,29 +102,19 @@ class SplitCounterBlock:
         if major >= _MAJOR_LIMIT:
             raise CounterOverflowError(
                 f"major counter {major} out of range")
-        mask = _MINOR_LIMIT - 1
-        # Masked parsing cannot produce an out-of-range minor, so skip the
-        # dataclass validation pass — this runs once per counter-block fetch.
+        # Every 56-byte pattern is 64 in-range minors, so the constructor's
+        # validation pass is skipped: this runs once per counter fetch.
         block = cls.__new__(cls)
         block.major = major
-        if _CHUNKED_WIRE:
-            minors: list[int] = []
-            extend = minors.extend
-            for base in range(8, CACHE_LINE_SIZE, 7):
-                chunk = int.from_bytes(data[base:base + 7], "little")
-                extend((chunk & 127, (chunk >> 7) & 127, (chunk >> 14) & 127,
-                        (chunk >> 21) & 127, (chunk >> 28) & 127,
-                        (chunk >> 35) & 127, (chunk >> 42) & 127,
-                        chunk >> 49))
-            block.minors = minors
-        else:
-            packed = int.from_bytes(data[8:], "little")
-            block.minors = [(packed >> (i * MINOR_COUNTER_BITS)) & mask
-                            for i in range(MINOR_COUNTERS_PER_BLOCK)]
+        block.packed = int.from_bytes(data[8:], "little")
         return block
 
     def copy(self) -> "SplitCounterBlock":
-        return SplitCounterBlock(self.major, list(self.minors))
+        return SplitCounterBlock.from_bytes(self.to_bytes())
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, SplitCounterBlock)
+                and self.major == other.major and self.packed == other.packed)
 
 
 class DrainCounter:

@@ -27,6 +27,8 @@ class MacDomain(Enum):
     The tags are fixed-width (4 bytes) so framing stays injective.
     """
 
+    __hash__ = object.__hash__  # identity: every MAC looks up its state
+
     DATA = b"dat\0"
     """Run-time BMT-style data MAC over (ciphertext, address, counter)."""
 

@@ -313,7 +313,8 @@ class RuleF5(FlowRule):
     flow_config = FlowConfig(
         sources=(
             SourceSpec("call", frozenset({"counter_for"}), COUNTER),
-            SourceSpec("attr", frozenset({"minors", "major"}), COUNTER),
+            SourceSpec("attr", frozenset({"minors", "major", "packed"}),
+                       COUNTER),
         ),
         sinks=(
             SinkSpec(
@@ -334,7 +335,7 @@ class RuleF5(FlowRule):
         store_sinks=(
             StoreSinkSpec(
                 rule="F5",
-                attr_names=frozenset({"minors", "major"}),
+                attr_names=frozenset({"minors", "major", "packed"}),
                 labels=frozenset({COUNTER_DEC}),
                 message=_F5_STORE_MSG),
         ),

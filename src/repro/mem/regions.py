@@ -10,6 +10,7 @@ All mapping functions are pure arithmetic so tests can verify that regions
 never overlap and that every metadata address is stable.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.common.address import require_block_aligned
@@ -123,6 +124,7 @@ class MemoryLayout:
         self._counters_end = self.counters.end
         self._macs_base = self.macs.base
         self._macs_end = self.macs.end
+        self._tree_arity = arity
 
     @property
     def config(self) -> SystemConfig:
@@ -216,11 +218,9 @@ class MemoryLayout:
         """Inverse of :meth:`tree_node_address`: (level, index) of a node."""
         if not self.tree.contains(address):
             raise AddressError(f"{address:#x} is not a tree-node address")
-        for level in range(self.num_tree_levels, 0, -1):
-            base = self._tree_level_bases[level - 1]
-            if address >= base:
-                return level, (address - base) // CACHE_LINE_SIZE
-        raise AddressError(f"{address:#x} below the first tree level")
+        level = bisect_right(self._tree_level_bases, address)
+        return level, ((address - self._tree_level_bases[level - 1])
+                       // CACHE_LINE_SIZE)
 
     def classify(self, address: int) -> str:
         """Region name containing ``address`` (for diagnostics and tests)."""

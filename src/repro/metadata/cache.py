@@ -61,9 +61,9 @@ class MetadataCache:
         # Single probe: pop-with-default both answers residency and starts
         # the LRU touch (reinsert moves the line to MRU).  A miss leaves
         # the set untouched.  The controller's fused segment path
-        # (SecureMemoryController._run_segment) transcribes this body
-        # inline against ``_sets`` for its counter and MAC stages — keep
-        # the two in sync when changing accounting or order semantics.
+        # (SecureMemoryController._run_segment, counter and MAC stages) and
+        # its tree walk (get_tree_node) transcribe this body inline against
+        # ``_sets`` — keep them in sync when changing accounting or order.
         cache_set = self._sets[(address // CACHE_LINE_SIZE) % self._num_sets]
         line = cache_set.pop(address, None)
         if line is None:

@@ -38,7 +38,7 @@ from repro.stats.counters import SimStats
 from repro.stats.events import MacKind, ReadKind, WriteKind
 
 _ZERO_BLOCK = bytes(CACHE_LINE_SIZE)
-_MINOR_LIMIT = 1 << MINOR_COUNTER_BITS
+_MINOR_MASK = (1 << MINOR_COUNTER_BITS) - 1
 _READ_MAC = ReadKind.MAC
 
 
@@ -345,14 +345,14 @@ class SecureMemoryController:
                     # batch (the break leaves the block untouched for the
                     # scalar overflow tail below, exactly like
                     # will_overflow would).
-                    minors = block.minors
-                    minor = minors[slot] + 1
-                    if minor >= _MINOR_LIMIT:
+                    shift = slot * MINOR_COUNTER_BITS
+                    minor = (block.packed >> shift) & _MINOR_MASK
+                    if minor == _MINOR_MASK:
                         overflow = index
                         break
-                    minors[slot] = minor
+                    block.packed += 1 << shift
                     w_addrs(address)
-                    w_ctrs((block.major << MINOR_COUNTER_BITS) | minor)
+                    w_ctrs((block.major << MINOR_COUNTER_BITS) | (minor + 1))
                     w_data(data)  # type: ignore[arg-type]
                     pending_add(address)
                     dp(index)
@@ -383,12 +383,12 @@ class SecureMemoryController:
                             ctr_hits += 1
                             ctr_set[cb_address] = ctr_set.pop(cb_address)
                         rblock = counter_line.value
+                        shift = (address % COUNTER_BLOCK_COVERAGE
+                                 // CACHE_LINE_SIZE * MINOR_COUNTER_BITS)
                         r_ops(index)
                         r_addrs(address)
                         r_ctrs((rblock.major << MINOR_COUNTER_BITS)
-                               | rblock.minors[(address
-                                                % COUNTER_BLOCK_COVERAGE)
-                                               // CACHE_LINE_SIZE])
+                               | ((rblock.packed >> shift) & _MINOR_MASK))
                         if victims:
                             parked = tuple(victims.values())
                             admitted, draining = index, True
@@ -671,8 +671,8 @@ class SecureMemoryController:
         raw = self.nvm.read(cb_address, ReadKind.COUNTER)
         actual = self.mac.digest_mac(MacKind.VERIFY, raw,
                                      domain=MacDomain.NODE)
-        expected = self._counter_slot_mac(cb_address)
-        if actual != expected:
+        parent, slot = self._counter_parent(cb_address)
+        if actual != parent.value.get_slot(slot):
             raise IntegrityError(
                 f"counter block MAC mismatch at {cb_address:#x}", cb_address)
 
@@ -680,97 +680,109 @@ class SecureMemoryController:
         self._cache_insert(self.counter_cache, line, "counter")
         return line
 
-    def _counter_slot_mac(self, cb_address: int) -> bytes:
-        level, index, slot = self.layout.parent_of_counter_block(cb_address)
-        parent = self.get_tree_node(level, index)
-        return parent.value.get_slot(slot)
+    def _counter_parent(self, cb_address: int) -> tuple[MetaLine, int]:
+        """The level-1 tree node over a counter block, and its slot there."""
+        layout = self.layout
+        cb = (cb_address - layout._counters_base) // CACHE_LINE_SIZE
+        return (self.get_tree_node(1, cb // layout._tree_arity),
+                cb % layout._tree_arity)
 
     def _writeback_counter(self, line: MetaLine) -> None:
+        content = line.value.to_bytes()
         if self.scheme.needs_parent_update_on_writeback():
-            content = line.value.to_bytes()
             new_mac = self.mac.digest_mac(MacKind.TREE_UPDATE, content,
                                           domain=MacDomain.NODE)
-            level, index, slot = self.layout.parent_of_counter_block(
-                line.address)
-            parent = self.get_tree_node(level, index)
+            parent, slot = self._counter_parent(line.address)
             parent.value.set_slot(slot, new_mac)
             parent.dirty = True
-            self.nvm.write(line.address, content, WriteKind.COUNTER)
-        else:
-            self.nvm.write(line.address, line.value.to_bytes(),
-                           WriteKind.COUNTER)
+        self.nvm.write(line.address, content, WriteKind.COUNTER)
 
     # ------------------------------------------------------------------
     # Tree nodes
     # ------------------------------------------------------------------
 
     def get_tree_node(self, level: int, index: int) -> MetaLine:
-        """Tree node (level, index), verified against its ancestors."""
-        address = self.layout.tree_node_address(level, index)
-        line = self.tree_cache.lookup(address)
-        if line is not None:
-            return line
+        """Tree node (level, index), verified against its ancestors.
 
-        buffered = self._absorb_victim(address)
-        if buffered is not None:
-            self._cache_insert(self.tree_cache, buffered, "tree")
-            return buffered
+        Climbs past each missing node (miss counted, victim buffer checked,
+        node read and MAC'd) to the first resident or buffered ancestor or
+        the root register, then verifies and installs top-down: the
+        accesses of a recursive parent fetch, in the same order.
+        """
+        layout = self.layout
+        address = layout.tree_node_address(level, index)
+        cache = self.tree_cache
+        climbed: list[tuple[int, int, int, bytes, bytes]] = []
+        while True:
+            cache_set = cache._sets[address // CACHE_LINE_SIZE
+                                    % cache._num_sets]
+            parent = cache_set.pop(address, None)
+            if parent is not None:
+                cache.hits += 1
+                cache_set[address] = parent
+                if not climbed:
+                    return parent
+                break
+            cache.misses += 1
+            parent = self._absorb_victim(address)
+            if parent is not None:
+                self._cache_insert(cache, parent, "tree")
+                break
+            raw = self.nvm.read(address, ReadKind.TREE_NODE)
+            if not self.nvm.backend.is_written(address):
+                raw = self._defaults.content(level)
+            climbed.append((address, level, index, raw, self.mac.digest_mac(
+                MacKind.VERIFY, raw, domain=MacDomain.NODE)))
+            if level == layout.num_tree_levels:
+                break
+            level += 1
+            index //= layout._tree_arity
+            address = (layout._tree_level_bases[level - 1]
+                       + index * CACHE_LINE_SIZE)
 
-        raw = self.nvm.read(address, ReadKind.TREE_NODE)
-        if not self.nvm.backend.is_written(address):
-            raw = self._defaults.content(level)
-        actual = self.mac.digest_mac(MacKind.VERIFY, raw,
-                                     domain=MacDomain.NODE)
-        expected = self._node_parent_mac(level, index)
-        if actual != expected:
-            raise IntegrityError(
-                f"tree node ({level},{index}) MAC mismatch", address)
-
-        line = MetaLine(address, TreeNode(raw))
-        self._cache_insert(self.tree_cache, line, "tree")
-        return line
-
-    def _node_parent_mac(self, level: int, index: int) -> bytes:
-        if level == self.layout.num_tree_levels:
-            return self.root_mac
-        plevel, pindex, slot = self.layout.parent_of_tree_node(level, index)
-        parent = self.get_tree_node(plevel, pindex)
-        return parent.value.get_slot(slot)
+        for address, level, index, raw, actual in reversed(climbed):
+            expected = (self.root_mac if parent is None else
+                        parent.value.get_slot(index % layout._tree_arity))
+            if actual != expected:
+                raise IntegrityError(
+                    f"tree node ({level},{index}) MAC mismatch", address)
+            parent = MetaLine(address, TreeNode(raw))
+            self._cache_insert(cache, parent, "tree")
+        return parent
 
     def _writeback_tree_node(self, line: MetaLine) -> None:
-        level, index = self.layout.tree_node_coords(line.address)
         content = line.value.to_bytes()
         if self.scheme.needs_parent_update_on_writeback():
             new_mac = self.mac.digest_mac(MacKind.TREE_UPDATE, content,
                                           domain=MacDomain.NODE)
-            if level == self.layout.num_tree_levels:
+            layout = self.layout
+            level, index = layout.tree_node_coords(line.address)
+            if level == layout.num_tree_levels:
                 self.root_mac = new_mac
             else:
-                plevel, pindex, slot = self.layout.parent_of_tree_node(
-                    level, index)
-                parent = self.get_tree_node(plevel, pindex)
-                parent.value.set_slot(slot, new_mac)
+                parent = self.get_tree_node(level + 1,
+                                            index // layout._tree_arity)
+                parent.value.set_slot(index % layout._tree_arity, new_mac)
                 parent.dirty = True
         self.nvm.write(line.address, content, WriteKind.TREE_NODE)
 
     def propagate_to_root(self, counter_line: MetaLine) -> None:
         """Eager-scheme path refresh: counter block up to the root register."""
-        content_mac = self.mac.digest_mac(
-            MacKind.TREE_UPDATE, counter_line.value.to_bytes(),
-            domain=MacDomain.NODE)
-        level, index, slot = self.layout.parent_of_counter_block(
-            counter_line.address)
-        while True:
-            node = self.get_tree_node(level, index)
-            node.value.set_slot(slot, content_mac)
-            node.dirty = True
+        layout = self.layout
+        arity = layout._tree_arity
+        index = (counter_line.address - layout._counters_base) \
+            // CACHE_LINE_SIZE
+        content = counter_line.value.to_bytes()
+        for level in range(1, layout.num_tree_levels + 1):
             content_mac = self.mac.digest_mac(
-                MacKind.TREE_UPDATE, node.value.to_bytes(),
-                domain=MacDomain.NODE)
-            if level == self.layout.num_tree_levels:
-                self.root_mac = content_mac
-                return
-            level, index, slot = self.layout.parent_of_tree_node(level, index)
+                MacKind.TREE_UPDATE, content, domain=MacDomain.NODE)
+            node = self.get_tree_node(level, index // arity)
+            node.value.set_slot(index % arity, content_mac)
+            node.dirty = True
+            content = node.value.to_bytes()
+            index //= arity
+        self.root_mac = self.mac.digest_mac(
+            MacKind.TREE_UPDATE, content, domain=MacDomain.NODE)
 
     # ------------------------------------------------------------------
     # Data MAC blocks
@@ -913,9 +925,7 @@ class SecureMemoryController:
     def line_bytes(self, line: MetaLine) -> bytes:
         """Serialize any metadata-cache line value to its 64 B wire form."""
         value = line.value
-        if isinstance(value, SplitCounterBlock):
-            return value.to_bytes()
-        if isinstance(value, TreeNode):
+        if isinstance(value, (SplitCounterBlock, TreeNode)):
             return value.to_bytes()
         return bytes(value)
 

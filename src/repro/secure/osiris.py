@@ -53,7 +53,7 @@ class OsirisLazyScheme(LazyUpdateScheme):
         # touched counter blocks from the written *data* addresses, so
         # nothing needs to persist on first touch.
         total = sum(block.minors) + block.major
-        just_overflowed = block.major > 0 and max(block.minors) == 0
+        just_overflowed = block.major > 0 and block.packed == 0
         if total % self.stop_loss == 0 or just_overflowed:
             controller.nvm.write(counter_line.address,
                                  block.to_bytes(), WriteKind.COUNTER)

@@ -50,9 +50,14 @@ def payload(tag: int) -> bytes:
 
 def _force_overflow(controller: SecureMemoryController,
                     address: int = OVERFLOW_SLOT * 64) -> None:
-    """Arm ``address``'s minor counter so its next write wraps the page."""
-    block: SplitCounterBlock = controller.get_counter_line(address).value
-    block.minors[OVERFLOW_SLOT] = 127
+    """Arm ``address``'s minor counter so its next write wraps the page:
+    the cached line gets a new block whose slot sits at the minor limit."""
+    line = controller.get_counter_line(address)
+    block: SplitCounterBlock = line.value
+    assert block.major == 0
+    minors = list(block.minors)
+    minors[OVERFLOW_SLOT] = 127
+    line.value = SplitCounterBlock(block.major, minors)
 
 
 def _run_overflow_sequence(batched: bool) -> SecureMemoryController:
@@ -62,6 +67,7 @@ def _run_overflow_sequence(batched: bool) -> SecureMemoryController:
         controller.write(slot * 64, payload(slot + 1))
     _force_overflow(controller)
     controller.write(OVERFLOW_SLOT * 64, payload(99))
+    assert controller.get_counter_line(0).value.major == 1
     return controller
 
 
@@ -95,13 +101,13 @@ class TestReencryptPageOnOverflow:
             results = controller.run_ops_batch(
                 [("r", 0, None), ("w", OVERFLOW_SLOT * 64, payload(9))])
             assert results == [payload(1), None]
+            assert controller.get_counter_line(0).value.major == 1
             return controller
 
         batched, scalar = run(batched=True), run(batched=False)
         assert batched.nvm.backend.image() == scalar.nvm.backend.image()
         assert batched.stats.snapshot() == scalar.stats.snapshot()
         assert batched.read(OVERFLOW_SLOT * 64) == payload(9)
-        assert batched.get_counter_line(0).value.major == 1
 
     def test_overflow_mid_drain_matches_scalar(self):
         """A baseline secure drain hits the overflow *while flushing*: a
@@ -129,7 +135,8 @@ class TestReencryptPageOnOverflow:
         batched = run(batched=True)
         assert batched.nvm.backend.image() == scalar.nvm.backend.image()
         assert batched.stats.snapshot() == scalar.stats.snapshot()
-        assert scalar.controller.get_counter_line(0).value.major == 1
+        for system in (scalar, batched):
+            assert system.controller.get_counter_line(0).value.major == 1
         # The re-encrypted page still decrypts after power restoration.
         for slot in (1, 5, OVERFLOW_SLOT):
             assert scalar.controller.read(slot * 64) == \
@@ -191,7 +198,7 @@ class TestDrainVictimsOrdering:
         cb_addresses = []
         for data_address in data_addresses:
             line = controller.get_counter_line(data_address)
-            line.value.minors[0] = 1
+            line.value = SplitCounterBlock(minors=[1] + [0] * 63)
             line.dirty = True
             cb_addresses.append(line.address)
         return data_addresses, cb_addresses
@@ -359,3 +366,89 @@ class TestReadFailureParity:
         batched_state = controller_state(batched)
         for name in scalar_state:
             assert batched_state[name] == scalar_state[name], name
+
+
+class TestTreeWalkFailureParity:
+    """A tree walk that climbs through missing nodes and then fails
+    verification stops in one exact state.
+
+    A cold eager controller reads address 0 after its written path has
+    gone home to NVM.  The counter fill walks tree levels 1..5 of
+    ``scaled(512)``; the node at ``(level, 0)`` is tampered.  The walk
+    reads and MACs every missing node up to the first resident or
+    buffered ancestor (or the root register), then verifies top-down and
+    installs each node that passed.  The literals below pin the request
+    trace, the stats delta, and the tree cache (set order, LRU first) the
+    failing read leaves behind.
+    """
+
+    TRACE = [(0x0, False), (0x4000000, False), (0x4900000, False),
+             (0x4920000, False), (0x4924000, False), (0x4924800, False),
+             (0x4924900, False)]
+    STATS = {"reads": {"counter": 1, "data": 1, "tree_node": 5},
+             "writes": {}, "macs": {"verify": 6}, "aes": {},
+             "total_memory_requests": 7, "total_macs": 6}
+    TREE_CACHE = {
+        1: [(0x4924800, False), (0x4924000, False), (0x4920000, False),
+            (0x4924900, False)],
+        2: [(0x4924800, False), (0x4924000, False), (0x4924900, False)],
+        3: [(0x4924800, False), (0x4924900, False)],
+        4: [(0x4924900, False)],
+    }
+
+    def _cold_controller(self) -> SecureMemoryController:
+        controller = make_controller(batched=True, scheme="eager")
+        controller.write(0, payload(1))
+        controller.flush_metadata()
+        controller.drop_volatile_state()
+        return controller
+
+    def _failing_read(self, controller: SecureMemoryController,
+                      level: int) -> tuple[str, dict]:
+        controller.nvm.backend.corrupt_block(
+            controller.layout.tree_node_address(level, 0), b"\x5a" * 64)
+        before = controller.stats.copy()
+        controller.nvm.trace = []
+        with pytest.raises(IntegrityError) as failure:
+            controller.read(0)
+        return str(failure.value), controller.stats.diff(before).snapshot()
+
+    @staticmethod
+    def _tree_cache(controller: SecureMemoryController) -> list:
+        return [(line.address, line.dirty)
+                for line in controller.tree_cache.lines()]
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_tampered_level_stops_the_walk(self, level):
+        controller = self._cold_controller()
+        assert controller.layout.num_tree_levels == 5
+        error, stats = self._failing_read(controller, level)
+        assert error == f"tree node ({level},0) MAC mismatch"
+        assert controller.nvm.trace == self.TRACE
+        assert stats == self.STATS
+        assert self._tree_cache(controller) == self.TREE_CACHE[level]
+        assert (controller.tree_cache.hits,
+                controller.tree_cache.misses) == (5, 10)
+        assert not controller._victims
+
+    def test_buffered_ancestor_ends_the_climb(self):
+        """An ancestor parked in the victim buffer is absorbed, unread and
+        unverified, and anchors the verification below it."""
+        controller = self._cold_controller()
+        line = controller.get_tree_node(3, 0)
+        controller.tree_cache.invalidate(line.address)
+        line.dirty = True
+        controller._victims[line.address] = (line, "tree")
+        error, stats = self._failing_read(controller, 1)
+        assert error == "tree node (1,0) MAC mismatch"
+        assert controller.nvm.trace == self.TRACE[:4]
+        assert stats == {
+            "reads": {"counter": 1, "data": 1, "tree_node": 2},
+            "writes": {}, "macs": {"verify": 3}, "aes": {},
+            "total_memory_requests": 4, "total_macs": 3}
+        assert self._tree_cache(controller) == [
+            (0x4924800, False), (0x4924000, True), (0x4920000, False),
+            (0x4924900, False)]
+        assert (controller.tree_cache.hits,
+                controller.tree_cache.misses) == (5, 11)
+        assert not controller._victims

@@ -56,6 +56,17 @@ class TestSplitCounterBlock:
         with pytest.raises(ValueError):
             SplitCounterBlock(minors=[0] * 10)
 
+    def test_minors_are_read_only(self):
+        """Minors change only through increment: the property is a
+        snapshot, so an item store would silently do nothing if it
+        were allowed."""
+        block = SplitCounterBlock()
+        with pytest.raises(TypeError):
+            block.minors[0] = 1
+        with pytest.raises(AttributeError):
+            block.minors = [1] * 64
+        assert block.counter_for(0) == 0
+
     def test_copy_is_independent(self):
         block = SplitCounterBlock()
         copy = block.copy()

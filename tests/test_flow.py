@@ -366,6 +366,23 @@ class TestF5CounterMonotonicity:
         """}, rules=["F5"])
         assert result.findings == []
 
+    def test_decremented_packed_minors_written_back(self, tmp_path):
+        result = run_deep(tmp_path, {"repro/crypto/evil.py": """\
+            def rollback(block, slot):
+                shift = slot * 7
+                block.packed = block.packed - (1 << shift)
+        """}, rules=["F5"])
+        assert rules_hit(result) == ["F5"]
+        assert "monotonic" in result.findings[0].message
+
+    def test_incremented_packed_minors_are_the_designed_path(self, tmp_path):
+        result = run_deep(tmp_path, {"repro/crypto/ok.py": """\
+            def advance(block, slot):
+                shift = slot * 7
+                block.packed += 1 << shift
+        """}, rules=["F5"])
+        assert result.findings == []
+
     def test_non_counter_subtraction_into_minors_is_clean(self, tmp_path):
         result = run_deep(tmp_path, {"repro/crypto/ok.py": """\
             def resize(block, slot, width):

@@ -240,6 +240,16 @@ def _make_controller(batched: bool, scheme: str):
                                   scheme=scheme, batched=batched)
 
 
+def _arm_overflow(controller) -> None:
+    """Install a fresh block for page 0 whose slot 0 sits one below the
+    minor limit: the second write to address 0 overflows it."""
+    from repro.crypto.counters import SplitCounterBlock
+
+    line = controller.get_counter_line(0)
+    assert line.value == SplitCounterBlock()
+    line.value = SplitCounterBlock(minors=[126] + [0] * 63)
+
+
 def _controller_state(controller) -> dict:
     return {
         "image": controller.nvm.backend.image(),
@@ -337,13 +347,10 @@ class TestRunOpsEquivalence:
     def test_fetches_alignment_survives_overflow_fallback(self):
         """The mid-segment scalar fallback (minor-counter overflow) must
         keep the fetches stream aligned too."""
-        from repro.crypto.counters import SplitCounterBlock
-
         scalar = _make_controller(False, "lazy")
         batched = _make_controller(True, "lazy")
         for controller in (scalar, batched):
-            block: SplitCounterBlock = controller.get_counter_line(0).value
-            block.minors[0] = 126
+            _arm_overflow(controller)
         ops = [("w", 0, bytes([i]) * 64) for i in range(4)] \
             + [("r", 0, None), ("w", 64, bytes(64)), ("r", 64, None),
                ("r", 128, None)]
@@ -351,19 +358,20 @@ class TestRunOpsEquivalence:
         fetched = batched.run_ops_batch(list(ops), fetches=True)
         assert fetched == [result for op, result in zip(ops, reference)
                            if op[0] == "r"]
+        for controller in (scalar, batched):
+            assert controller.get_counter_line(0).value.major == 1
 
     @pytest.mark.parametrize("scheme", ["lazy", "eager"])
     def test_minor_counter_overflow_stays_equivalent(self, scheme):
         """Force a minor-counter overflow mid-batch: the batch must fall
         back to the scalar overflow path with identical observables."""
-        from repro.crypto.counters import SplitCounterBlock
-
         scalar = _make_controller(False, scheme)
         batched = _make_controller(True, scheme)
         for controller in (scalar, batched):
-            block: SplitCounterBlock = controller.get_counter_line(0).value
-            block.minors[0] = 126
+            _arm_overflow(controller)
         ops = [("w", 0, bytes([i]) * 64) for i in range(4)] \
             + [("r", 0, None), ("w", 64, bytes(64)), ("r", 64, None)]
         assert scalar.run_ops(list(ops)) == batched.run_ops_batch(list(ops))
         assert _controller_state(scalar) == _controller_state(batched)
+        for controller in (scalar, batched):
+            assert controller.get_counter_line(0).value.major == 1

@@ -1,8 +1,15 @@
 """Property-based tests: crypto primitives and split counters."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.constants import (
+    CACHE_LINE_SIZE,
+    MINOR_COUNTER_BITS,
+    MINOR_COUNTERS_PER_BLOCK,
+)
+from repro.common.errors import CounterOverflowError
 from repro.crypto.counters import SplitCounterBlock
 from repro.crypto.primitives import (
     decrypt_block,
@@ -57,7 +64,7 @@ class TestSplitCounterProperties:
         block = SplitCounterBlock(major, minors)
         decoded = SplitCounterBlock.from_bytes(block.to_bytes())
         assert decoded.major == major
-        assert decoded.minors == minors
+        assert decoded.minors == tuple(minors)
 
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=300))
     @settings(max_examples=50)
@@ -76,5 +83,103 @@ class TestSplitCounterProperties:
     def test_overflow_resets_all_minors(self, slot):
         block = SplitCounterBlock(minors=[127] * 64)
         assert block.increment(slot)
-        assert block.minors == [0] * 64
+        assert block.minors == (0,) * 64
         assert block.major == 1
+
+
+# -- reference model: a list of minors and the generic shift-loop packer ------
+
+_MINOR_LIMIT = 1 << MINOR_COUNTER_BITS
+_MAJOR_MAX = (1 << 64) - 1
+
+
+class ListCounterBlock:
+    """The split-counter contract over a plain list of minors."""
+
+    def __init__(self, major: int, minors: list[int]) -> None:
+        self.major = major
+        self.minors = list(minors)
+
+    def counter_for(self, slot: int) -> int:
+        return (self.major << MINOR_COUNTER_BITS) | self.minors[slot]
+
+    def will_overflow(self, slot: int) -> bool:
+        return self.minors[slot] + 1 >= _MINOR_LIMIT
+
+    def increment(self, slot: int) -> bool:
+        minor = self.minors[slot] + 1
+        if minor < _MINOR_LIMIT:
+            self.minors[slot] = minor
+            return False
+        if self.major + 1 > _MAJOR_MAX:
+            raise CounterOverflowError("major counter exhausted")
+        self.major += 1
+        self.minors = [0] * MINOR_COUNTERS_PER_BLOCK
+        return True
+
+    def to_bytes(self) -> bytes:
+        packed = 0
+        for i, minor in enumerate(self.minors):
+            packed |= minor << (i * MINOR_COUNTER_BITS)
+        return (self.major.to_bytes(8, "little")
+                + packed.to_bytes(CACHE_LINE_SIZE - 8, "little"))
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "ListCounterBlock":
+        packed = int.from_bytes(data[8:], "little")
+        return cls(int.from_bytes(data[:8], "little"),
+                   [(packed >> (i * MINOR_COUNTER_BITS)) & (_MINOR_LIMIT - 1)
+                    for i in range(MINOR_COUNTERS_PER_BLOCK)])
+
+
+# Values at and next to the limits, so increments overflow and exhaust often.
+majors = st.one_of(st.sampled_from([0, 1, _MAJOR_MAX - 1, _MAJOR_MAX]),
+                   st.integers(0, _MAJOR_MAX))
+minor_values = st.one_of(st.sampled_from([0, 125, 126, 127]),
+                         st.integers(0, 127))
+slots = st.one_of(st.sampled_from([0, 1, 62, 63]), st.integers(0, 63))
+
+
+def assert_matches(block: SplitCounterBlock, model: ListCounterBlock) -> None:
+    assert block.major == model.major
+    assert block.minors == tuple(model.minors)
+    assert block.to_bytes() == model.to_bytes()
+    for slot in range(MINOR_COUNTERS_PER_BLOCK):
+        assert block.counter_for(slot) == model.counter_for(slot)
+        assert block.will_overflow(slot) == model.will_overflow(slot)
+
+
+class TestSplitCounterAgainstListModel:
+    @given(majors,
+           st.lists(minor_values, min_size=64, max_size=64),
+           st.lists(slots, max_size=400))
+    @settings(max_examples=200)
+    def test_increments_match_the_model(self, major, minors, touched):
+        """Every counter operation agrees with the list-of-minors model,
+        through overflow resets and up to major exhaustion, which must
+        leave both blocks untouched."""
+        block = SplitCounterBlock(major, minors)
+        model = ListCounterBlock(major, minors)
+        assert_matches(block, model)
+        for slot in touched:
+            try:
+                expected = model.increment(slot)
+            except CounterOverflowError:
+                with pytest.raises(CounterOverflowError):
+                    block.increment(slot)
+                assert model.major == _MAJOR_MAX
+            else:
+                assert block.increment(slot) is expected
+            assert block.counter_for(slot) == model.counter_for(slot)
+            assert block.packed.bit_length() <= 8 * (CACHE_LINE_SIZE - 8)
+        assert_matches(block, model)
+
+    @given(st.binary(min_size=64, max_size=64))
+    def test_codec_matches_the_reference_packer(self, data):
+        """Any 64 B pattern decodes as the reference does and re-encodes
+        to itself."""
+        block = SplitCounterBlock.from_bytes(data)
+        model = ListCounterBlock.from_bytes(data)
+        assert_matches(block, model)
+        assert block.to_bytes() == data
+        assert block == SplitCounterBlock(model.major, model.minors)
