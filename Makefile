@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-full experiments experiments-full examples lint lint-deep typecheck clean
+.PHONY: test bench bench-full bench-e2e experiments experiments-full examples lint lint-deep typecheck clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -34,6 +34,11 @@ bench:
 
 bench-full:
 	REPRO_BENCH_SCALE=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The end-to-end benchmark: all four workloads, each in its own process,
+# with pinned output digests (bench_e2e/README.md).
+bench-e2e:
+	$(PYTHON) bench_e2e/e2e.py
 
 experiments:
 	$(PYTHON) -m repro.experiments.runner

@@ -18,7 +18,7 @@ fused :meth:`CacheHierarchy.replay_epoch` act on that one state.
 """
 
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain
 from typing import Any
 
@@ -29,6 +29,7 @@ from repro.cache.fill import (
     worst_case_addresses,
     worst_case_addresses_bulk,
 )
+from repro.common.address import require_block_aligned
 from repro.common.config import SystemConfig
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import ConfigError
@@ -286,15 +287,46 @@ class CacheHierarchy:
         for level in self.levels:
             level.clear()
 
-    def restore_dirty(self, address: int, data: bytes) -> None:
-        """Recovery hook: refill a recovered block into the LLC, dirty.
+    def restore_dirty(self, addresses: Sequence[int],
+                      payloads: Sequence[bytes]) -> None:
+        """Recovery hook: refill recovered blocks into the LLC, dirty.
 
         The paper's recovery option 1 places verified CHV blocks back in the
-        LLC in dirty state.
+        LLC in dirty state.  ``payloads[i]`` goes in at ``addresses[i]``, in
+        order, with :meth:`SetAssociativeCache.insert`'s semantics acted out
+        on the LLC lanes directly: the address is alignment-checked, a
+        resident address is replaced in place as MRU, and a full set evicts
+        its LRU line, a dirty victim being written back before the next
+        line goes in.
         """
-        victim = self.llc.insert(address, data, dirty=True)
-        if victim is not None and victim[2]:
-            self._do_writeback(victim[0], victim[1])
+        if len(addresses) != len(payloads):
+            raise ConfigError(
+                f"restore_dirty needs one payload per address, got "
+                f"{len(payloads)} for {len(addresses)}")
+        llc = self.llc
+        sets = llc.sets
+        dirty = llc.dirty
+        mark_dirty = dirty.add
+        line_size = llc.line_size
+        num_sets = llc.num_sets
+        ways = llc.ways
+        for address, data in zip(addresses, payloads):
+            if address % line_size or address < 0:
+                require_block_aligned(address, line_size)
+            cache_set = sets[address // line_size % num_sets]
+            if address in cache_set:
+                del cache_set[address]
+            elif len(cache_set) >= ways:
+                victim = next(iter(cache_set))
+                victim_data = cache_set.pop(victim)
+                cache_set[address] = data
+                mark_dirty(address)
+                if victim in dirty:
+                    dirty.discard(victim)
+                    self._do_writeback(victim, victim_data)
+                continue
+            cache_set[address] = data
+            mark_dirty(address)
 
     # ------------------------------------------------------------------
     # Run-time mode

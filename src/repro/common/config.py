@@ -14,6 +14,7 @@ from repro.common.constants import (
     CACHE_LINE_SIZE,
     CORE_FREQUENCY_HZ,
     HASH_LATENCY_CYCLES,
+    MACS_PER_BLOCK,
     MERKLE_TREE_ARITY,
     NVM_READ_LATENCY_NS,
     NVM_WRITE_LATENCY_NS,
@@ -86,8 +87,11 @@ class SecurityConfig:
     tree_cache_ways: int = 8
 
     def __post_init__(self) -> None:
-        if self.tree_arity < 2:
-            raise ConfigError(f"tree arity must be >= 2, got {self.tree_arity}")
+        if not 2 <= self.tree_arity <= MACS_PER_BLOCK:
+            # A tree node is one 64 B block of MACS_PER_BLOCK child MACs.
+            raise ConfigError(
+                f"tree arity must be in 2..{MACS_PER_BLOCK}, got "
+                f"{self.tree_arity}")
 
 
 @dataclass(frozen=True)

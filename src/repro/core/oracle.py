@@ -34,6 +34,7 @@ diverged; it always means a bug in one of the two paths.
 """
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.common.config import SystemConfig
@@ -44,6 +45,9 @@ from repro.workloads.replay import DEFAULT_EPOCH_OPS, replay
 from repro.workloads.trace import MemoryOp
 
 _EPISODES_SEEN = 0
+
+SystemHook = Callable[[SecureEpdSystem], None]
+"""A step :func:`run_differential` applies to both systems alike."""
 
 
 def oracle_interval() -> int:
@@ -74,11 +78,15 @@ class OracleOutcome:
     recovery: object | None
     checks: int
     """Number of observable fields compared."""
+    recovery_error: tuple[str, str] | None = None
+    """``(type name, message)`` of the exception both recoveries raised;
+    unlike a drain's, it is an outcome, not re-raised."""
 
 
 def _observe(config: SystemConfig, scheme: str, batched: bool, fill: str,
              fill_seed: int, drain_seed: int, recover: bool,
-             system_kwargs: dict):
+             before_crash: SystemHook | None,
+             before_recover: SystemHook | None, system_kwargs: dict):
     """Run one full episode; return (system, observables dict)."""
     system = SecureEpdSystem(config, scheme=scheme, batched=batched,
                              **system_kwargs)
@@ -86,6 +94,8 @@ def _observe(config: SystemConfig, scheme: str, batched: bool, fill: str,
         system.hierarchy.fill_sequential()
     else:
         system.fill_worst_case(seed=fill_seed)
+    if before_crash is not None:
+        before_crash(system)
 
     obs: dict[str, object] = {}
     drain_exc: BaseException | None = None
@@ -106,8 +116,10 @@ def _observe(config: SystemConfig, scheme: str, batched: bool, fill: str,
         obs["drain stats"] = report.stats.snapshot()
 
     recovery = None
+    rec_exc: BaseException | None = None
     if recover and report is not None:
-        rec_exc: BaseException | None = None
+        if before_recover is not None:
+            before_recover(system)
         try:
             recovery = system.recover()
         except Exception as exc:  # reprolint: disable=R4
@@ -118,22 +130,34 @@ def _observe(config: SystemConfig, scheme: str, batched: bool, fill: str,
             obs["recovered blocks"] = recovery.blocks_restored
             obs["recovery cycles"] = recovery.cycles
             obs["recovery stats"] = recovery.stats.snapshot()
-        obs["hierarchy lines"] = [
-            sorted(level.lines(), key=lambda entry: entry[0])
-            for level in system.hierarchy.levels]
+        # Lane order: set by set, each set LRU -> MRU.
+        obs["hierarchy lines"] = [list(level.lines())
+                                  for level in system.hierarchy.levels]
+        if system.controller is not None:
+            obs["metadata caches"] = [
+                (cache.name, [(line.address, _meta_bytes(line.value),
+                               line.dirty) for line in cache.lines()])
+                for cache in system.controller.metadata_caches]
 
     obs["NVM image"] = system.nvm.backend.image()
     obs["lost writes"] = list(system.nvm.lost_writes)
     if system.drain_counter is not None:
         obs["drain counter"] = (system.drain_counter.value,
                                 system.drain_counter.ephemeral)
-    obs["total stats"] = system.stats.snapshot()
+    if rec_exc is None:
+        # A failing batched recovery MAC-checks the whole vault before its
+        # first comparison, so only its operation counters may differ from
+        # the scalar loop's (HorusRecovery._recover_batched); the restored
+        # prefix, the NVM image and the exception are still compared.
+        obs["total stats"] = system.stats.snapshot()
     return system, report, recovery, drain_exc, obs
 
 
 def run_differential(config: SystemConfig, scheme: str, *,
                      fill: str = "sparse", fill_seed: int = 11,
                      drain_seed: int = 23, recover: bool = False,
+                     before_crash: SystemHook | None = None,
+                     before_recover: SystemHook | None = None,
                      **system_kwargs) -> OracleOutcome:
     """Run one episode on both paths; raise on any observable difference.
 
@@ -142,11 +166,15 @@ def run_differential(config: SystemConfig, scheme: str, *,
     ``system_kwargs`` are forwarded to both
     :class:`~repro.core.system.SecureEpdSystem` constructions —
     fault-matrix schemes pass ``rotate_vault``/``recovery_mode`` etc.
+    ``before_crash`` runs on each system between the fill and the crash
+    (run-time traffic), ``before_recover`` between the crash and the
+    recovery (an adversary on the vault).
     """
     runs = {}
     for batched in (True, False):
         runs[batched] = _observe(config, scheme, batched, fill, fill_seed,
-                                 drain_seed, recover, system_kwargs)
+                                 drain_seed, recover, before_crash,
+                                 before_recover, system_kwargs)
     _, report, recovery, exc, obs_b = runs[True]
     obs_s = runs[False][-1]
 
@@ -162,7 +190,8 @@ def run_differential(config: SystemConfig, scheme: str, *,
 
     if exc is not None:
         raise exc
-    return OracleOutcome(drain=report, recovery=recovery, checks=len(fields))
+    return OracleOutcome(drain=report, recovery=recovery, checks=len(fields),
+                         recovery_error=obs_b.get("recovery exception"))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ measures) are identical either way.
 """
 
 from dataclasses import dataclass
+from itertools import compress
+from itertools import count as count_from
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import SystemConfig
@@ -23,7 +25,7 @@ from repro.common.constants import (
 )
 from repro.common.errors import ConfigError, IntegrityError, RecoveryError
 from repro.core.chv import MAC_GROUP_DLM, MAC_GROUP_SLM, ChvLayout
-from repro.crypto.arena import unpack_u64
+from repro.crypto.arena import FRAME_SIZE, frame_buffer, unpack_u64
 from repro.crypto.batch import split_blocks
 from repro.crypto.counters import DrainCounter
 from repro.crypto.primitives import MacDomain
@@ -191,8 +193,13 @@ class HorusRecovery:
         one — and the same exception is raised; only the failure-path
         operation counters differ, because the batch computed the whole
         episode's MACs before the first comparison.
+
+        In refill mode the verified data run (every block before the first
+        metadata address) goes back into the LLC in one
+        :meth:`~repro.cache.hierarchy.CacheHierarchy.restore_dirty` pass;
+        the metadata-cache dump after it is restored line by line.  Each
+        whole-episode buffer is dropped once its last consumer has run.
         """
-        mac = self._controller.mac
         aes = self._controller.aes
         layout = self._controller.layout
         chv = self._chv
@@ -211,14 +218,57 @@ class HorusRecovery:
             chv.data_addresses(rotation.data_slots(count)), ReadKind.CHV)
 
         addresses = unpack_u64(address_buf)[:count]
+        del address_buf
         base = self._dc.value - self._dc.ephemeral
         counters = range(base, base + count)
+        # One frame pass serves both the verify MACs and the decryption.
+        frames = frame_buffer(addresses, counters)
+        verified, failure = self._verify_batch(mac_buf, buffer, addresses,
+                                               counters, frames)
+        del mac_buf
+
+        if verified:
+            if verified < count:
+                del addresses[verified:]
+                counters = counters[:verified]
+                buffer = buffer[:verified * CACHE_LINE_SIZE]
+                frames = frames[:verified * FRAME_SIZE]
+            plaintext = aes.decrypt_batch(addresses, counters, buffer, frames)
+            del buffer, frames
+            blocks = split_blocks(plaintext)
+            del plaintext
+            data_end = 0
+            if self.mode == "refill":
+                # The drain vaults the hierarchy's lines first and the
+                # metadata caches' dump after them.
+                data_end = next(
+                    compress(count_from(), map(layout._data_size.__le__,
+                                               addresses)),
+                    verified)
+                self._hierarchy.restore_dirty(addresses[:data_end],
+                                              blocks[:data_end])
+            for index in range(data_end, verified):
+                self._place(layout, writeback_queue, addresses[index],
+                            blocks[index])
+        if failure is not None:
+            raise failure
+
+    def _verify_batch(self, mac_buf: bytes, buffer: bytes,
+                      addresses: list[int], counters: range,
+                      frames: bytes) -> tuple[int, IntegrityError | None]:
+        """MAC-check a whole vault read back by :meth:`_recover_batched`.
+
+        Returns how many leading positions verified and, when that is not
+        all of them, the error the scalar loop raises at the first failing
+        position (SLM) or group (DLM).
+        """
+        mac = self._controller.mac
+        count = len(addresses)
         computed = mac.block_mac_batch(MacKind.VERIFY, buffer, addresses,
-                                       counters, domain=MacDomain.CHV_DATA)
+                                       counters, domain=MacDomain.CHV_DATA,
+                                       frames=frames)
         computed_raw = b"".join(computed)
 
-        verified = count
-        failure: IntegrityError | None = None
         if self._dlm:
             computed_view = memoryview(computed_raw)
             groups = [computed_view[i:i + CACHE_LINE_SIZE]
@@ -239,36 +289,22 @@ class HorusRecovery:
                     stored = mac_blocks[start // MAC_GROUP_DLM][
                         slot * MAC_SIZE:(slot + 1) * MAC_SIZE]
                     if stored != second:
-                        verified = start
                         position = min(start + MACS_PER_BLOCK, count) - 1
-                        failure = IntegrityError(
+                        return start, IntegrityError(
                             f"CHV second-level MAC mismatch for group "
                             f"ending at vault position {position}")
-                        break
-        else:
-            if mac_buf[:len(computed_raw)] != computed_raw:
-                mac_blocks = split_blocks(mac_buf)
-                for position in range(count):
-                    stored = self._stored_mac(
-                        mac_blocks[position // MAC_GROUP_SLM], position,
-                        MAC_GROUP_SLM)
-                    if stored != computed[position]:
-                        verified = position
-                        failure = IntegrityError(
-                            f"CHV MAC mismatch at vault position "
-                            f"{position} (original address "
-                            f"{addresses[position]:#x})",
-                            addresses[position])
-                        break
-
-        if verified:
-            plaintext = aes.decrypt_batch(
-                addresses[:verified], counters[:verified],
-                buffer[:verified * CACHE_LINE_SIZE])
-            for address, block in zip(addresses, split_blocks(plaintext)):
-                self._place(layout, writeback_queue, address, block)
-        if failure is not None:
-            raise failure
+        elif mac_buf[:len(computed_raw)] != computed_raw:
+            mac_blocks = split_blocks(mac_buf)
+            for position in range(count):
+                stored = self._stored_mac(
+                    mac_blocks[position // MAC_GROUP_SLM], position,
+                    MAC_GROUP_SLM)
+                if stored != computed[position]:
+                    return position, IntegrityError(
+                        f"CHV MAC mismatch at vault position {position} "
+                        f"(original address {addresses[position]:#x})",
+                        addresses[position])
+        return count, None
 
     # ------------------------------------------------------------------
 
@@ -311,21 +347,19 @@ class HorusRecovery:
 
     def _place(self, layout, writeback_queue: list[tuple[int, bytes]],
                address: int, plaintext: bytes) -> None:
-        if self.mode == "writeback" and layout.classify(address) == "data":
+        """Put one verified block back.  Vault addresses decode from u64
+        slots, so the data region's upper bound alone tells data from
+        metadata."""
+        if address >= layout._data_size:
+            self._controller.restore_metadata_line(address, plaintext)
+        elif self.mode == "writeback":
             # Option 2: replay as run-time writes, but only after the
             # vaulted metadata-cache content is back (it arrives at the
             # end of the vault, and the lazy tree is unverifiable
             # without it).
             writeback_queue.append((address, plaintext))
         else:
-            self._restore(layout, address, plaintext)
-
-    def _restore(self, layout, address: int, plaintext: bytes) -> None:
-        region = layout.classify(address)
-        if region == "data":
-            self._hierarchy.restore_dirty(address, plaintext)
-        else:
-            self._controller.restore_metadata_line(address, plaintext)
+            self._hierarchy.restore_dirty([address], [plaintext])
 
 
 def estimate_recovery_stats(config: SystemConfig, double_level_mac: bool,

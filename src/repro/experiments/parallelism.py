@@ -11,10 +11,9 @@ channel/bank parallelism.  Two results matter for hold-up sizing:
   keeps some bank skew.
 """
 
-from repro.core.system import SecureEpdSystem
 from repro.experiments.result import ExperimentResult, ShapeCheck
-from repro.experiments.suite import DRAIN_SEED, FILL_SEED, DrainSuite
-from repro.mem.banking import BankGeometry, parallel_speedup, replay_makespan
+from repro.experiments.suite import DrainSuite
+from repro.mem.banking import BankGeometry, replay_makespan, serialized_ns
 
 GEOMETRIES = (
     BankGeometry(channels=1, banks_per_channel=1),
@@ -24,28 +23,19 @@ GEOMETRIES = (
 SCHEMES = ("nosec", "base-lu", "horus-slm")
 
 
-def _drain_trace(suite: DrainSuite, scheme: str) -> tuple:
-    system = SecureEpdSystem(suite.config(), scheme=scheme)
-    system.nvm.trace = []
-    system.fill_worst_case(seed=FILL_SEED)
-    system.crash(seed=DRAIN_SEED)
-    return system.config, system.nvm.trace
-
-
 def run(suite: DrainSuite) -> ExperimentResult:
-    traces = {scheme: _drain_trace(suite, scheme) for scheme in SCHEMES}
-
     rows = []
     makespans: dict[tuple[str, int], float] = {}
     for scheme in SCHEMES:
-        config, trace = traces[scheme]
+        config, trace = suite.traced_drain(scheme)
+        serialized = serialized_ns(trace, config)
         for geometry in GEOMETRIES:
             result = replay_makespan(trace, config, geometry)
             makespans[(scheme, geometry.total_banks)] = result.makespan_ns
             rows.append([
                 scheme, geometry.total_banks, result.requests,
                 result.makespan_ns / 1e6,
-                parallel_speedup(trace, config, geometry),
+                serialized / result.makespan_ns if trace else 1.0,
             ])
 
     banks_max = GEOMETRIES[-1].total_banks

@@ -11,9 +11,8 @@ realistic bank geometry.  Two findings:
   *work*, not unlucky ordering.
 """
 
-from repro.core.system import SecureEpdSystem
 from repro.experiments.result import ExperimentResult, ShapeCheck
-from repro.experiments.suite import DRAIN_SEED, FILL_SEED, DrainSuite
+from repro.experiments.suite import DrainSuite
 from repro.mem.banking import BankGeometry
 from repro.mem.scheduler import schedule_trace
 
@@ -23,17 +22,10 @@ SCHEMES = ("nosec", "base-lu", "horus-slm")
 
 
 def run(suite: DrainSuite) -> ExperimentResult:
-    traces = {}
-    for scheme in SCHEMES:
-        system = SecureEpdSystem(suite.config(), scheme=scheme)
-        system.nvm.trace = []
-        system.fill_worst_case(seed=FILL_SEED)
-        system.crash(seed=DRAIN_SEED)
-        traces[scheme] = (system.config, system.nvm.trace)
-
     rows = []
     makespans: dict[tuple[str, str], float] = {}
-    for scheme, (config, trace) in traces.items():
+    for scheme in SCHEMES:
+        config, trace = suite.traced_drain(scheme)
         for policy in ("fcfs", "frfcfs"):
             result = schedule_trace(trace, config, GEOMETRY, policy)
             makespans[(scheme, policy)] = result.makespan_ns

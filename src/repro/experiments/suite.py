@@ -13,6 +13,8 @@ invocations and process boundaries — the parallel runner's workers and the
 benchmarks all share one on-disk store.
 """
 
+from array import array
+
 from repro.common.config import SystemConfig
 from repro.common.units import mib
 from repro.core.system import SCHEMES, SecureEpdSystem
@@ -34,6 +36,7 @@ class DrainSuite:
         self.cache = cache
         self._reports: dict[tuple[int, str], DrainReport] = {}
         self._episodes: dict[tuple, DrainReport] = {}
+        self._traces: dict[str, tuple[SystemConfig, array, bytes]] = {}
 
     def config(self, llc_size: int | None = None) -> SystemConfig:
         return SystemConfig.scaled(
@@ -78,6 +81,33 @@ class DrainSuite:
             self.cache.put(cache_key, report)
         self._episodes[memo_key] = report
         return report
+
+    def traced_drain(self, scheme: str) \
+            -> tuple[SystemConfig, list[tuple[int, bool]]]:
+        """``(config, request trace)`` of the default worst-case drain of
+        ``scheme`` (memoized).
+
+        The memory-model ablations replay this trace against bank and
+        scheduler models.  Tracing makes the drain issue every request on
+        its own, so this episode is run here rather than taken from
+        :meth:`drain`'s reports, which carry no trace.  The memo keeps the
+        trace as an address array and a write-flag string, a tenth of the
+        tuple list's size, and rebuilds the list per call.
+        """
+        if scheme not in self._traces:
+            system = SecureEpdSystem(self.config(), scheme=scheme)
+            system.nvm.trace = []
+            system.fill_worst_case(seed=FILL_SEED)
+            system.crash(seed=DRAIN_SEED)
+            trace = system.nvm.trace
+            self._traces[scheme] = (
+                system.config,
+                array("Q", [address for address, _ in trace]),
+                bytes([is_write for _, is_write in trace]))
+            # The episode's state goes before the list is rebuilt below.
+            del system, trace
+        config, addresses, writes = self._traces[scheme]
+        return config, list(zip(addresses, map(bool, writes)))
 
     def seed_report(self, scheme: str, llc_size: int | None,
                     report: DrainReport) -> None:

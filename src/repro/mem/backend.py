@@ -6,6 +6,9 @@ dictionary of 64 B blocks keyed by block index.  Untouched blocks read as
 zeros, exactly like freshly-initialized memory.
 """
 
+from itertools import repeat
+from operator import floordiv, mod
+
 from repro.common.address import block_index, require_block_aligned
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import AddressError
@@ -40,6 +43,17 @@ class SparseMemory:
             raise AddressError(
                 f"address {address:#x} beyond end of memory ({self._size:#x})")
         return block_index(address)
+
+    def _check_batch(self, addresses) -> None:
+        """:meth:`_check` every address of a batch, raising the first bad
+        one's error; an all-valid batch is cleared by three C-level passes
+        (lowest, highest, any misaligned)."""
+        if addresses and (min(addresses) < 0
+                          or max(addresses) > self._size - CACHE_LINE_SIZE
+                          or any(map(mod, addresses,
+                                     repeat(CACHE_LINE_SIZE)))):
+            for address in addresses:
+                self._check(address)
 
     def read_block(self, address: int) -> bytes:
         """Return the 64 B block at ``address`` (zeros if never written)."""
@@ -78,15 +92,7 @@ class SparseMemory:
             raise AddressError(
                 f"arena writes must be exactly {CACHE_LINE_SIZE} B per "
                 f"address, got {len(buffer)} B for {count} addresses")
-        size = self._size
-        for address in addresses:
-            if address % CACHE_LINE_SIZE:
-                raise AddressError(f"address {address:#x} is not "
-                                   f"{CACHE_LINE_SIZE}-byte aligned")
-            if address + CACHE_LINE_SIZE > size:
-                raise AddressError(
-                    f"address {address:#x} beyond end of memory "
-                    f"({size:#x})")
+        self._check_batch(addresses)
         if not isinstance(buffer, bytes):
             buffer = bytes(buffer)
         self._blocks.update(
@@ -95,24 +101,17 @@ class SparseMemory:
                 addresses, range(0, count * CACHE_LINE_SIZE,
                                  CACHE_LINE_SIZE)))
 
-    def read_arena(self, addresses) -> bytearray:
+    def read_arena(self, addresses) -> bytes:
         """Read a batch of blocks into one contiguous buffer.
 
         Byte ``64*i .. 64*i+63`` is :meth:`read_block` of ``addresses[i]``
-        (zeros for never-written blocks), without N intermediate ``bytes``
-        objects.
+        (zeros for never-written blocks); the stored blocks are joined
+        once, without per-block copies into a preallocated buffer.
         """
-        blocks = self._blocks
-        limit = self._size - CACHE_LINE_SIZE
-        out = bytearray(len(addresses) * CACHE_LINE_SIZE)
-        offset = 0
-        for address in addresses:
-            if address % CACHE_LINE_SIZE or not 0 <= address <= limit:
-                self._check(address)
-            out[offset:offset + CACHE_LINE_SIZE] = blocks.get(
-                address // CACHE_LINE_SIZE, ZERO_BLOCK)
-            offset += CACHE_LINE_SIZE
-        return out
+        self._check_batch(addresses)
+        return b"".join(map(self._blocks.get,
+                            map(floordiv, addresses, repeat(CACHE_LINE_SIZE)),
+                            repeat(ZERO_BLOCK)))
 
     def read_blocks(self, addresses) -> list[bytes]:
         """Read a batch of 64 B blocks (:meth:`read_block` per element)."""

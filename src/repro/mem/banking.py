@@ -63,8 +63,9 @@ def replay_makespan(trace: list[tuple[int, bool]], config: SystemConfig,
     bank_load = [0] * geometry.total_banks
     issue_time = 0.0
     makespan = 0.0
+    bank_of = geometry.bank_of
     for address, is_write in trace:
-        bank = geometry.bank_of(address)
+        bank = bank_of(address)
         start = max(issue_time, bank_free[bank])
         done = start + (write_ns if is_write else read_ns)
         bank_free[bank] = done
@@ -78,14 +79,19 @@ def replay_makespan(trace: list[tuple[int, bool]], config: SystemConfig,
     )
 
 
+def serialized_ns(trace: list[tuple[int, bool]],
+                  config: SystemConfig) -> float:
+    """The trace's time with every request serialized (the additive model)."""
+    return sum(
+        config.memory.write_latency_ns if is_write
+        else config.memory.read_latency_ns
+        for _, is_write in trace)
+
+
 def parallel_speedup(trace: list[tuple[int, bool]], config: SystemConfig,
                      geometry: BankGeometry) -> float:
     """Serialized time / banked makespan for the same trace."""
     if not trace:
         return 1.0
-    serialized = sum(
-        config.memory.write_latency_ns if is_write
-        else config.memory.read_latency_ns
-        for _, is_write in trace)
     result = replay_makespan(trace, config, geometry)
-    return serialized / result.makespan_ns
+    return serialized_ns(trace, config) / result.makespan_ns

@@ -209,7 +209,7 @@ class NvmDevice:
             for address in addresses:
                 self.wear.record_write(address)
 
-    def read_arena(self, addresses, kind: ReadKind) -> bytearray:
+    def read_arena(self, addresses, kind: ReadKind) -> bytes:
         """Read a batch into one contiguous buffer, accounted under ``kind``.
 
         Byte ``64*i .. 64*i+63`` is :meth:`read` of ``addresses[i]``; with
@@ -220,10 +220,8 @@ class NvmDevice:
         if not isinstance(kind, ReadKind):
             raise AddressError(f"read kind must be a ReadKind, got {kind!r}")
         if self.trace is not None:
-            out = bytearray()
-            for address in addresses:
-                out += self.read(address, kind)
-            return out
+            return b"".join([self.read(address, kind)
+                             for address in addresses])
         data = self._backend.read_arena(addresses)
         self.stats.record_read(kind, len(addresses))
         return data

@@ -125,6 +125,8 @@ class MemoryLayout:
         self._macs_base = self.macs.base
         self._macs_end = self.macs.end
         self._tree_arity = arity
+        self._region_bases = [region.base for region in self.regions]
+        self._region_names = [region.name for region in self.regions]
 
     @property
     def config(self) -> SystemConfig:
@@ -223,11 +225,16 @@ class MemoryLayout:
                        // CACHE_LINE_SIZE)
 
     def classify(self, address: int) -> str:
-        """Region name containing ``address`` (for diagnostics and tests)."""
-        for region in self.regions:
-            if region.contains(address):
-                return region.name
-        raise AddressError(f"{address:#x} outside all regions")
+        """Region name containing ``address``.
+
+        The regions sit back to back from address 0, so the last region
+        base at or below ``address`` names its region; an empty region
+        shares its base with the next one and is never picked.
+        """
+        if not 0 <= address < self.total_size:
+            raise AddressError(f"{address:#x} outside all regions")
+        return self._region_names[
+            bisect_right(self._region_bases, address) - 1]
 
 
 def _round_lines(size: int) -> int:

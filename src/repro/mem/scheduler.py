@@ -45,7 +45,10 @@ def schedule_trace(trace: list[tuple[int, bool]], config: SystemConfig,
     read_ns = config.memory.read_latency_ns
     write_ns = config.memory.write_latency_ns
     bank_free = [0.0] * geometry.total_banks
+    # Each request waits in the window as (bank, is_write): its bank is
+    # looked up once, when it enters, not at every scan.
     pending: deque[tuple[int, bool]] = deque()
+    bank_of = geometry.bank_of
     feed = iter(trace)
     bus_free = 0.0
     makespan = 0.0
@@ -54,11 +57,11 @@ def schedule_trace(trace: list[tuple[int, bool]], config: SystemConfig,
     def refill() -> None:
         while len(pending) < window:
             try:
-                pending.append(next(feed))
+                address, is_write = next(feed)
             except StopIteration:
                 return
+            pending.append((bank_of(address), is_write))
 
-    bank_of = geometry.bank_of
     refill()
     while pending:
         choice = 0
@@ -67,8 +70,8 @@ def schedule_trace(trace: list[tuple[int, bool]], config: SystemConfig,
             # a strictly earlier start, and stop at the first request whose
             # bank is free by the time the bus is — nothing starts sooner.
             best = 0.0
-            for index, (address, _) in enumerate(pending):
-                ready = bank_free[bank_of(address)]
+            for index, (bank, _) in enumerate(pending):
+                ready = bank_free[bank]
                 if ready <= bus_free:
                     choice = index
                     break
@@ -77,9 +80,8 @@ def schedule_trace(trace: list[tuple[int, bool]], config: SystemConfig,
                     choice = index
         if choice:
             reordered += 1
-        address, is_write = pending[choice]
+        bank, is_write = pending[choice]
         del pending[choice]
-        bank = geometry.bank_of(address)
         start = max(bus_free, bank_free[bank])
         done = start + (write_ns if is_write else read_ns)
         bank_free[bank] = done

@@ -170,7 +170,7 @@ class TestRuntimePath:
 
 class TestRestore:
     def test_restore_dirty_places_line_in_llc(self, hierarchy):
-        hierarchy.restore_dirty(4096, b"\x11" * 64)
+        hierarchy.restore_dirty([4096], [b"\x11" * 64])
         assert hierarchy.llc.lookup(4096, touch=False) == b"\x11" * 64
         assert 4096 in hierarchy.llc.dirty
 

@@ -1,5 +1,7 @@
 """Configuration dataclasses and the Table I defaults."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.config import (
@@ -8,8 +10,10 @@ from repro.common.config import (
     SecurityConfig,
     SystemConfig,
 )
+from repro.common.constants import MACS_PER_BLOCK
 from repro.common.errors import ConfigError
 from repro.common.units import gib, kib, mib
+from repro.core.system import SecureEpdSystem
 
 
 class TestCacheConfig:
@@ -57,6 +61,25 @@ class TestSecurityConfig:
     def test_rejects_degenerate_arity(self):
         with pytest.raises(ConfigError):
             SecurityConfig(tree_arity=1)
+
+    @pytest.mark.parametrize("arity", [9, 16])
+    def test_rejects_arity_beyond_a_tree_node(self, arity):
+        """A tree node is one block of MACS_PER_BLOCK child MACs."""
+        with pytest.raises(ConfigError, match="tree arity"):
+            SecurityConfig(tree_arity=arity)
+
+    @pytest.mark.parametrize("arity", [2, MACS_PER_BLOCK])
+    def test_supported_arities_write_and_read_back(self, arity):
+        base = SystemConfig.scaled(512)
+        config = replace(base, security=replace(base.security,
+                                                tree_arity=arity))
+        system = SecureEpdSystem(config, scheme="base-lu")
+        pages = range(0, 40, 3)
+        for page in pages:
+            system.controller.write(page * 4096, bytes([page + 1]) * 64)
+        for page in pages:
+            assert system.controller.read(page * 4096) == \
+                bytes([page + 1]) * 64
 
 
 class TestSystemConfig:

@@ -119,8 +119,7 @@ class TestChvContents:
         """Unique DC per flush: equal lines leak nothing (Section IV-C4)."""
         system = SecureEpdSystem(tiny_config, scheme="horus-slm")
         same = b"\x42" * 64
-        system.hierarchy.restore_dirty(0, same)
-        system.hierarchy.restore_dirty(4096, same)
+        system.hierarchy.restore_dirty([0, 4096], [same, same])
         system.crash(seed=2)
         chv = system.drain_engine._chv
         assert system.nvm.peek(chv.data_address(0)) != \
@@ -155,8 +154,9 @@ def _tail_episode(scheme: str, rotate: bool, batched: bool, lines: int):
     so none is evicted before the crash) and nothing else."""
     system = SecureEpdSystem(SystemConfig.scaled(512), scheme=scheme,
                              rotate_vault=rotate, batched=batched)
-    for index in range(lines):
-        system.hierarchy.restore_dirty(index * 64, _tail_line(index))
+    system.hierarchy.restore_dirty(
+        [index * 64 for index in range(lines)],
+        [_tail_line(index) for index in range(lines)])
     return system, system.crash(seed=2)
 
 

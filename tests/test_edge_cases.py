@@ -51,8 +51,8 @@ class TestChvOverflow:
         layout = MemoryLayout(tiny_config)
         # Shrink the engine's vault to 64 positions and overfeed it.
         system.drain_engine._chv = ChvLayout(layout.chv, capacity=64)
-        for i in range(65):
-            system.hierarchy.restore_dirty(i * 4096, bytes(64))
+        system.hierarchy.restore_dirty([i * 4096 for i in range(65)],
+                                       [bytes(64)] * 65)
         with pytest.raises(ConfigError):
             system.crash(seed=1)
 

@@ -139,3 +139,40 @@ class TestArenaIo:
     def test_empty_batch(self, memory):
         memory.write_arena([], b"")
         assert bytes(memory.read_arena([])) == b""
+
+    BAD = {
+        "negative": [0, 64, -64, 128],
+        "beyond-end": [0, 64, 1 << 20, 128],
+        "misaligned": [0, 64, 200, 128],
+        "misaligned-at-end": [0, 64, (1 << 20) - 32, 128],
+        "first-bad-wins": [0, 8, -64, 1 << 20],
+    }
+
+    @staticmethod
+    def _error(call):
+        with pytest.raises(AddressError) as caught:
+            call()
+        return type(caught.value), str(caught.value)
+
+    @pytest.mark.parametrize("batch", list(BAD.values()), ids=list(BAD))
+    def test_read_arena_fails_like_read_block(self, memory, batch):
+        def per_block():
+            for address in batch:
+                memory.read_block(address)
+
+        assert self._error(lambda: memory.read_arena(batch)) == \
+            self._error(per_block)
+
+    @pytest.mark.parametrize("batch", list(BAD.values()), ids=list(BAD))
+    def test_write_arena_fails_like_write_block_and_stores_nothing(
+            self, batch):
+        per_block_memory = SparseMemory(1 << 20)
+        arena_memory = SparseMemory(1 << 20)
+
+        def per_block():
+            for address in batch:
+                per_block_memory.write_block(address, bytes(64))
+
+        assert self._error(lambda: arena_memory.write_arena(
+            batch, bytes(64 * len(batch)))) == self._error(per_block)
+        assert arena_memory.touched_blocks == 0

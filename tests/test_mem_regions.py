@@ -56,6 +56,32 @@ class TestRegionDisjointness:
         with pytest.raises(AddressError):
             layout.classify(layout.total_size)
 
+    @pytest.mark.parametrize("config", [SystemConfig.scaled(512),
+                                        SystemConfig.paper()],
+                             ids=["scaled-512", "paper"])
+    def test_classify_matches_a_linear_region_scan(self, config):
+        """The bisection over region bases names the same region as a scan
+        of ``Region.contains``, and fails the same way outside them all."""
+        layout = MemoryLayout(config)
+
+        def linear(address):
+            for region in layout.regions:
+                if region.contains(address):
+                    return region.name
+            raise AddressError(f"{address:#x} outside all regions")
+
+        probes = [-64]
+        for region in layout.regions:
+            probes += [region.base, region.end - 64, region.end]
+        for address in probes:
+            try:
+                expected = linear(address)
+            except AddressError as exc:
+                with pytest.raises(AddressError, match=str(exc)):
+                    layout.classify(address)
+            else:
+                assert layout.classify(address) == expected, hex(address)
+
 
 class TestCounterMapping:
     def test_one_counter_block_per_4k_page(self, layout):

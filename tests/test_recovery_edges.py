@@ -8,7 +8,10 @@ register sizes."""
 
 import pytest
 
-from repro.common.constants import CACHE_LINE_SIZE
+from repro.attacks.adversary import Adversary
+from repro.common.constants import CACHE_LINE_SIZE, MACS_PER_BLOCK
+from repro.common.errors import IntegrityError
+from repro.core import oracle
 from repro.core.system import SecureEpdSystem
 
 STRIDE = CACHE_LINE_SIZE * 64
@@ -87,3 +90,56 @@ class TestRotatedWrap:
         for start in range(groups):
             _round_trip(small_config, scheme, lines=9, rotate=True,
                         pre_episodes=start)
+
+
+def _run_time_writes(system):
+    """Write-allocate into the full hierarchy: the evictions write back
+    through the controller, leaving dirty metadata lines to vault."""
+    for i in range(16):
+        system.write(i * 4096 + 64, bytes([i + 1]) * CACHE_LINE_SIZE)
+
+
+class TestBatchedRefillParity:
+    """The batched recovery refills the vault's data run in one pass and
+    restores the metadata-cache dump after it line by line.  The oracle
+    holds it to the scalar loop on every restored lane, in LRU order: the
+    hierarchy levels and the metadata caches."""
+
+    @pytest.mark.parametrize("scheme", ["horus-slm", "horus-dlm"])
+    def test_vault_with_a_metadata_suffix(self, tiny_config, scheme):
+        outcome = oracle.run_differential(tiny_config, scheme, recover=True,
+                                          before_crash=_run_time_writes)
+        assert outcome.drain.metadata_blocks > 0
+        assert outcome.recovery.blocks_restored == \
+            outcome.drain.flushed_blocks + outcome.drain.metadata_blocks
+
+    @pytest.mark.parametrize("scheme, message", [
+        ("horus-slm", "CHV MAC mismatch at vault position {position} "),
+        ("horus-dlm", "second-level MAC mismatch for group ending at vault "
+                      "position {group_end}"),
+    ])
+    def test_tampered_vault_restores_the_same_prefix(self, tiny_config,
+                                                     scheme, message):
+        """One data block tampered mid-episode: both paths raise the same
+        error after restoring the same prefix (every position before it
+        for SLM, every whole group before its group for DLM)."""
+        systems = []
+
+        def tamper(system):
+            position = system.drain_counter.ephemeral // 2 + 3
+            Adversary(system.nvm).tamper(
+                system.drain_engine._chv.data_address(position))
+            systems.append((system, position))
+
+        outcome = oracle.run_differential(tiny_config, scheme, recover=True,
+                                          before_crash=_run_time_writes,
+                                          before_recover=tamper)
+        (batched, position), (scalar, _) = systems
+        assert batched.batched and not scalar.batched
+        assert outcome.recovery is None
+        error, text = outcome.recovery_error
+        assert error == IntegrityError.__name__
+        group_end = position | (MACS_PER_BLOCK - 1)
+        assert message.format(position=position, group_end=group_end) in text
+        restored = len(batched.hierarchy.llc)
+        assert 0 < restored < batched.last_drain.flushed_blocks
