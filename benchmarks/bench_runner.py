@@ -251,11 +251,11 @@ def _shard_walls(config: SystemConfig) -> tuple[float, float]:
     """(solo, sharded) best wall seconds of one multi-tenant fleet replay.
 
     Both sides run the identical per-controller work — the solo side
-    replays each shard's routed sub-trace on standalone systems keyed the
-    same way — so solo/sharded isolates the router + facade overhead as a
-    machine-independent ratio (1.0 = free routing; a drop means the routed
-    path got slower).  Rounds interleave the two sides like the replay
-    metric does.
+    replays each shard's routed part, at the shard's base offset, on
+    standalone systems keyed the same way — so solo/sharded isolates the
+    router + facade overhead as a machine-independent ratio (1.0 = free
+    routing; a drop means the routed path got slower).  Rounds interleave
+    the two sides like the replay metric does.
     """
     from repro.core.system import SecureEpdSystem as Solo
     from repro.sharding.keys import TenantKeyring
@@ -280,9 +280,9 @@ def _shard_walls(config: SystemConfig) -> tuple[float, float]:
         solos = [Solo(config, scheme="horus-dlm", key_schedule=schedule)
                  for schedule in schedules]
         start = time.perf_counter()
-        for system, part in zip(solos, parts):
+        for system, part, extent in zip(solos, parts, router.extents):
             if part:
-                replay(system, part)
+                replay(system, part, base=extent.base)
         best["solo"] = min(best["solo"], time.perf_counter() - start)
 
         fleet = ShardedSecureSystem(config, num_shards=SHARD_COUNT,

@@ -40,6 +40,7 @@ attack the persistent drain counters exist to defeat.
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import xor
 
 from repro.attacks.adversary import Adversary
 from repro.campaigns.classify import DETECTED, run_recovery_and_sweep
@@ -88,6 +89,9 @@ _FILL_STRIDE = CACHE_LINE_SIZE * 64
 _TAMPER_OFFSET = 7
 _TAMPER_MASK = 0x40
 _SPOOF_PAYLOAD = bytes((0xA5 ^ (i * 29)) & 0xFF for i in range(CACHE_LINE_SIZE))
+# Per-byte masks of the fill patterns: byte i is (i * k) & 0xFF.
+_PATTERN_MASK = bytes((i * 37) & 0xFF for i in range(CACHE_LINE_SIZE))
+_PATTERN2_MASK = bytes((i * 53) & 0xFF for i in range(CACHE_LINE_SIZE))
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +145,17 @@ def _tenant_splice_attack(system: SecureEpdSystem, adversary: Adversary,
 
 
 def _pattern(address: int) -> bytes:
+    """The fill content: byte i is byte ``i % 4`` of a 32-bit hash of the
+    address, XORed with ``(i * 37) & 0xFF``."""
     seed = (address * 2654435761) & 0xFFFFFFFF
-    return bytes((seed >> (8 * (i % 4))) & 0xFF ^ (i * 37) & 0xFF
-                 for i in range(CACHE_LINE_SIZE))
+    return bytes(map(xor, seed.to_bytes(4, "little") * 16, _PATTERN_MASK))
 
 
 def _pattern2(address: int) -> bytes:
     """The replay epoch's second-generation content (distinct per line and
     distinct from :func:`_pattern`, so stale-version attacks are visible)."""
     seed = (address * 2246822519 + 0x61) & 0xFFFFFFFF
-    return bytes((seed >> (8 * (i % 4))) & 0xFF ^ (i * 53) & 0xFF
-                 for i in range(CACHE_LINE_SIZE))
+    return bytes(map(xor, seed.to_bytes(4, "little") * 16, _PATTERN2_MASK))
 
 
 def fill_lines(system: SecureEpdSystem, lines: int) -> dict[int, bytes]:
@@ -636,6 +640,9 @@ def _run_attack_episode(config: SystemConfig, scheme: str,
     try:
         system.crash(seed=DRAIN_SEED)
     except (IntegrityError, RecoveryError) as exc:
+        # The plan's attack closure holds the system: detach it, or the
+        # dropped system is left to the cyclic collector.
+        system.nvm.fault_plan = None
         return DETECTED, f"drain: {type(exc).__name__}: {exc}"
     plan_back = system.nvm.restore_power()
     if window == MID_DRAIN:

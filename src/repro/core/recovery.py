@@ -251,7 +251,12 @@ class HorusRecovery:
                 self._place(layout, writeback_queue, addresses[index],
                             blocks[index])
         if failure is not None:
-            raise failure
+            # The raised error's traceback holds this frame: drop the
+            # local so error and frame do not form a reference cycle.
+            try:
+                raise failure
+            finally:
+                del failure
 
     def _verify_batch(self, mac_buf: bytes, buffer: bytes,
                       addresses: list[int], counters: range,

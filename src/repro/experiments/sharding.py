@@ -1,15 +1,15 @@
 """Shard-count scaling: aggregate throughput and drain energy (beyond paper).
 
 Partitioning the NVM across N independent controller shards buys run-time
-parallelism (each shard replays only its routed sub-trace, so fleet wall
-time is the slowest shard) at a drain-energy cost (every shard drains its
-own metadata floor).  This ablation sweeps the fleet size 1 -> 16 over one
-fixed multi-tenant workload and reports both curves, plus the cross-shard
-drain wall under each power policy:
+parallelism (each shard replays only its routed part of the trace, so
+fleet wall time is the slowest shard) at a drain-energy cost (every shard
+drains its own metadata floor).  This ablation sweeps the fleet size
+1 -> 16 over one fixed multi-tenant workload and reports both curves, plus
+the cross-shard drain wall under each power policy:
 
 * ``simultaneous`` wall is the slowest shard, ``staggered`` the sum, and a
   ``budgeted`` schedule under half the fleet's draw lands in between;
-* aggregate throughput grows with the fleet (the routed sub-traces shrink);
+* aggregate throughput grows with the fleet (the routed parts shrink);
 * routing is total: the per-shard op counts sum to the plan's op count.
 """
 
@@ -42,14 +42,16 @@ def _fleet_episode(suite: DrainSuite, num_shards: int) -> dict[str, float]:
                                  keyring=make_keyring(spec))
     parts = system.router.split(TenantMixer(plan).mix())
 
-    # Replay each shard's sub-trace and attribute run-time cycles per shard;
-    # the fleet's wall clock is its slowest shard (shards share nothing).
+    # Replay each shard's part at its base offset and attribute run-time
+    # cycles per shard; the fleet's wall clock is its slowest shard (shards
+    # share nothing).
     shard_seconds = []
-    for shard, sub_trace in enumerate(parts):
-        if not sub_trace:
+    for extent, shard_system, part in zip(system.router.extents,
+                                          system.shards, parts):
+        if not part:
             shard_seconds.append(0.0)
             continue
-        breakdown = model.replay(system.shards[shard], sub_trace)
+        breakdown = model.replay(shard_system, part, base=extent.base)
         shard_seconds.append(cycles_to_seconds(breakdown.total_cycles,
                                                config.frequency_hz))
     replay_wall = max(shard_seconds)

@@ -16,7 +16,8 @@ controller.  This package composes N of them into a single address space:
 
 The correctness contract mirrors the batch/arena oracles: an N-shard run
 over a routed trace is byte-identical, per shard, to N independent
-single-controller runs over the route-filtered sub-traces.
+single-controller runs over the router's per-shard parts, each replayed at
+its shard's base offset.
 """
 
 from repro.sharding.drain import (

@@ -2,9 +2,10 @@
 
 Shards share nothing, so a sharded episode parallelizes perfectly: each
 worker rebuilds its shard's world from a picklable :class:`ShardRunSpec`
-(config + tenant-mix plan + seeds — never serialized op streams), runs the
-route-filtered sub-trace through a solo controller keyed exactly like the
-sharded system's shard, drains, and returns the shard's observables.
+(config + tenant-mix plan + seeds — never serialized op streams), replays
+its part of the routed mix at the shard's base offset through a solo
+controller keyed exactly like the sharded system's shard, drains, and
+returns the shard's observables.
 
 Because workers regenerate traces deterministically from the spec, the
 pooled result is byte-identical to the in-process
@@ -26,6 +27,7 @@ from repro.sharding.router import ShardRouter
 from repro.sharding.system import (
     ShardedSecureSystem,
     ShardObservables,
+    count_writes,
     observe,
     shard_key_schedules,
 )
@@ -82,10 +84,10 @@ def make_keyring(spec: ShardRunSpec) -> TenantKeyring | None:
 def run_shard(spec: ShardRunSpec, shard: int) -> ShardRunResult:
     """One shard's full episode, rebuilt from scratch (pool worker body).
 
-    Regenerates the global mix, routes it, and runs this shard's sub-trace
-    through a solo system keyed with the same clipped keyring view the
-    sharded facade would install — the two paths are operation-for-operation
-    identical.
+    Regenerates the global mix, splits it, and replays this shard's part at
+    the shard's base offset through a solo system keyed with the same
+    clipped keyring view the sharded facade would install — the two paths
+    are operation-for-operation identical.
     """
     router = ShardRouter(spec.config, spec.num_shards)
     if spec.plan.data_size != router.total_data_size:
@@ -99,14 +101,15 @@ def run_shard(spec: ShardRunSpec, shard: int) -> ShardRunResult:
     system = SecureEpdSystem(spec.config, scheme=spec.scheme,
                              batched=spec.batched,
                              key_schedule=schedules[shard])
-    sub_trace = router.split(TenantMixer(spec.plan).mix())[shard]
-    if sub_trace:
-        replay(system, sub_trace, epoch_ops=spec.epoch_ops,
-               batched=spec.batched)
+    part = router.split(TenantMixer(spec.plan).mix())[shard]
+    if part:
+        replay(system, part, epoch_ops=spec.epoch_ops, batched=spec.batched,
+               base=router.extents[shard].base)
     report = system.crash(seed=spread_seed(spec.drain_seed, "shard", shard))
     energy = EnergyModel().breakdown(report)
     return ShardRunResult(
-        observables=observe(system, shard=shard, trace=sub_trace),
+        observables=observe(system, shard=shard, ops=len(part),
+                            writes=count_writes(part)),
         drain_seconds=report.seconds,
         drain_energy_j=energy.total_j,
         drain_writes=report.total_writes,

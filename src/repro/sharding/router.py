@@ -9,9 +9,11 @@ disjoint over ``[0, total_data_size)`` — every aligned address maps to
 exactly one shard — which the property suite asserts directly.
 
 Routing is pure arithmetic (no state), so a routed trace can be split into
-per-shard sub-traces whose replays are bit-equivalent to the sharded run:
-the shard-vs-solo differential oracle in :mod:`tests.test_sharding_differential`
-leans on exactly this.
+per-shard parts whose replays are bit-equivalent to the sharded run: the
+shard-vs-solo differential oracle in :mod:`tests.test_sharding_differential`
+leans on exactly this.  :meth:`ShardRouter.split` only partitions: each part
+holds the caller's own ops, still in global coordinates, and a replay issues
+them at the shard's base offset (``replay(system, part, base=extent.base)``).
 """
 
 from dataclasses import dataclass
@@ -103,40 +105,23 @@ class ShardRouter:
 
     @collector_paused()
     def split(self, trace: list[MemoryOp]) -> list[list[MemoryOp]]:
-        """Route a global trace into per-shard local sub-traces.
+        """Partition a global trace into per-shard parts, in place.
 
-        Per-shard op order matches arrival order (the routed twin of the
-        global trace), and every op lands in exactly one sub-trace — so the
-        concatenated result is a permutation of the input that only reorders
-        across shards, never within one.  The collector is paused because
-        a 200k-op split allocates as many ops, and the full collections
-        they triggered, not this loop, were most of the routed path's
-        overhead.
+        Each part holds the input ops themselves (no copies, addresses
+        still global) in arrival order, and every op lands in exactly one
+        part, so the parts' lengths sum to the trace's.  A replay of part
+        ``s`` at ``base=self.extents[s].base`` issues the shard-local
+        addresses.  Every op is checked against the aggregate range before
+        it is routed.  The split runs paused like every bulk entry point;
+        it allocates nothing per op beyond a list slot.
         """
         parts: list[list[MemoryOp]] = [[] for _ in range(self.num_shards)]
+        appends = [part.append for part in parts]
         size = self.shard_data_size
         total = self.total_data_size
-        # Rebasing preserves the source op's validated invariants (the
-        # shard base is line aligned, checked at construction), so the
-        # rebased ops bypass __post_init__ and the frozen __setattr__ by
-        # writing the slots directly; shard 0's base is zero, so its ops
-        # alias the (frozen) originals.
-        make = MemoryOp.__new__
-        slots = vars(MemoryOp)
-        set_kind = slots["kind"].__set__
-        set_address = slots["address"].__set__
-        set_data = slots["data"].__set__
         for op in trace:
             address = op.address
             if not 0 <= address < total:
                 self.require_global_address(address)
-            shard, local = divmod(address, size)
-            if shard:
-                rebased = make(MemoryOp)
-                set_kind(rebased, op.kind)
-                set_address(rebased, local)
-                set_data(rebased, op.data)
-                parts[shard].append(rebased)
-            else:
-                parts[0].append(op)
+            appends[address // size](op)
         return parts

@@ -7,8 +7,9 @@ address range, crashes drain every shard under a pluggable cross-shard power
 policy, and recovery restores each shard from its own persistent state.
 Shards share *nothing* — no caches, no metadata, no keys beyond the derived
 per-tenant schedule — which is what makes the equivalence oracle exact: the
-sharded run and N solo runs over route-filtered sub-traces execute the same
-per-controller operation streams.
+sharded run and N solo runs over the router's per-shard parts, each replayed
+at its shard's base offset, execute the same per-controller operation
+streams.
 
 :func:`observe` is the common observables probe (NVM image hash, stats,
 persistent TCB registers) shared by the sharded system, the solo twins, and
@@ -73,12 +74,18 @@ def nvm_image_sha256(system: SecureEpdSystem) -> str:
     return digest.hexdigest()
 
 
-def observe(system: SecureEpdSystem, shard: int = 0,
-            trace: "Sequence[MemoryOp] | None" = None) -> ShardObservables:
-    """Snapshot one system's observables (sharded, solo, or pooled run)."""
-    ops = len(trace) if trace is not None else 0
-    writes = (sum(1 for op in trace if op.kind is OpKind.WRITE)
-              if trace is not None else 0)
+def count_writes(trace: "Sequence[MemoryOp]") -> int:
+    """How many of a trace's ops are writes."""
+    write = OpKind.WRITE
+    return sum(1 for op in trace if op.kind is write)
+
+
+def observe(system: SecureEpdSystem, shard: int = 0, *, ops: int = 0,
+            writes: int = 0) -> ShardObservables:
+    """Snapshot one system's observables (sharded, solo, or pooled run).
+
+    ``ops`` and ``writes`` count the run-time traffic routed to the system.
+    """
     controller = system.controller
     counter = system.drain_counter
     drain = system.last_drain
@@ -165,8 +172,9 @@ class ShardedSecureSystem:
                             key_schedule=schedule)
             for schedule in schedules)
         self.last_drain: ShardedDrainReport | None = None
-        self._shard_traces: tuple[list[MemoryOp], ...] = tuple(
-            [] for _ in range(num_shards))
+        # Routed run-time traffic per shard, for observables().
+        self._ops = [0] * num_shards
+        self._writes = [0] * num_shards
 
     @property
     def num_shards(self) -> int:
@@ -178,35 +186,40 @@ class ShardedSecureSystem:
         """Routed run-time store of one 64 B line."""
         shard, local = self.router.route(address)
         self.shards[shard].write(local, data)
-        self._shard_traces[shard].append(MemoryOp(OpKind.WRITE, local, data))
+        self._ops[shard] += 1
+        self._writes[shard] += 1
 
     def read(self, address: int) -> bytes:
         """Routed run-time load of one 64 B line."""
         shard, local = self.router.route(address)
         data: bytes = self.shards[shard].read(local)
-        self._shard_traces[shard].append(MemoryOp(OpKind.READ, local))
+        self._ops[shard] += 1
         return data
 
     def replay(self, trace: "list[MemoryOp]", *,
                epoch_ops: int = DEFAULT_EPOCH_OPS,
                batched: bool | None = None) -> dict[int, bytes]:
-        """Route a global trace and replay each shard's sub-trace.
+        """Route a global trace and replay each shard's part of it.
 
-        Returns the expected final content per *global* written address,
-        mirroring :func:`repro.workloads.replay.replay`.  Per-shard replay
-        is epoch-batched exactly as a solo run over the same sub-trace
-        would be, which is what the differential oracle asserts.
+        :meth:`ShardRouter.split` partitions the caller's ops in place, and
+        each shard replays its part at its extent's base, so the ops are
+        issued at shard-local addresses.  Returns the expected final
+        content per *global* written address, mirroring
+        :func:`repro.workloads.replay.replay`: each shard's map is already
+        keyed by the trace's own addresses.  Per-shard replay is
+        epoch-batched exactly as a solo run over the same part would be,
+        which is what the differential oracle asserts.
         """
         parts = self.router.split(trace)
         expected: dict[int, bytes] = {}
-        for shard, sub_trace in enumerate(parts):
-            if not sub_trace:
+        for extent, system, part in zip(self.router.extents, self.shards,
+                                        parts):
+            if not part:
                 continue
-            local = replay(self.shards[shard], sub_trace,
-                           epoch_ops=epoch_ops, batched=batched)
-            self._shard_traces[shard].extend(sub_trace)
-            for address, data in local.items():
-                expected[self.router.to_global(shard, address)] = data
+            expected.update(replay(system, part, epoch_ops=epoch_ops,
+                                   batched=batched, base=extent.base))
+            self._ops[extent.shard] += len(part)
+            self._writes[extent.shard] += count_writes(part)
         return expected
 
     # -- crash / drain / recovery ------------------------------------------
@@ -254,5 +267,6 @@ class ShardedSecureSystem:
     def observables(self) -> tuple[ShardObservables, ...]:
         """Per-shard observable snapshots (op counts from routed traffic)."""
         return tuple(
-            observe(system, shard=shard, trace=self._shard_traces[shard])
+            observe(system, shard=shard, ops=self._ops[shard],
+                    writes=self._writes[shard])
             for shard, system in enumerate(self.shards))

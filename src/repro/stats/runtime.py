@@ -61,19 +61,21 @@ class RuntimePerfModel:
             accesses=sum(access_counts.values()),
         )
 
-    def replay(self, system: Any, trace: Iterable[Any]) -> RuntimeBreakdown:
+    def replay(self, system: Any, trace: Iterable[Any], *,
+               base: int = 0) -> RuntimeBreakdown:
         """Replay a workload trace on a system and measure it.
 
         ``system`` is anything with ``read``/``write``/``stats`` and a
         ``hierarchy`` (a :class:`~repro.core.system.SecureEpdSystem`).
         Full systems replay epoch-batched (observably identical to the
         scalar loop); bare test doubles fall back to per-op calls inside
-        :func:`repro.workloads.replay.replay`.
+        :func:`repro.workloads.replay.replay`.  ``base`` is passed through:
+        each op is issued at ``address - base``.
         """
         from repro.workloads.replay import replay as replay_trace
 
         before = system.stats.copy()
         system.hierarchy.access_counts.clear()
-        replay_trace(system, list(trace))
+        replay_trace(system, list(trace), base=base)
         return self.breakdown(system.hierarchy.access_counts,
                               system.stats.diff(before))

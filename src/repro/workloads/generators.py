@@ -119,17 +119,20 @@ def transactional_trace(num_txns: int, footprint_blocks: int,
     return trace
 
 
-def replay(system: Any, trace: list[MemoryOp]) -> dict[int, bytes]:
+def replay(system: Any, trace: list[MemoryOp], *,
+           base: int = 0) -> dict[int, bytes]:
     """Run a trace against a :class:`~repro.core.system.SecureEpdSystem`.
 
     Returns the expected final content per written address — the oracle the
-    crash-recovery integration tests compare against after recovery.
+    crash-recovery integration tests compare against after recovery.  Each
+    op is issued (and so validated by the system) at ``address - base``;
+    the returned map keeps the trace's own addresses.
     """
     expected: dict[int, bytes] = {}
     for op in trace:
         if op.kind is OpKind.WRITE:
-            system.write(op.address, op.data)
+            system.write(op.address - base, op.data)
             expected[op.address] = cast(bytes, op.data)
         else:
-            system.read(op.address)
+            system.read(op.address - base)
     return expected

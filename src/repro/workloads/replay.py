@@ -30,6 +30,7 @@ non-inclusive hierarchies and systems that lack the batch hooks entirely
 """
 
 import time
+from operator import itemgetter
 from typing import Any, cast
 
 from repro.common.errors import ConfigError
@@ -95,33 +96,36 @@ def _run_plain(nvm: Any, mem_ops: "list[tuple[str, int, bytes | None]]") \
 @collector_paused()
 def replay(system: Any, trace: "list[MemoryOp]", *,
            epoch_ops: int = DEFAULT_EPOCH_OPS,
-           batched: bool | None = None) -> dict[int, bytes]:
+           batched: bool | None = None, base: int = 0) -> dict[int, bytes]:
     """Run a trace against a system, epoch-batched when possible.
 
     Returns the expected final content per written address, exactly as
     :func:`repro.workloads.generators.replay` does.  ``batched`` defaults to
     the system's own ``batched`` setting (the differential oracle passes an
     explicit value per side); ineligible systems fall back to the scalar
-    loop.  Each unique address is validated once — validation carries no
-    accounting, so the per-op re-validation of the scalar path is not an
-    observable.
+    loop.  ``base`` is the trace's offset from the system's data space: each
+    op is validated and issued at ``address - base`` (a fleet shard replays
+    its part of a global trace at the shard's base), while the returned map
+    keeps the trace's own addresses.  Each unique address is validated once
+    — validation carries no accounting, so the per-op re-validation of the
+    scalar path is not an observable.
     """
     if epoch_ops <= 0:
         raise ConfigError("epoch_ops must be positive")
     if not _eligible(system, batched):
-        return scalar_replay(system, trace)
+        return scalar_replay(system, trace, base=base)
 
     hierarchy = system.hierarchy
     controller = getattr(system, "controller", None)
     nvm = system.nvm
     require = system.layout.require_data_address
     write_kind = OpKind.WRITE
-    for address in {op.address for op in trace}:
-        require(address)
     ops_buf: list[tuple[str, int, bytes | None]] = [
-        ("w", op.address, op.data) if op.kind is write_kind
-        else ("r", op.address, None)
+        ("w", op.address - base, op.data) if op.kind is write_kind
+        else ("r", op.address - base, None)
         for op in trace]
+    for address in set(map(itemgetter(1), ops_buf)):
+        require(address)
     expected: dict[int, bytes] = {
         op.address: cast(bytes, op.data)
         for op in trace if op.kind is write_kind}

@@ -45,7 +45,7 @@ class TenantMixPlan:
 
     Frozen and picklable: shipping the plan to a pool worker reproduces the
     exact same global trace, which is how shard workers regenerate their
-    sub-traces instead of serializing op streams.
+    parts of it instead of serializing op streams.
     """
 
     num_tenants: int

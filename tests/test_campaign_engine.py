@@ -30,6 +30,7 @@ from repro.campaigns import (
     variant_name,
 )
 from repro.campaigns.__main__ import main as campaigns_main
+from repro.campaigns.engine import _pattern, _pattern2
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.experiments.cache import ResultCache
@@ -301,6 +302,35 @@ class TestInjectionMechanics:
             run_campaign_cell(tiny_config, "horus-slm", False,
                               Scenario("tamper", "data"), "pre-recovery",
                               lines=2)
+
+
+def reference_pattern(address, multiplier, offset, step):
+    """The per-byte form the fill patterns had: byte ``i % 4`` of a 32-bit
+    hash of the address, XORed with ``(i * step) & 0xFF``."""
+    seed = (address * multiplier + offset) & 0xFFFFFFFF
+    return bytes((seed >> (8 * (i % 4))) & 0xFF ^ (i * step) & 0xFF
+                 for i in range(64))
+
+
+class TestFillPatterns:
+    ADDRESSES = (0, 64, 4096, 64 * 64 * 23, 0x1234_5640, 1 << 32,
+                 (1 << 40) + 64 * 7, (1 << 64) - 64,
+                 *range(0, 1 << 24, 64 * 9973))
+
+    def test_patterns_match_the_per_byte_expressions(self):
+        assert any(address * 2654435761 >= 1 << 32
+                   for address in self.ADDRESSES)
+        for address in self.ADDRESSES:
+            assert _pattern(address) == \
+                reference_pattern(address, 2654435761, 0, 37)
+            assert _pattern2(address) == \
+                reference_pattern(address, 2246822519, 0x61, 53)
+
+    def test_patterns_are_full_lines_and_distinct(self):
+        for address in self.ADDRESSES[:8]:
+            first, second = _pattern(address), _pattern2(address)
+            assert len(first) == len(second) == 64
+            assert first != second
 
 
 class TestRendering:

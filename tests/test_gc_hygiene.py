@@ -7,7 +7,9 @@ reference counting alone frees everything a dropped system held.  These
 tests pin that assumption — a cycle added to a bulk path later fails here,
 instead of silently growing peak memory until the next full collection —
 along with the helper's own state handling, the slotted ``MemoryOp`` the
-split builds, and the collector time ``--profile`` reports.
+split routes, and the collector time ``--profile`` reports.  Detected
+failures count too: a batched recovery that raises, and a campaign cell
+whose drain catches the attack, free everything once dropped.
 """
 
 import copy
@@ -17,8 +19,16 @@ import pickle
 
 import pytest
 
+from repro.attacks.adversary import Adversary
+from repro.campaigns import (
+    CAMPAIGN_LINES,
+    DEFAULT_SCENARIOS,
+    DETECTED,
+    MID_DRAIN,
+)
+from repro.campaigns.engine import _run_attack_episode
 from repro.common.config import SystemConfig
-from repro.common.errors import AddressError, AlignmentError
+from repro.common.errors import AddressError, AlignmentError, IntegrityError
 from repro.common.gcpause import collector_paused
 from repro.core.system import SCHEMES, SecureEpdSystem
 from repro.epd.adr import AdrSecureSystem
@@ -186,6 +196,38 @@ class TestNoCyclicGarbage:
         del fleet
         assert gc.collect() == 0
 
+    def test_detected_batched_recovery_leaves_no_cycles(
+            self, collector_disabled):
+        """A tampered vault raises from the batched recovery; neither the
+        error nor the frames its traceback held outlive the system."""
+        config = SystemConfig.scaled(SCALE)
+        system = SecureEpdSystem(config, scheme="horus-dlm")
+        assert system.recovery_engine.batched
+        system.fill_worst_case(seed=1)
+        system.crash(seed=2)
+        system.nvm.restore_power()
+        Adversary(system.nvm).tamper(
+            system.drain_engine._chv.data_address(3))
+        gc.collect()
+        with pytest.raises(IntegrityError):
+            system.recover()
+        del system
+        assert gc.collect() == 0
+
+    def test_drain_detected_attack_cell_leaves_no_cycles(
+            self, collector_disabled):
+        """A mid-drain attack caught by the drain itself ends the cell
+        early; the fault plan whose attack closure holds the system must
+        not stay attached to it."""
+        config = SystemConfig.scaled(64)
+        scenario = next(s for s in DEFAULT_SCENARIOS
+                        if s.name == "tamper-counter")
+        gc.collect()
+        outcome, detail = _run_attack_episode(
+            config, "base-lu", False, scenario, MID_DRAIN, CAMPAIGN_LINES)
+        assert (outcome, detail.partition(":")[0]) == (DETECTED, "drain")
+        assert gc.collect() == 0
+
 
 class TestSlottedMemoryOp:
     OPS = (MemoryOp(OpKind.READ, 64),
@@ -211,7 +253,9 @@ class TestSlottedMemoryOp:
         with pytest.raises(AlignmentError):
             dataclasses.replace(op, address=65)
 
-    def test_split_output_equals_constructed_ops(self):
+    def test_split_output_is_the_input_ops(self):
+        """The split allocates no ops: each part holds the caller's slotted
+        ops themselves, so routing adds no tracked objects per op."""
         config = SystemConfig.scaled(512)
         router = ShardRouter(config, SHARDS)
         size = router.shard_data_size
@@ -222,10 +266,10 @@ class TestSlottedMemoryOp:
                  for offset in (0, 64, size - 64)
                  for shard in range(SHARDS)]
         parts = router.split(trace)
-        expected = [[MemoryOp(op.kind, op.address - shard * size, op.data)
-                     for op in trace if op.address // size == shard]
+        expected = [[op for op in trace if op.address // size == shard]
                     for shard in range(SHARDS)]
-        assert parts == expected
+        assert [[id(op) for op in part] for part in parts] == \
+            [[id(op) for op in part] for part in expected]
         assert not any(hasattr(op, "__dict__") for part in parts
                        for op in part)
 

@@ -1,17 +1,23 @@
 """The sharding correctness headline: an N-shard run is byte-identical,
-shard for shard, to N independent solo runs over route-filtered sub-traces.
+shard for shard, to N independent solo runs over the router's per-shard
+parts, each replayed at its shard's base offset.
 
 ``run_pooled(spec, jobs=1)`` is the solo side (each shard rebuilt from
 scratch through :func:`repro.sharding.pool.run_shard`), ``run_inprocess``
 the sharded facade; equality is field-by-field over
 :class:`~repro.sharding.system.ShardObservables`, which hashes the whole
 persisted NVM image and snapshots every stats counter and TCB register.
+The base-offset replay itself is held to a replay of rebased copies of the
+same ops, built through the validating constructor.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.common.config import SystemConfig
-from repro.common.errors import ConfigError
+from repro.common.errors import AddressError, ConfigError
+from repro.core.system import SecureEpdSystem
 from repro.sharding.pool import (
     ShardRunSpec,
     make_plan,
@@ -19,6 +25,12 @@ from repro.sharding.pool import (
     run_pooled,
     run_shard,
 )
+from repro.sharding.router import ShardRouter
+from repro.sharding.system import nvm_image_sha256
+from repro.stats.runtime import RuntimePerfModel
+from repro.workloads.replay import replay
+from repro.workloads.tenantmix import TenantMixer
+from repro.workloads.trace import MemoryOp
 
 DRAIN_SEED = 29
 
@@ -54,6 +66,77 @@ class TestShardVsSoloIdentity:
             [o.nvm_sha256 for o in master]
         # Same routed traffic either way: only the images differ.
         assert [o.ops for o in keyed] == [o.ops for o in master]
+
+
+    def test_scalar_fleet_equals_batched_fleet(self, tiny_config):
+        spec = spec_for(tiny_config, 3, "horus-dlm")
+        scalar = dataclasses.replace(spec, batched=False)
+        assert run_inprocess(scalar) == run_inprocess(spec)
+
+
+def rebased(part, base):
+    """The reference the base offset replaces: each op rebuilt through the
+    validating constructor at its shard-local address."""
+    return [MemoryOp(op.kind, op.address - base, op.data) for op in part]
+
+
+def routed_parts(config, num_shards=3, ops=900):
+    router = ShardRouter(config, num_shards)
+    plan = make_plan(config, num_shards, 8, ops, master_seed=13)
+    parts = router.split(TenantMixer(plan).mix())
+    assert all(parts)
+    return router, parts
+
+
+class TestBaseOffsetReplay:
+    @pytest.mark.parametrize("batched", (True, False),
+                             ids=("batched", "scalar"))
+    @pytest.mark.parametrize("scheme", ("base-eu", "horus-dlm"))
+    def test_offset_replay_equals_rebased_replay(self, tiny_config, scheme,
+                                                 batched):
+        """Same stats, cache access mix and (post-drain) NVM image as a
+        replay of rebased copies; the expected map is the rebased one
+        shifted back by the base."""
+        router, parts = routed_parts(tiny_config)
+        for extent, part in zip(router.extents, parts):
+            offset = SecureEpdSystem(tiny_config, scheme=scheme,
+                                     batched=batched)
+            reference = SecureEpdSystem(tiny_config, scheme=scheme,
+                                        batched=batched)
+            got = replay(offset, part, batched=batched, base=extent.base)
+            want = replay(reference, rebased(part, extent.base),
+                          batched=batched)
+            assert got == {address + extent.base: data
+                           for address, data in want.items()}
+            assert offset.stats.snapshot() == reference.stats.snapshot()
+            assert offset.hierarchy.access_counts == \
+                reference.hierarchy.access_counts
+            offset.crash(seed=DRAIN_SEED)
+            reference.crash(seed=DRAIN_SEED)
+            assert nvm_image_sha256(offset) == nvm_image_sha256(reference)
+            assert offset.stats.snapshot() == reference.stats.snapshot()
+
+    def test_runtime_model_passes_the_base(self, tiny_config):
+        router, parts = routed_parts(tiny_config, num_shards=2, ops=400)
+        model = RuntimePerfModel(tiny_config)
+        extent, part = router.extents[1], parts[1]
+        got = model.replay(SecureEpdSystem(tiny_config, scheme="base-eu"),
+                           part, base=extent.base)
+        want = model.replay(SecureEpdSystem(tiny_config, scheme="base-eu"),
+                            rebased(part, extent.base))
+        assert got == want
+
+    @pytest.mark.parametrize("batched", (True, False),
+                             ids=("batched", "scalar"))
+    def test_offset_replay_validates_local_addresses(self, tiny_config,
+                                                     batched):
+        """A part replayed without its base issues addresses past the
+        shard's data space, which the system rejects."""
+        router, parts = routed_parts(tiny_config, num_shards=2, ops=400)
+        system = SecureEpdSystem(tiny_config, scheme="base-eu",
+                                 batched=batched)
+        with pytest.raises(AddressError):
+            replay(system, parts[1], batched=batched)
 
 
 class TestPooledExecution:

@@ -1,11 +1,13 @@
-"""ShardRouter: total, disjoint, order-preserving address-range routing."""
+"""ShardRouter: total, disjoint address-range routing, and the trace split
+as an order-preserving partition of the caller's own ops."""
+
+import random
 
 import pytest
 
 from repro.common.errors import AddressError, ConfigError
 from repro.sharding.router import MAX_SHARDS, ShardRouter
 from repro.workloads.trace import MemoryOp, OpKind
-from repro.workloads.ycsb import ycsb_trace
 
 
 def sample_addresses(router, per_shard=8):
@@ -74,16 +76,28 @@ class TestAddressMapping:
 
 
 class TestTraceSplitting:
+    """The partition contract: ``split`` hands back the caller's own ops,
+    grouped by shard in arrival order, and replays issue them at the
+    shard's base offset."""
+
     def make_trace(self, router, num_ops=600, seed=5):
-        footprint = min(router.total_data_size // 64, 512)
-        return ycsb_trace("a", num_ops=num_ops,
-                          footprint_blocks=footprint, seed=seed)
+        """Ops spread over the whole aggregate space, every extent's first
+        and last line included."""
+        rng = random.Random(seed)
+        blocks = router.total_data_size // 64
+        addresses = [rng.randrange(blocks) * 64 for _ in range(num_ops)]
+        for extent in router.extents:
+            addresses += [extent.base, extent.end - 64]
+        rng.shuffle(addresses)
+        return [MemoryOp(OpKind.WRITE, address, rng.randbytes(64))
+                if rng.random() < 0.5 else MemoryOp(OpKind.READ, address)
+                for address in addresses]
 
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    def test_split_is_a_cross_shard_permutation(self, tiny_config,
-                                                num_shards):
-        """Every op lands in exactly one sub-trace, rebased but otherwise
-        intact, and per-shard order matches arrival order."""
+    def test_split_is_an_order_preserving_partition(self, tiny_config,
+                                                    num_shards):
+        """Every input op lands, as itself, in the one part of its shard,
+        and each part keeps arrival order."""
         router = ShardRouter(tiny_config, num_shards)
         trace = self.make_trace(router)
         parts = router.split(trace)
@@ -92,42 +106,49 @@ class TestTraceSplitting:
 
         cursors = [0] * num_shards
         for op in trace:
-            shard, local = router.route(op.address)
-            routed = parts[shard][cursors[shard]]
+            shard = router.shard_of(op.address)
+            assert parts[shard][cursors[shard]] is op
             cursors[shard] += 1
-            assert routed.kind is op.kind
-            assert routed.address == local
-            assert routed.data == op.data
+        assert cursors == [len(part) for part in parts]
 
-    def test_split_locals_stay_aligned_and_in_range(self, tiny_config):
+    def test_split_parts_stay_inside_their_extents(self, tiny_config):
+        """A part's addresses stay global and inside its extent, so
+        ``address - base`` is an aligned, in-range local address."""
         router = ShardRouter(tiny_config, 4)
-        for part in router.split(self.make_trace(router)):
+        parts = router.split(self.make_trace(router))
+        for extent, part in zip(router.extents, parts):
+            assert part
             for op in part:
-                assert 0 <= op.address < router.shard_data_size
-                assert op.address % 64 == 0
+                assert extent.contains(op.address)
+                local = op.address - extent.base
+                assert 0 <= local < router.shard_data_size
+                assert local % 64 == 0
+                assert router.to_global(extent.shard, local) == op.address
 
-    def test_split_ops_equal_checked_construction(self, tiny_config):
-        """The fast-path rebased ops are indistinguishable from ops built
-        through the validating constructor."""
+    def test_split_builds_no_ops(self, tiny_config):
+        """No part holds an op the caller did not pass in."""
         router = ShardRouter(tiny_config, 4)
-        for part in router.split(self.make_trace(router, num_ops=64)):
-            for op in part:
-                assert op == MemoryOp(op.kind, op.address, op.data)
-                assert hash(op) == hash(MemoryOp(op.kind, op.address,
-                                                 op.data))
+        trace = self.make_trace(router, num_ops=64)
+        routed = [id(op) for part in router.split(trace) for op in part]
+        assert sorted(routed) == sorted(id(op) for op in trace)
 
-    def test_split_shard_zero_aliases_originals(self, tiny_config):
-        """Shard 0's base is zero, so its sub-trace reuses the input ops."""
+    def test_split_aliases_every_shard(self, tiny_config):
+        """Shards past the first alias the input ops too: their base is
+        applied by the replay, not by the split."""
         router = ShardRouter(tiny_config, 2)
         trace = [MemoryOp(OpKind.READ, 0),
                  MemoryOp(OpKind.WRITE, router.shard_data_size, bytes(64))]
         parts = router.split(trace)
         assert parts[0][0] is trace[0]
-        assert parts[1][0] is not trace[1]
-        assert parts[1][0].address == 0
+        assert parts[1][0] is trace[1]
+        assert parts[1][0].address == router.extents[1].base
 
-    def test_split_rejects_out_of_range_ops(self, tiny_config):
+    @pytest.mark.parametrize("address", [-64, "total"])
+    def test_split_rejects_out_of_range_ops(self, tiny_config, address):
         router = ShardRouter(tiny_config, 2)
-        rogue = [MemoryOp(OpKind.READ, router.total_data_size)]
+        if address == "total":
+            address = router.total_data_size
+        rogue = [MemoryOp(OpKind.READ, 0), MemoryOp(OpKind.READ, address),
+                 MemoryOp(OpKind.READ, 64)]
         with pytest.raises(AddressError, match="outside aggregate"):
             router.split(rogue)
