@@ -2,10 +2,17 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-full bench-e2e experiments experiments-full examples lint lint-deep typecheck clean
+.PHONY: test test-pure bench bench-full bench-e2e experiments experiments-full examples lint lint-deep typecheck clean
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Tier-1 with numpy import-blocked in every Python process it starts, so
+# the pure-Python kernels run as on a numpy-less install (CI's pure-python
+# leg); tests/purepython/sitecustomize.py installs the blocking finder and
+# then runs the sitecustomize it shadows, if the interpreter has one.
+test-pure:
+	PYTHONPATH=tests/purepython:src $(PYTHON) -m pytest -x -q
 
 # reprolint is stdlib-only and always runs; ruff/mypy are optional dev tools
 # (CI installs them) and are skipped with a notice when absent locally.

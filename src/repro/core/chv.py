@@ -72,6 +72,20 @@ class ChvLayout:
                 f"CHV {label} block {group} outside the layout's "
                 f"{groups} groups")
 
+    def _block_addresses(self, base: int, groups: Sequence[int],
+                         per_block: int, label: str) -> list[int]:
+        """Addresses of a batch of coalesced blocks starting at ``base``.
+
+        The bounds check is :meth:`_check_group`'s over the batch: one
+        min/max comparison when every group is in range, else the first
+        bad group's error before any address is formed.
+        """
+        if groups and not (0 <= min(groups)
+                           and max(groups) < -(-self.capacity // per_block)):
+            for group in groups:
+                self._check_group(group, per_block, label)
+        return [base + group * CACHE_LINE_SIZE for group in groups]
+
     def data_address(self, position: int) -> int:
         """NVM address of the ``position``-th vaulted data block."""
         self._check_position(position)
@@ -81,6 +95,11 @@ class ChvLayout:
         """NVM address of the address block covering positions 8g..8g+7."""
         self._check_group(group, ADDRESSES_PER_BLOCK, "address")
         return self._address_base + group * CACHE_LINE_SIZE
+
+    def address_block_addresses(self, groups: Sequence[int]) -> list[int]:
+        """:meth:`address_block_address` for a whole episode's groups."""
+        return self._block_addresses(self._address_base, groups,
+                                     ADDRESSES_PER_BLOCK, "address")
 
     def data_addresses(self, positions: Sequence[int]) -> list[int]:
         """NVM addresses for a whole episode's data slots in one pass.
@@ -108,6 +127,12 @@ class ChvLayout:
         """
         self._check_group(group, group_size, "MAC")
         return self._mac_base + group * CACHE_LINE_SIZE
+
+    def mac_block_addresses(self, groups: Sequence[int],
+                            group_size: int) -> list[int]:
+        """:meth:`mac_block_address` for a whole episode's groups."""
+        return self._block_addresses(self._mac_base, groups, group_size,
+                                     "MAC")
 
 
 @dataclass(frozen=True)
@@ -166,6 +191,17 @@ class VaultRotation:
     def mac_group(self, group: int, group_size: int) -> int:
         groups = self.capacity // group_size
         return (group + self.offset // group_size) % groups
+
+    def groups(self, count: int, per_block: int) -> list[int]:
+        """Groups ``0..count-1`` of ``per_block`` positions each, rotated:
+        batched :meth:`address_group` (``per_block=8``) and
+        :meth:`mac_group`.  Without rotation or wrap-around this is the
+        identity."""
+        groups = self.capacity // per_block
+        shift = self.offset // per_block
+        if not shift and count <= groups:
+            return list(range(count))
+        return [(group + shift) % groups for group in range(count)]
 
 
 def expected_chv_bytes(config: SystemConfig) -> float:

@@ -206,13 +206,13 @@ class HorusRecovery:
         group_size = self.mac_group
 
         address_buf = self._nvm.read_arena(
-            [chv.address_block_address(rotation.address_group(g))
-             for g in range(-(-count // ADDRESSES_PER_BLOCK))],
+            chv.address_block_addresses(rotation.groups(
+                -(-count // ADDRESSES_PER_BLOCK), ADDRESSES_PER_BLOCK)),
             ReadKind.CHV)
         mac_buf = self._nvm.read_arena(
-            [chv.mac_block_address(rotation.mac_group(g, group_size),
-                                   group_size)
-             for g in range(-(-count // group_size))],
+            chv.mac_block_addresses(
+                rotation.groups(-(-count // group_size), group_size),
+                group_size),
             ReadKind.CHV)
         buffer = self._nvm.read_arena(
             chv.data_addresses(rotation.data_slots(count)), ReadKind.CHV)
@@ -275,11 +275,8 @@ class HorusRecovery:
         computed_raw = b"".join(computed)
 
         if self._dlm:
-            computed_view = memoryview(computed_raw)
-            groups = [computed_view[i:i + CACHE_LINE_SIZE]
-                      for i in range(0, len(computed_raw), CACHE_LINE_SIZE)]
-            level2 = mac.digest_mac_batch(MacKind.VERIFY, groups,
-                                          len(groups),
+            level2 = mac.digest_mac_batch(MacKind.VERIFY,
+                                          split_blocks(computed_raw),
                                           domain=MacDomain.CHV_LEVEL2)
             level2_raw = b"".join(level2)
             # Fast path: an untampered vault matches the whole stored MAC

@@ -13,6 +13,11 @@ the shared substrate that removes those round-trips:
   available, pure Python otherwise);
 * ``frame_buffer`` assembles all 24 B (address, counter) hash frames of a
   batch as one contiguous buffer;
+* ``records`` cuts a buffer into fixed-size ``bytes`` records, and
+  ``block_frame_records`` joins each 64 B block to its frame as the one
+  88 B record a block MAC absorbs: every batched hash in
+  :mod:`repro.crypto.batch` takes its per-block input from these, built in
+  C (one numpy void-dtype pass) rather than by a per-block slice;
 * ``xor_bytes`` is the counter-mode XOR kernel over whole buffers.
 
 Every kernel is *value-transparent*: the numpy path and the pure-Python
@@ -25,8 +30,11 @@ lanes cannot represent (counters at or above 2**64) transparently fall
 back to the arbitrary-precision path.
 """
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
+from operator import add
 from typing import Any
+
+from repro.common.constants import CACHE_LINE_SIZE
 
 _np: Any
 try:
@@ -38,6 +46,14 @@ else:
 
 FRAME_SIZE = 24
 """One (address, counter) hash frame: 8 B address + 16 B counter."""
+
+BLOCK_RECORD_SIZE = CACHE_LINE_SIZE + FRAME_SIZE
+"""One block-MAC input: a 64 B block followed by its 24 B frame."""
+
+_MIN_RECORD_LANES = 8
+"""Below this many records a slice comprehension is cheaper than numpy's
+fixed per-call cost (about 1.6 us per call against 0.2 us per slice on a
+2-vCPU x86 host)."""
 
 _U64_MAX = (1 << 64) - 1
 
@@ -122,16 +138,52 @@ def frame_buffer(addresses: Sequence[int], counters: Sequence[int]) -> bytes:
         for address, counter in zip(addresses, counters))
 
 
-def frame_views(frames: bytes | memoryview,
-                count: int) -> Iterator[memoryview]:
-    """Zero-copy 24 B frame slices of a :func:`frame_buffer` result."""
-    if len(frames) != FRAME_SIZE * count:
+def records(buffer: bytes | bytearray | memoryview,
+            size: int) -> list[bytes]:
+    """Cut ``buffer`` into consecutive ``size``-byte ``bytes`` records.
+
+    Element ``i`` equals ``bytes(buffer[size*i:size*i+size])``; a length
+    that is not a whole number of records raises ``ValueError``.  The
+    lanes build every record in one void-dtype pass, without a Python
+    slice per record.
+    """
+    if len(buffer) % size:
         raise ValueError(
-            f"frame buffer must be {FRAME_SIZE} B per block, got "
-            f"{len(frames)} B for {count} blocks")
-    view = memoryview(frames)
-    return (view[offset:offset + FRAME_SIZE]
-            for offset in range(0, FRAME_SIZE * count, FRAME_SIZE))
+            f"buffer length {len(buffer)} not a multiple of {size}")
+    if arena_accelerated() and len(buffer) >= size * _MIN_RECORD_LANES:
+        cut: list[bytes] = _np.frombuffer(buffer, dtype=f"V{size}").tolist()
+        return cut
+    if not isinstance(buffer, bytes):
+        buffer = bytes(buffer)
+    return [buffer[i:i + size] for i in range(0, len(buffer), size)]
+
+
+def block_frame_records(blocks: bytes | bytearray | memoryview,
+                        frames: bytes | bytearray | memoryview
+                        ) -> list[bytes]:
+    """Each 64 B block joined to its 24 B frame: one 88 B record per block.
+
+    Element ``i`` equals ``blocks[64*i:64*i+64] + frames[24*i:24*i+24]``,
+    the whole input of block ``i``'s MAC after the domain tags, so the MAC
+    kernel absorbs it in one ``update``.  The lanes lay the blocks and the
+    frames side by side in one 2-D array and cut its rows.
+    """
+    count = len(blocks) // CACHE_LINE_SIZE
+    if len(blocks) % CACHE_LINE_SIZE or len(frames) != FRAME_SIZE * count:
+        raise ValueError(
+            f"need {CACHE_LINE_SIZE} B of blocks and {FRAME_SIZE} B of "
+            f"frames per record, got {len(blocks)} B and {len(frames)} B")
+    if arena_accelerated() and count >= _MIN_RECORD_LANES:
+        joined = _np.empty((count, BLOCK_RECORD_SIZE), dtype="u1")
+        joined[:, :CACHE_LINE_SIZE] = _np.frombuffer(
+            blocks, dtype="u1").reshape(count, CACHE_LINE_SIZE)
+        joined[:, CACHE_LINE_SIZE:] = _np.frombuffer(
+            frames, dtype="u1").reshape(count, FRAME_SIZE)
+        cut: list[bytes] = joined.view(
+            f"V{BLOCK_RECORD_SIZE}").ravel().tolist()
+        return cut
+    return list(map(add, records(blocks, CACHE_LINE_SIZE),
+                    records(frames, FRAME_SIZE)))
 
 
 def xor_bytes(a: bytes | bytearray | memoryview,

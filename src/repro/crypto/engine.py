@@ -161,14 +161,12 @@ class MacEngine:
                                         frames)
 
     def digest_mac_batch(self, kind: MacKind,
-                         contents: Sequence[bytes | memoryview],
-                         count: int,
+                         contents: Sequence[batch.Buffer],
                          domain: MacDomain | None = None) -> list[bytes]:
-        """Batched :meth:`digest_mac` over ``count`` raw contents."""
-        self._stats.record_mac(kind, count)
-        return batch.compute_macs(self._key,
-                                  ((content,) for content in contents),
-                                  domain=digest_domain(kind, domain))
+        """Batched :meth:`digest_mac`: one accounted MAC per content."""
+        self._stats.record_mac(kind, len(contents))
+        return batch.compute_digest_macs(
+            self._key, contents, domain=digest_domain(kind, domain))
 
 
 class KeySchedule(Protocol):

@@ -130,7 +130,8 @@ class RuleF1(FlowRule):
         sinks=(
             SinkSpec(
                 rule="F1",
-                callee_names=frozenset({"compute_mac", "compute_macs"}),
+                callee_names=frozenset({
+                    "compute_mac", "compute_digest_macs"}),
                 arg_positions=(0,),
                 kwarg_names=("key",),
                 labels=frozenset({TENANT_KEY}),
@@ -175,7 +176,7 @@ class RuleF2(FlowRule):
             SanitizerSpec(frozenset({
                 "encrypt", "encrypt_batch", "encrypt_block",
                 "encrypt_blocks", "encrypt_arena",
-                "compute_mac", "compute_macs", "compute_block_macs",
+                "compute_mac", "compute_digest_macs", "compute_block_macs",
                 "block_mac", "digest_mac",
                 "xor_bytes", "xor_block", "xor_buffers",
                 "generate_pad", "generate_pads",

@@ -12,6 +12,7 @@ from operator import floordiv, mod
 from repro.common.address import block_index, require_block_aligned
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import AddressError
+from repro.crypto.arena import records
 
 ZERO_BLOCK = bytes(CACHE_LINE_SIZE)
 
@@ -84,8 +85,8 @@ class SparseMemory:
         so a bad address cannot leave a partial batch behind — the
         device-level fault model, not this method, decides what a torn
         batch looks like.  The per-block payload objects are never
-        built up front: the arena is sliced exactly once here, at the
-        storage boundary.
+        built up front: the arena is cut into its stored blocks exactly
+        once here, at the storage boundary, by the arena's records kernel.
         """
         count = len(addresses)
         if len(buffer) != count * CACHE_LINE_SIZE:
@@ -93,13 +94,9 @@ class SparseMemory:
                 f"arena writes must be exactly {CACHE_LINE_SIZE} B per "
                 f"address, got {len(buffer)} B for {count} addresses")
         self._check_batch(addresses)
-        if not isinstance(buffer, bytes):
-            buffer = bytes(buffer)
-        self._blocks.update(
-            (address // CACHE_LINE_SIZE, buffer[offset:offset + CACHE_LINE_SIZE])
-            for address, offset in zip(
-                addresses, range(0, count * CACHE_LINE_SIZE,
-                                 CACHE_LINE_SIZE)))
+        self._blocks.update(zip(
+            map(floordiv, addresses, repeat(CACHE_LINE_SIZE)),
+            records(buffer, CACHE_LINE_SIZE)))
 
     def read_arena(self, addresses) -> bytes:
         """Read a batch of blocks into one contiguous buffer.

@@ -4,7 +4,8 @@ A sharded system is N identical DIMMs (each a full
 :class:`~repro.core.system.SecureEpdSystem` under the same
 :class:`~repro.common.config.SystemConfig`) concatenated into one aggregate
 data space.  The router is the address decoder in front of the fleet: global
-data address → (shard, shard-local address) and back.  Routing is total and
+data address → (shard, shard-local address), and back as
+``extents[shard].base + local``.  Routing is total and
 disjoint over ``[0, total_data_size)`` — every aligned address maps to
 exactly one shard — which the property suite asserts directly.
 
@@ -75,31 +76,10 @@ class ShardRouter:
                 f"[0, {self.total_data_size:#x})")
         return address
 
-    def shard_of(self, address: int) -> int:
-        """The unique shard owning a global data address."""
-        self.require_global_address(address)
-        return address // self.shard_data_size
-
     def route(self, address: int) -> tuple[int, int]:
         """Decode a global address to its (shard, local address) pair."""
         self.require_global_address(address)
         return divmod(address, self.shard_data_size)
-
-    def to_local(self, address: int) -> int:
-        """The shard-local form of a global address."""
-        self.require_global_address(address)
-        return address % self.shard_data_size
-
-    def to_global(self, shard: int, local: int) -> int:
-        """Encode a (shard, local address) pair back to global coordinates."""
-        if not 0 <= shard < self.num_shards:
-            raise AddressError(
-                f"shard {shard} outside fleet of {self.num_shards}")
-        if not 0 <= local < self.shard_data_size:
-            raise AddressError(
-                f"local address {local:#x} outside shard data space "
-                f"[0, {self.shard_data_size:#x})")
-        return shard * self.shard_data_size + local
 
     # -- trace routing ------------------------------------------------------
 

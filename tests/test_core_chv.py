@@ -4,10 +4,12 @@ import pytest
 
 from repro.common.config import SystemConfig
 from repro.common.errors import AddressError
+from repro.common.constants import ADDRESSES_PER_BLOCK
 from repro.core.chv import (
     MAC_GROUP_DLM,
     MAC_GROUP_SLM,
     ChvLayout,
+    VaultRotation,
     expected_chv_bytes,
 )
 from repro.mem.regions import MemoryLayout
@@ -62,6 +64,71 @@ class TestPositionalAddressing:
             chv.data_address(chv.capacity)
         with pytest.raises(AddressError):
             chv.data_address(-1)
+
+
+class TestBulkGroupAddresses:
+    """The drain's and recovery's whole-episode group address lists equal
+    the per-group scalar chains they replace."""
+
+    @pytest.mark.parametrize("group_size", [MAC_GROUP_SLM, MAC_GROUP_DLM],
+                             ids=["slm", "dlm"])
+    @pytest.mark.parametrize("rotated", [False, True],
+                             ids=["plain", "rotated"])
+    @pytest.mark.parametrize("blocks", [1, 63, 65, -1, 0],
+                             ids=["one", "63", "65", "capacity-1",
+                                  "capacity"])
+    def test_bulk_forms_equal_scalar_chains(self, chv, group_size, rotated,
+                                            blocks):
+        """SLM and DLM, rotated and not; 63, 65 and capacity-1 blocks end
+        in a partial final group."""
+        count = blocks if blocks > 0 else chv.capacity + blocks
+        rotation = VaultRotation.for_episode(chv, 1, rotated,
+                                             group_align=group_size)
+        assert bool(rotation.offset) is rotated
+        address_blocks = -(-count // ADDRESSES_PER_BLOCK)
+        mac_blocks = -(-count // group_size)
+
+        groups = rotation.groups(address_blocks, ADDRESSES_PER_BLOCK)
+        assert groups == [rotation.address_group(g)
+                          for g in range(address_blocks)]
+        assert chv.address_block_addresses(groups) == [
+            chv.address_block_address(group) for group in groups]
+
+        groups = rotation.groups(mac_blocks, group_size)
+        assert groups == [rotation.mac_group(g, group_size)
+                          for g in range(mac_blocks)]
+        assert chv.mac_block_addresses(groups, group_size) == [
+            chv.mac_block_address(group, group_size) for group in groups]
+
+    def test_unrotated_groups_wrap_like_scalar(self, chv):
+        rotation = VaultRotation.for_episode(chv, 0, False)
+        count = chv.capacity // ADDRESSES_PER_BLOCK + 3
+        assert rotation.groups(count, ADDRESSES_PER_BLOCK) == [
+            rotation.address_group(g) for g in range(count)]
+        assert rotation.groups(count, MAC_GROUP_SLM) == [
+            rotation.mac_group(g, MAC_GROUP_SLM) for g in range(count)]
+
+    @pytest.mark.parametrize("group_size", [MAC_GROUP_SLM, MAC_GROUP_DLM],
+                             ids=["slm", "dlm"])
+    @pytest.mark.parametrize("edge", ["past-end", "negative"])
+    def test_out_of_range_group_raises_like_scalar(self, chv, group_size,
+                                                   edge):
+        """One bad group anywhere in a batch raises the scalar form's
+        AddressError, before any address is formed."""
+        bulk_cases = (
+            (chv.address_block_addresses, chv.address_block_address,
+             -(-chv.capacity // ADDRESSES_PER_BLOCK), ()),
+            (chv.mac_block_addresses, chv.mac_block_address,
+             -(-chv.capacity // group_size), (group_size,)),
+        )
+        for bulk, scalar, groups, extra in bulk_cases:
+            bad = groups if edge == "past-end" else -1
+            with pytest.raises(AddressError) as expected:
+                scalar(bad, *extra)
+            with pytest.raises(AddressError) as raised:
+                bulk([0, bad, 1], *extra)
+            assert str(raised.value) == str(expected.value)
+            assert bulk([], *extra) == []
 
 
 class TestScaling:

@@ -60,6 +60,20 @@ class TestF1KeyDomainTaint:
         assert "master-keyed MAC domain" in result.findings[0].message
         assert "via call to seal()" in result.findings[0].message
 
+    def test_tenant_key_reaching_level2_digest_batch(self, tmp_path):
+        # The batched digest kernel is a sink too: a tenant key must not
+        # seal a DLM second-level digest batch.
+        result = run_deep(tmp_path, {"repro/sharding/evil.py": """\
+            from repro.crypto import batch
+
+            def fold_groups(keyring, tenant, groups):
+                key = keyring.mac_key(tenant)
+                return batch.compute_digest_macs(
+                    key, groups, domain=MacDomain.CHV_LEVEL2)
+        """}, rules=["F1"])
+        assert rules_hit(result) == ["F1"]
+        assert "master-keyed MAC domain" in result.findings[0].message
+
     def test_tenant_key_on_data_domain_is_the_designed_path(self, tmp_path):
         result = run_deep(tmp_path, {"repro/sharding/ok.py": """\
             def tag_data(keyring, tenant, payload):

@@ -7,9 +7,10 @@ replaces.  This suite holds each kernel to that promise — over empty,
 singleton and N-element inputs, duplicate addresses, counters past the
 u64 range (which must transparently fall back), and both kernel flavors
 (setting the arena's numpy handle to None is exactly a numpy-less
-install) — and pins the arena-backed ``generate_pads`` /
-``encrypt_blocks`` / ``compute_block_macs`` forms to the scalar
-primitives across every MacDomain.
+install), the records kernels that feed every batched hash included — and
+pins the arena-backed ``generate_pads`` / ``encrypt_blocks`` /
+``compute_block_macs`` forms to the scalar primitives across every
+MacDomain.
 """
 
 import pytest
@@ -25,11 +26,13 @@ _KERNEL_SETTINGS = {
 from repro.common.constants import CACHE_LINE_SIZE, MAC_SIZE
 from repro.crypto import arena, batch
 from repro.crypto.arena import (
+    BLOCK_RECORD_SIZE,
     FRAME_SIZE,
     arena_accelerated,
+    block_frame_records,
     frame_buffer,
-    frame_views,
     pack_u64,
+    records,
     tile_u64,
     unpack_u64,
     xor_bytes,
@@ -143,25 +146,75 @@ class TestFrameBuffer:
         assert frame_buffer(addrs, ctrs) == \
             frame_buffer(addrs, list(ctrs))
 
-    @given(work=work_lists(min_size=1))
-    @settings(max_examples=examples(50))
-    def test_views_slice_the_buffer(self, work):
-        addrs, ctrs = work
-        frames = frame_buffer(addrs, ctrs)
-        views = list(frame_views(frames, len(addrs)))
-        assert [bytes(v) for v in views] == [
-            int_field(a) + int_field(c, 16) for a, c in zip(addrs, ctrs)]
-        assert all(len(v) == FRAME_SIZE for v in views)
-
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             frame_buffer([1, 2], [3])
 
-    @given(count=st.integers(0, 4), extra=st.integers(1, 23))
-    @settings(max_examples=examples(20))
-    def test_views_reject_unaligned_buffers(self, count, extra):
-        with pytest.raises(ValueError):
-            frame_views(b"\x00" * (FRAME_SIZE * count + extra), count)
+
+# Record counts on both sides of the lanes' minimum batch.
+record_counts = st.integers(0, 3 * arena._MIN_RECORD_LANES)
+buffer_types = st.sampled_from([bytes, bytearray, memoryview])
+
+
+class TestRecords:
+    """The records kernels: C-built ``bytes`` records, one per item, equal
+    to the slice each replaces under both kernel flavors."""
+
+    @given(size=st.sampled_from([8, FRAME_SIZE, CACHE_LINE_SIZE,
+                                 BLOCK_RECORD_SIZE]),
+           count=record_counts, wrap=buffer_types, data=st.data())
+    @settings(max_examples=examples(80), **_KERNEL_SETTINGS)
+    def test_records_cut_the_buffer(self, kernel, size, count, wrap, data):
+        raw = data.draw(st.binary(min_size=size * count,
+                                  max_size=size * count))
+        cut = records(wrap(raw), size)
+        assert cut == [raw[i:i + size] for i in range(0, len(raw), size)]
+        assert all(type(record) is bytes for record in cut)
+
+    @given(work=work_lists(max_size=3 * arena._MIN_RECORD_LANES))
+    @settings(max_examples=examples(50), **_KERNEL_SETTINGS)
+    def test_frame_records_are_the_frames(self, kernel, work):
+        addrs, ctrs = work
+        assert records(frame_buffer(addrs, ctrs), FRAME_SIZE) == [
+            int_field(a) + int_field(c, 16) for a, c in zip(addrs, ctrs)]
+
+    @given(work=work_lists(max_size=3 * arena._MIN_RECORD_LANES),
+           wrap=buffer_types, data=st.data())
+    @settings(max_examples=examples(50), **_KERNEL_SETTINGS)
+    def test_block_frame_records_join_block_and_frame(self, kernel, work,
+                                                      wrap, data):
+        addrs, ctrs = work
+        payload = [data.draw(blocks) for _ in addrs]
+        joined = block_frame_records(wrap(b"".join(payload)),
+                                     wrap(frame_buffer(addrs, ctrs)))
+        assert joined == [block + int_field(a) + int_field(c, 16)
+                          for block, a, c in zip(payload, addrs, ctrs)]
+        assert all(type(record) is bytes
+                   and len(record) == BLOCK_RECORD_SIZE
+                   for record in joined)
+
+    @given(size=st.sampled_from([FRAME_SIZE, CACHE_LINE_SIZE]),
+           count=record_counts, extra=st.integers(1, 23))
+    @settings(max_examples=examples(30), **_KERNEL_SETTINGS)
+    def test_records_reject_wrong_lengths(self, kernel, size, count, extra):
+        with pytest.raises(ValueError, match="not a multiple"):
+            records(bytes(size * count + extra), size)
+
+    @given(count=record_counts, skew=st.sampled_from([-1, 1]),
+           side=st.sampled_from(["blocks", "frames"]))
+    @settings(max_examples=examples(30), **_KERNEL_SETTINGS)
+    def test_block_frame_records_reject_mismatched_lengths(
+            self, kernel, count, skew, side):
+        """A block buffer cut mid-block, or a frame buffer one byte off,
+        raises before any record is built."""
+        block_bytes = CACHE_LINE_SIZE * count
+        frame_bytes = FRAME_SIZE * count
+        if side == "blocks":
+            block_bytes = max(block_bytes + skew, 1)
+        else:
+            frame_bytes = max(frame_bytes + skew, 1)
+        with pytest.raises(ValueError, match="per record"):
+            block_frame_records(bytes(block_bytes), bytes(frame_bytes))
 
 
 class TestXorBytes:
@@ -240,11 +293,15 @@ class TestArenaBackedBatchParity:
         outputs = {}
         for flavor, handle in (("lanes", _NUMPY), ("pure", None)):
             monkeypatch.setattr(arena, "_np", handle)
+            frames = frame_buffer(addrs, ctrs)
             outputs[flavor] = (
                 pack_u64(addrs),
                 tile_u64(addrs, 8),
-                frame_buffer(addrs, ctrs),
+                frames,
                 xor_bytes(pack_u64(addrs), pack_u64(addrs[::-1])),
+                records(frames, FRAME_SIZE),
+                records(tile_u64(addrs, 8), CACHE_LINE_SIZE),
+                block_frame_records(tile_u64(addrs, 8), frames),
             )
         assert outputs["lanes"] == outputs["pure"]
 

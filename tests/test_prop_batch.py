@@ -33,12 +33,15 @@ BATCH_COVERAGE = {
     # (reprolint rule R3), naming the scalar-equivalence evidence that holds
     # it to its scalar twin.  The differential oracle (repro/core/oracle.py)
     # additionally compares whole batched-vs-scalar episodes end to end.
-    "AesEngine.encrypt_batch": "TestEngineEquivalence.test_aes_engine_batch",
-    "AesEngine.decrypt_batch": "TestEngineEquivalence.test_aes_engine_batch",
+    "AesEngine.encrypt_batch":
+        "TestEngineBatchEquivalence.test_aes_engine_batch_matches_scalar",
+    "AesEngine.decrypt_batch":
+        "TestEngineBatchEquivalence.test_aes_engine_batch_matches_scalar",
     "MacEngine.block_mac_batch":
-        "TestEngineEquivalence.test_mac_engine_batch (all MacDomains)",
+        "TestEngineBatchEquivalence.test_mac_engine_batch_matches_scalar",
     "MacEngine.digest_mac_batch":
-        "TestEngineEquivalence.test_mac_engine_batch (all MacDomains)",
+        "TestEngineBatchEquivalence"
+        ".test_digest_mac_engine_batch_matches_scalar (all MacDomains)",
     "NvmDevice.read_batch":
         "oracle drain/recovery stats + tests/test_mem_nvm.py",
     "NvmDevice.write_batch":
@@ -51,14 +54,14 @@ BATCH_COVERAGE = {
         "tests/test_prop_soa.py (fused-vs-scalar identity over arbitrary "
         "op sequences) + oracle replay + tests/test_golden_replay.py",
     "TenantKeyedAes.encrypt_batch":
-        "tests/test_sharding_keys.py::TestTenantKeyedAes"
-        "::test_batch_matches_scalar_across_tenant_runs",
+        "tests/test_sharding_keys.py::TestKeyGroupedBatches"
+        "::test_aes_batches_match_scalar",
     "TenantKeyedAes.decrypt_batch":
-        "tests/test_sharding_keys.py::TestTenantKeyedAes"
-        "::test_batch_matches_scalar_across_tenant_runs",
+        "tests/test_sharding_keys.py::TestKeyGroupedBatches"
+        "::test_aes_batches_match_scalar",
     "TenantKeyedMac.block_mac_batch":
-        "tests/test_sharding_keys.py::TestTenantKeyedMac"
-        "::test_block_mac_batch_matches_scalar",
+        "tests/test_sharding_keys.py::TestKeyGroupedBatches"
+        "::test_block_mac_batches_match_scalar",
     "NvmDevice.read_arena":
         "oracle drain/recovery stats + tests/test_mem_nvm.py arena tests",
     "NvmDevice.write_arena":
@@ -160,13 +163,13 @@ class TestMacEquivalence:
                 int_field(counter, 16), domain=domain)
 
     @given(key=keys, domain=domains,
-           items=st.lists(st.lists(st.binary(max_size=80), max_size=3)
-                          .map(tuple), max_size=8))
+           contents=st.lists(st.binary(max_size=80), max_size=8))
     @settings(max_examples=examples(100))
-    def test_compute_macs_matches_scalar(self, key, domain, items):
-        macs = batch.compute_macs(key, items, domain=domain)
-        assert macs == [compute_mac(key, *parts, domain=domain)
-                        for parts in items]
+    def test_compute_digest_macs_matches_scalar(self, key, domain,
+                                                contents):
+        macs = batch.compute_digest_macs(key, contents, domain=domain)
+        assert macs == [compute_mac(key, content, domain=domain)
+                        for content in contents]
 
     @given(key=keys, domain=domains, address=addresses, counter=counters,
            block=blocks)
@@ -215,13 +218,40 @@ class TestEngineBatchEquivalence:
         assert macs == expected
         assert batch_stats.snapshot() == scalar_stats.snapshot()
 
+    @given(kind=st.sampled_from([MacKind.CHV_LEVEL2, MacKind.VERIFY]),
+           domain=st.sampled_from([None, *MacDomain]),
+           macs=st.binary(max_size=20 * 8).map(
+               lambda raw: raw[:len(raw) - len(raw) % 8]))
+    @settings(max_examples=examples(50))
+    def test_digest_mac_engine_batch_matches_scalar(self, kind, domain,
+                                                    macs):
+        """DLM second-level digests over :func:`batch.split_blocks`
+        records — whole groups plus a partial tail — equal one scalar
+        ``digest_mac`` per group, with the same accounting."""
+        scalar_stats, batch_stats = SimStats(), SimStats()
+        groups = [macs[i:i + CACHE_LINE_SIZE]
+                  for i in range(0, len(macs), CACHE_LINE_SIZE)]
+        expected = [MacEngine(scalar_stats).digest_mac(kind, group,
+                                                       domain=domain)
+                    for group in groups]
+        digests = MacEngine(batch_stats).digest_mac_batch(
+            kind, batch.split_blocks(macs), domain=domain)
+        assert digests == expected
+        assert batch_stats.snapshot() == scalar_stats.snapshot()
 
 
 class TestSplitBlocks:
-    @given(parts=st.lists(blocks, max_size=8))
+    @given(parts=st.lists(blocks, max_size=12))
     @settings(max_examples=examples(50))
     def test_split_inverts_join(self, parts):
         assert batch.split_blocks(b"".join(parts)) == parts
+
+    @given(raw=st.binary(max_size=12 * CACHE_LINE_SIZE))
+    @settings(max_examples=examples(50))
+    def test_split_keeps_the_partial_tail(self, raw):
+        assert batch.split_blocks(raw) == [
+            raw[i:i + CACHE_LINE_SIZE]
+            for i in range(0, len(raw), CACHE_LINE_SIZE)]
 
 
 # -- run_ops_batch vs the scalar op loop --------------------------------------

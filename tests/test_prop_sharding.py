@@ -43,13 +43,14 @@ class TestRouterAlgebra:
 
     @given(num_shards=shard_counts, data=st.data())
     @settings(max_examples=examples(60), deadline=None)
-    def test_to_global_inverts_route(self, num_shards, data):
+    def test_extent_base_inverts_route(self, num_shards, data):
         router = ShardRouter(CONFIG, num_shards)
         address = data.draw(aligned_addresses(router))
         shard, local = router.route(address)
-        assert router.to_global(shard, local) == address
-        assert router.shard_of(address) == shard
-        assert router.to_local(address) == local
+        extent = router.extents[shard]
+        assert extent.shard == shard
+        assert extent.base + local == address
+        assert local % 64 == 0
 
     @given(num_shards=shard_counts, seed=seeds)
     @settings(max_examples=examples(25), deadline=None)
@@ -64,7 +65,7 @@ class TestRouterAlgebra:
         assert sum(len(part) for part in parts) == len(trace)
         cursors = [0] * num_shards
         for op in trace:
-            shard = router.shard_of(op.address)
+            shard, _ = router.route(op.address)
             assert parts[shard][cursors[shard]] is op
             cursors[shard] += 1
         assert cursors == [len(part) for part in parts]

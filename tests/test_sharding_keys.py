@@ -1,8 +1,12 @@
 """Per-tenant key domains: derivation, keyring resolution, keyed engines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
+from repro.crypto import batch as crypto_batch
+from repro.crypto.arena import frame_buffer
 from repro.crypto.engine import (
     DEFAULT_AES_KEY,
     DEFAULT_MAC_KEY,
@@ -21,6 +25,7 @@ from repro.sharding.keys import (
 )
 from repro.stats.counters import SimStats
 from repro.stats.events import AesKind, MacKind
+from tests.conftest import examples
 
 LINE = 64
 BLOCK = bytes(range(256))[:64]
@@ -89,11 +94,15 @@ class TestTenantKeyring:
         assert one.aes_key(MASTER_TENANT) == DEFAULT_AES_KEY
         assert one.mac_key(MASTER_TENANT) == DEFAULT_MAC_KEY
 
-    def test_key_runs_group_maximal_spans(self):
+    def test_key_groups_map_each_tenant_to_its_positions(self):
+        """Interleaved tenants gather into one group per key, in
+        first-seen order, each group's positions ascending."""
         keyring = two_tenant_ring()
-        addresses = [0, LINE, 8 * LINE, 9 * LINE, 0, 20 * LINE]
-        assert list(keyring.key_runs(addresses)) == [
-            (0, 2, 0), (2, 4, 1), (4, 5, 0), (5, 6, MASTER_TENANT)]
+        addresses = [0, LINE, 8 * LINE, 9 * LINE, 0, 20 * LINE, 8 * LINE]
+        groups = keyring.key_groups(addresses)
+        assert groups == {0: [0, 1, 4], 1: [2, 3, 6], MASTER_TENANT: [5]}
+        assert list(groups) == [0, 1, MASTER_TENANT]
+        assert keyring.key_groups([]) == {}
 
     def test_shard_view_clips_and_rebases(self):
         keyring = ring(TenantExtent(0, 0, 4 * LINE),
@@ -111,7 +120,7 @@ class TestTenantKeyring:
     def test_empty_keyring_is_all_master(self):
         keyring = ring()
         assert keyring.tenant_of(0) == MASTER_TENANT
-        assert list(keyring.key_runs([0, LINE])) == [(0, 2, MASTER_TENANT)]
+        assert keyring.key_groups([0, LINE]) == {MASTER_TENANT: [0, 1]}
 
 
 class TestTenantKeyedAes:
@@ -195,6 +204,122 @@ class TestTenantKeyedMac:
                                        address, counter)
                   for address, counter in zip(addresses, counters)]
         assert batched == scalar
+
+
+# Three tenants with gaps between them: an address pool over the whole
+# window mixes tenant and master-keyed blocks.
+MIXED_RING = ring(TenantExtent(0, 0, 4 * LINE),
+                  TenantExtent(1, 8 * LINE, 4 * LINE),
+                  TenantExtent(5, 16 * LINE, 2 * LINE))
+POOLS = {
+    "mixed": [i * LINE for i in range(20)],
+    "one tenant": [8 * LINE, 9 * LINE, 11 * LINE],
+    "master only": [4 * LINE, 13 * LINE, 19 * LINE],
+}
+
+
+@st.composite
+def keyed_batches(draw, max_size=24):
+    """(addresses, counters, blocks): interleaved tenant and master-keyed
+    addresses with duplicates, distinct random payloads and counters (past
+    2**64 too), from empty up to mixed batches whose per-key groups reach
+    the arena's record lanes."""
+    pool = POOLS[draw(st.sampled_from(sorted(POOLS)))]
+    size = draw(st.integers(0, max_size))
+    addresses = draw(st.lists(st.sampled_from(pool), min_size=size,
+                              max_size=size))
+    counters = draw(st.lists(st.integers(0, 2**70), min_size=size,
+                             max_size=size))
+    blocks = draw(st.lists(st.binary(min_size=LINE, max_size=LINE),
+                           min_size=size, max_size=size, unique=True))
+    return addresses, counters, blocks
+
+
+class TestKeyGroupedBatches:
+    """Tenant batches gather per key and scatter back: every element must
+    land where per-element scalar keying puts it."""
+
+    @given(addresses=st.lists(st.sampled_from(POOLS["mixed"]),
+                              max_size=24))
+    @settings(max_examples=examples(60))
+    def test_key_groups_contract(self, addresses):
+        """The groups partition the batch's positions, each ascending,
+        each under its address's tenant, keys in first-seen order."""
+        groups = MIXED_RING.key_groups(addresses)
+        positions = sorted(p for group in groups.values() for p in group)
+        assert positions == list(range(len(addresses)))
+        for tenant, group in groups.items():
+            assert group == sorted(group)
+            assert all(MIXED_RING.tenant_of(addresses[p]) == tenant
+                       for p in group)
+        first_seen = list(dict.fromkeys(map(MIXED_RING.tenant_of,
+                                            addresses)))
+        assert list(groups) == first_seen
+
+    @given(batch=keyed_batches(), share_frames=st.booleans())
+    @settings(max_examples=examples(60), deadline=None)
+    def test_aes_batches_match_scalar(self, batch, share_frames):
+        addresses, counters, blocks = batch
+        frames = frame_buffer(addresses, counters) if share_frames else None
+        scalar_stats, batch_stats = SimStats(), SimStats()
+        scalar = TenantKeyedAes(scalar_stats, MIXED_RING)
+        batched = TenantKeyedAes(batch_stats, MIXED_RING)
+        sealed = [scalar.encrypt(a, c, b)
+                  for a, c, b in zip(addresses, counters, blocks)]
+        assert batched.encrypt_batch(addresses, counters, b"".join(blocks),
+                                     frames) == b"".join(sealed)
+        opened = [scalar.decrypt(a, c, b)
+                  for a, c, b in zip(addresses, counters, blocks)]
+        assert batched.decrypt_batch(addresses, counters, b"".join(blocks),
+                                     frames) == b"".join(opened)
+        assert batch_stats.snapshot() == scalar_stats.snapshot()
+
+    @given(batch=keyed_batches(), share_frames=st.booleans(),
+           kind=st.sampled_from([MacKind.DATA_PROTECT, MacKind.CHV_DATA]))
+    @settings(max_examples=examples(60), deadline=None)
+    def test_block_mac_batches_match_scalar(self, batch, share_frames,
+                                            kind):
+        addresses, counters, blocks = batch
+        frames = frame_buffer(addresses, counters) if share_frames else None
+        scalar_stats, batch_stats = SimStats(), SimStats()
+        scalar = TenantKeyedMac(scalar_stats, MIXED_RING)
+        batched = TenantKeyedMac(batch_stats, MIXED_RING)
+        expected = [scalar.block_mac(kind, b, a, c)
+                    for a, c, b in zip(addresses, counters, blocks)]
+        assert batched.block_mac_batch(kind, b"".join(blocks), addresses,
+                                       counters, frames=frames) == expected
+        assert batch_stats.snapshot() == scalar_stats.snapshot()
+
+    def test_one_kernel_call_per_key(self, monkeypatch):
+        """Seven blocks in seven same-key runs over two tenants and the
+        master key make three kernel calls per engine: one per key."""
+        calls = []
+        for name in ("encrypt_blocks", "compute_block_macs"):
+            real = getattr(crypto_batch, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(crypto_batch, name, counted)
+        addresses = [0, 8 * LINE, 4 * LINE, LINE, 9 * LINE, 5 * LINE, 0]
+        buffer = b"".join(bytes([i]) * LINE for i in range(7))
+        counters = list(range(7))
+        TenantKeyedAes(SimStats(), MIXED_RING).encrypt_batch(
+            addresses, counters, buffer)
+        TenantKeyedMac(SimStats(), MIXED_RING).block_mac_batch(
+            MacKind.DATA_PROTECT, buffer, addresses, counters)
+        assert calls == ["encrypt_blocks"] * 3 + ["compute_block_macs"] * 3
+
+    @pytest.mark.parametrize("addresses", [[0, 8 * LINE], [0, LINE]],
+                             ids=["mixed", "one key"])
+    def test_batch_rejects_a_short_buffer(self, addresses):
+        with pytest.raises(ValueError, match="per address"):
+            TenantKeyedAes(SimStats(), MIXED_RING).encrypt_batch(
+                addresses, [1, 2], bytes(LINE))
+        with pytest.raises(ValueError, match="per address"):
+            TenantKeyedMac(SimStats(), MIXED_RING).block_mac_batch(
+                MacKind.DATA_PROTECT, bytes(LINE), addresses, [1, 2])
 
 
 class TestTenantKeySchedule:

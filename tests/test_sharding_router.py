@@ -52,16 +52,16 @@ class TestAddressMapping:
                       if extent.contains(address)]
             assert len(owners) == 1, hex(address)
             shard, local = router.route(address)
-            assert shard == owners[0] == router.shard_of(address)
+            assert shard == owners[0]
             assert 0 <= local < router.shard_data_size
-            assert local == router.to_local(address)
+            assert local == address - router.extents[shard].base
 
     @pytest.mark.parametrize("num_shards", [1, 3, 16])
     def test_global_local_roundtrip(self, tiny_config, num_shards):
         router = ShardRouter(tiny_config, num_shards)
         for address in sample_addresses(router):
             shard, local = router.route(address)
-            assert router.to_global(shard, local) == address
+            assert router.extents[shard].base + local == address
 
     def test_out_of_range_addresses_rejected(self, tiny_config):
         router = ShardRouter(tiny_config, 4)
@@ -69,10 +69,6 @@ class TestAddressMapping:
             router.route(-64)
         with pytest.raises(AddressError, match="outside aggregate"):
             router.route(router.total_data_size)
-        with pytest.raises(AddressError, match="outside fleet"):
-            router.to_global(4, 0)
-        with pytest.raises(AddressError, match="outside shard"):
-            router.to_global(0, router.shard_data_size)
 
 
 class TestTraceSplitting:
@@ -106,7 +102,7 @@ class TestTraceSplitting:
 
         cursors = [0] * num_shards
         for op in trace:
-            shard = router.shard_of(op.address)
+            shard, _ = router.route(op.address)
             assert parts[shard][cursors[shard]] is op
             cursors[shard] += 1
         assert cursors == [len(part) for part in parts]
@@ -123,7 +119,7 @@ class TestTraceSplitting:
                 local = op.address - extent.base
                 assert 0 <= local < router.shard_data_size
                 assert local % 64 == 0
-                assert router.to_global(extent.shard, local) == op.address
+                assert router.route(op.address) == (extent.shard, local)
 
     def test_split_builds_no_ops(self, tiny_config):
         """No part holds an op the caller did not pass in."""
