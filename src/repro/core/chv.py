@@ -101,19 +101,27 @@ class ChvLayout:
         return self._block_addresses(self._address_base, groups,
                                      ADDRESSES_PER_BLOCK, "address")
 
-    def data_addresses(self, positions: Sequence[int]) -> list[int]:
-        """NVM addresses for a whole episode's data slots in one pass.
+    def data_addresses(self, count: int,
+                       rotation: "VaultRotation") -> list[int]:
+        """NVM addresses of an episode's positions ``0..count-1``.
 
-        Equivalent to :meth:`data_address` per element; the bounds check
-        runs over the batch's extremes first so the common case pays one
-        comparison instead of one per block.
+        Equivalent to :meth:`data_address` of each position's rotated
+        :meth:`VaultRotation.data_slot`.  A rotation wraps at most once, so
+        the slots are at most two runs: from the offset to the vault's end,
+        then from its start.  A count past the capacity raises what
+        ``data_address(capacity)`` raises.
         """
-        if positions and not (0 <= min(positions)
-                              and max(positions) < self.capacity):
-            for position in positions:
-                self._check_position(position)
+        if count > self.capacity:
+            self._check_position(self.capacity)
         base = self._data_base
-        return [base + position * CACHE_LINE_SIZE for position in positions]
+        first = base + rotation.offset * CACHE_LINE_SIZE
+        head = min(count, self.capacity - rotation.offset)
+        addresses = list(range(first, first + head * CACHE_LINE_SIZE,
+                               CACHE_LINE_SIZE))
+        if head < count:
+            addresses += range(base, base + (count - head) * CACHE_LINE_SIZE,
+                               CACHE_LINE_SIZE)
+        return addresses
 
     def mac_block_address(self, group: int,
                           group_size: int = MACS_PER_BLOCK) -> int:
@@ -171,18 +179,6 @@ class VaultRotation:
 
     def data_slot(self, position: int) -> int:
         return (position + self.offset) % self.capacity
-
-    def data_slots(self, count: int) -> list[int]:
-        """Slots for positions ``0..count-1`` (batched :meth:`data_slot`).
-
-        With no rotation this is the identity — the batch path skips the
-        per-position modulo entirely.
-        """
-        if not self.offset:
-            return list(range(count))
-        capacity = self.capacity
-        offset = self.offset
-        return [(position + offset) % capacity for position in range(count)]
 
     def address_group(self, group: int) -> int:
         groups = self.capacity // ADDRESSES_PER_BLOCK

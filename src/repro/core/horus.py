@@ -112,9 +112,9 @@ class HorusDrainEngine(DrainEngine):
         metadata = 0
         controller = self._controller
         for cache in controller.metadata_caches:
-            for meta_line in cache.lines():
-                addresses.append(meta_line.address)
-                payloads.append(controller.line_bytes(meta_line))
+            for address, content, _ in controller.metadata_lines(cache):
+                addresses.append(address)
+                payloads.append(content)
                 kinds.append(WriteKind.CHV_METADATA)
                 metadata += 1
 
@@ -177,7 +177,7 @@ class HorusDrainEngine(DrainEngine):
         if count > data_count:
             data_counts[WriteKind.CHV_METADATA] = count - data_count
         self._nvm.write_arena(
-            chv.data_addresses(rotation.data_slots(count)), ciphertext,
+            chv.data_addresses(count, rotation), ciphertext,
             WriteKind.CHV_DATA, data_counts)
 
         addr_buf = pack_u64(addresses)
@@ -212,9 +212,8 @@ class HorusDrainEngine(DrainEngine):
         metadata = 0
         controller = self._controller
         for cache in controller.metadata_caches:
-            for meta_line in cache.lines():
-                self._vault_block(state, meta_line.address,
-                                  controller.line_bytes(meta_line),
+            for address, content, _ in controller.metadata_lines(cache):
+                self._vault_block(state, address, content,
                                   WriteKind.CHV_METADATA)
                 metadata += 1
 

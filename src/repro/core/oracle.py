@@ -133,11 +133,11 @@ def _observe(config: SystemConfig, scheme: str, batched: bool, fill: str,
         # Lane order: set by set, each set LRU -> MRU.
         obs["hierarchy lines"] = [list(level.lines())
                                   for level in system.hierarchy.levels]
-        if system.controller is not None:
+        controller = system.controller
+        if controller is not None:
             obs["metadata caches"] = [
-                (cache.name, [(line.address, _meta_bytes(line.value),
-                               line.dirty) for line in cache.lines()])
-                for cache in system.controller.metadata_caches]
+                (cache.name, list(controller.metadata_lines(cache)))
+                for cache in controller.metadata_caches]
 
     obs["NVM image"] = system.nvm.backend.image()
     obs["lost writes"] = list(system.nvm.lost_writes)
@@ -204,13 +204,6 @@ class ReplayOutcome:
     """Number of observable fields compared."""
 
 
-def _meta_bytes(value: object) -> bytes:
-    """Canonical byte serialization of a metadata-cache line value."""
-    if isinstance(value, (bytes, bytearray)):
-        return bytes(value)
-    return value.to_bytes()  # type: ignore[attr-defined]
-
-
 def _observe_replay(config: SystemConfig, scheme: str, batched: bool,
                     trace: "list[MemoryOp]", epoch_ops: int,
                     system_kwargs: dict):
@@ -249,8 +242,7 @@ def _observe_replay(config: SystemConfig, scheme: str, batched: bool,
         obs["root MAC"] = controller.root_mac
         obs["metadata caches"] = [
             (cache.name, cache.hits, cache.misses,
-             sorted((line.address, _meta_bytes(line.value), line.dirty)
-                    for line in cache.lines()))
+             sorted(controller.metadata_lines(cache)))
             for cache in controller.metadata_caches]
     return system, expected, replay_exc, obs
 

@@ -215,7 +215,7 @@ class HorusRecovery:
                 group_size),
             ReadKind.CHV)
         buffer = self._nvm.read_arena(
-            chv.data_addresses(rotation.data_slots(count)), ReadKind.CHV)
+            chv.data_addresses(count, rotation), ReadKind.CHV)
 
         addresses = unpack_u64(address_buf)[:count]
         del address_buf

@@ -1,6 +1,13 @@
-"""Crypto substrate: CME primitives, timed engines, split and drain counters."""
+"""Crypto substrate: CME primitives, timed engines, split-counter functions
+on counter-block ints, and the drain counter."""
 
-from repro.crypto.counters import DrainCounter, SplitCounterBlock
+from repro.crypto.counters import (
+    DrainCounter,
+    counter_for,
+    increment,
+    major,
+    minor,
+)
 from repro.crypto.engine import AesEngine, MacEngine
 from repro.crypto.primitives import (
     compute_mac,
@@ -12,7 +19,10 @@ from repro.crypto.primitives import (
 
 __all__ = [
     "DrainCounter",
-    "SplitCounterBlock",
+    "counter_for",
+    "increment",
+    "major",
+    "minor",
     "AesEngine",
     "MacEngine",
     "compute_mac",

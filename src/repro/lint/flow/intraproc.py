@@ -104,6 +104,11 @@ class FunctionEvaluator:
         self.sanitizers = config.sanitizer_table()
         self.sinks = config.sinks_by_name()
         self.env: dict[str, Taint] = {}
+        self.aliases: dict[str, str] = {}
+        """Local name -> the attribute it is bound to, or to an element of
+        at any depth (``s = cache.sets[i]`` gives ``"sets"``): a store
+        through the local is a store into the attribute, and a call
+        through it (``fill = self._fill_counter``) is a call of it."""
         self.self_attrs: dict[str, Taint] = {}
         self.result = IntraResult(qualname=info.qualname)
         self._hit_keys: set[tuple[str, int]] = set()
@@ -125,9 +130,11 @@ class FunctionEvaluator:
             taint = self._eval(node.value)
             for target in node.targets:
                 self._assign(target, taint)
+                self._bind_alias(target, node.value)
         elif isinstance(node, ast.AnnAssign):
             if node.value is not None:
                 self._assign(node.target, self._eval(node.value))
+                self._bind_alias(node.target, node.value)
         elif isinstance(node, ast.AugAssign):
             left = self._target_taint(node.target)
             right = self._eval(node.value)
@@ -142,6 +149,7 @@ class FunctionEvaluator:
             self._eval(node.value)
         elif isinstance(node, ast.For):
             self._assign(node.target, self._eval(node.iter))
+            self._bind_alias(node.target, node.iter)
             for child in node.body + node.orelse:
                 self._stmt(child)
         elif isinstance(node, ast.AsyncFor):
@@ -181,9 +189,26 @@ class FunctionEvaluator:
             return self.env.get(target.id, EMPTY)
         return self._eval(target)
 
+    def _container_attr(self, node: ast.expr) -> str | None:
+        """The attribute ``node`` is, or is an element of at any depth."""
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        if isinstance(node, ast.Name):
+            return self.aliases.get(node.id)
+        return None
+
+    def _bind_alias(self, target: ast.expr, value: ast.expr) -> None:
+        if isinstance(target, ast.Name):
+            attr = self._container_attr(value)
+            if attr is not None:
+                self.aliases[target.id] = attr
+
     def _assign(self, target: ast.expr, taint: Taint) -> None:
         if isinstance(target, ast.Name):
             self.env[target.id] = taint
+            self.aliases.pop(target.id, None)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 inner = element.value if isinstance(element, ast.Starred) \
@@ -196,11 +221,15 @@ class FunctionEvaluator:
                 self.self_attrs[target.attr] = taint
         elif isinstance(target, ast.Subscript):
             base = target.value
-            if isinstance(base, ast.Attribute):
-                self._check_store(target, base.attr, taint)
             if isinstance(base, ast.Name):
                 # weak update: the container now may hold the taint
                 self.env[base.id] = self.env.get(base.id, EMPTY) | taint
+            # A store into an element of an attribute's container, at any
+            # depth (``cache.sets[i][address] = x``), directly or through a
+            # local bound to it, is a store into it.
+            attr = self._container_attr(base)
+            if attr is not None:
+                self._check_store(target, attr, taint)
 
     def _check_store(self, node: ast.expr, attr: str, taint: Taint) -> None:
         for spec in self.config.store_sinks:
@@ -348,6 +377,10 @@ class FunctionEvaluator:
         # -- result taint ---------------------------------------------------
         if callee_name in self.call_sources:
             return frozenset({self.call_sources[callee_name]})
+        if isinstance(func, ast.Name) \
+                and self.aliases.get(func.id) in self.call_sources:
+            # a local bound method (``fill = self._fill_counter``)
+            return frozenset({self.call_sources[self.aliases[func.id]]})
 
         union = receiver_taint
         for taint in arg_taints:

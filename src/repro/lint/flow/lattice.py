@@ -106,7 +106,9 @@ class SinkSpec:
 @dataclass(frozen=True)
 class StoreSinkSpec:
     """An assignment-shaped sink: taint must not be stored into the named
-    attributes (``obj.major = x``) or their elements (``obj.minors[i] = x``).
+    attributes (``obj.sets = x``) or their elements at any depth
+    (``obj.sets[i][address] = x``), directly or through a local bound to
+    one (``lane = obj.sets[i]; lane[address] = x``).
     """
 
     rule: str

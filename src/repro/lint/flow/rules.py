@@ -95,12 +95,12 @@ _F2_MSG = (
     "plaintext persisted to NVM survives power-off and defeats memory "
     "encryption")
 _F5_STORE_MSG = (
-    "a decremented counter value is written back into counter-block state; "
-    "encryption counters must be monotonic or pad reuse becomes possible")
-_F5_CTOR_MSG = (
-    "a decremented counter value is persisted via counter/metadata "
-    "construction; encryption counters must be monotonic or pad reuse "
-    "becomes possible")
+    "a decremented counter value is stored back into a metadata-cache "
+    "lane; encryption counters must be monotonic or pad reuse becomes "
+    "possible")
+_F5_PERSIST_MSG = (
+    "a decremented counter value is encoded or written to NVM; encryption "
+    "counters must be monotonic or pad reuse becomes possible")
 
 
 @register
@@ -305,38 +305,44 @@ class RuleF5(FlowRule):
     title = "counter monotonicity: no decremented counter write-back"
     rationale = (
         "Counter-mode encryption is only safe while counters never repeat. "
-        "A counter read from a SplitCounterBlock or metadata cache line "
-        "that goes through a subtraction must not be stored back into "
-        "counter-block state or persisted through metadata constructors — "
-        "that is pad reuse.")
+        "A counter — a value read out of the counter cache, a counter "
+        "fetch's result (get_counter, _fetch_counter, _fill_counter), a "
+        "decoded counter block (decode_counter) or a split-counter "
+        "function's result (counter_for, increment, major, minor) — that "
+        "goes through a subtraction must not be stored back into a "
+        "metadata-cache lane, encoded to its wire form, or written to NVM "
+        "— that is pad reuse.")
     scope = ("repro",)
 
     flow_config = FlowConfig(
         sources=(
-            SourceSpec("call", frozenset({"counter_for"}), COUNTER),
-            SourceSpec("attr", frozenset({"minors", "major", "packed"}),
-                       COUNTER),
+            SourceSpec("call", frozenset({
+                "counter_for", "increment", "major", "minor",
+                "decode_counter", "get_counter", "_fetch_counter",
+                "_fill_counter"}), COUNTER),
+            SourceSpec("attr", frozenset({"counter_cache"}), COUNTER),
         ),
         sinks=(
             SinkSpec(
                 rule="F5",
-                callee_names=frozenset({"SplitCounterBlock"}),
-                arg_positions=(0, 1),
-                kwarg_names=("major", "minors"),
+                callee_names=frozenset({"encode_counter"}),
+                arg_positions=(0,),
+                kwarg_names=("block",),
                 labels=frozenset({COUNTER_DEC}),
-                message=_F5_CTOR_MSG),
+                message=_F5_PERSIST_MSG),
             SinkSpec(
                 rule="F5",
-                callee_names=frozenset({"MetaLine"}),
+                callee_names=frozenset({"write"}),
                 arg_positions=(1,),
-                kwarg_names=("value",),
+                kwarg_names=("data",),
                 labels=frozenset({COUNTER_DEC}),
-                message=_F5_CTOR_MSG),
+                receivers=frozenset({"nvm", "_nvm"}),
+                message=_F5_PERSIST_MSG),
         ),
         store_sinks=(
             StoreSinkSpec(
                 rule="F5",
-                attr_names=frozenset({"minors", "major", "packed"}),
+                attr_names=frozenset({"sets"}),
                 labels=frozenset({COUNTER_DEC}),
                 message=_F5_STORE_MSG),
         ),

@@ -1,8 +1,8 @@
-"""Integrity-tree node representation and sparse defaults.
+"""Sparse integrity-tree defaults.
 
-A tree node is one 64 B block holding 8 slots of 8 B MACs — slot ``j`` of node
-``(level, i)`` authenticates child ``8*i + j`` one level down (counter blocks
-below level 1).
+A tree node is one 64 B ``bytes`` value holding 8 slots of 8 B MACs — slot
+``j`` of node ``(level, i)`` authenticates child ``8*i + j`` one level down
+(counter blocks below level 1).
 
 Because the simulated NVM is sparse, nodes that were never written must read
 back as their *default* content: the node value of an all-zero-counter
@@ -10,45 +10,8 @@ subtree.  :class:`DefaultNodes` precomputes, per level, that default content
 and its MAC, so a 32 GB address space needs no materialization.
 """
 
-from repro.common.constants import CACHE_LINE_SIZE, MAC_SIZE, MACS_PER_BLOCK
-from repro.common.errors import AddressError
+from repro.common.constants import CACHE_LINE_SIZE, MACS_PER_BLOCK
 from repro.crypto.primitives import MacDomain, compute_mac
-
-
-class TreeNode:
-    """One integrity-tree node: 8 slots of 8 B child MACs."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data: bytes | None = None) -> None:
-        if data is None:
-            self._data = bytearray(CACHE_LINE_SIZE)
-        else:
-            if len(data) != CACHE_LINE_SIZE:
-                raise AddressError(
-                    f"tree node must be {CACHE_LINE_SIZE} B, got {len(data)}")
-            self._data = bytearray(data)
-
-    def get_slot(self, slot: int) -> bytes:
-        if not 0 <= slot < MACS_PER_BLOCK:
-            raise AddressError(f"tree slot {slot} out of range")
-        return bytes(self._data[slot * MAC_SIZE:(slot + 1) * MAC_SIZE])
-
-    def set_slot(self, slot: int, mac: bytes) -> None:
-        if not 0 <= slot < MACS_PER_BLOCK:
-            raise AddressError(f"tree slot {slot} out of range")
-        if len(mac) != MAC_SIZE:
-            raise AddressError(f"slot value must be {MAC_SIZE} B")
-        self._data[slot * MAC_SIZE:(slot + 1) * MAC_SIZE] = mac
-
-    def to_bytes(self) -> bytes:
-        return bytes(self._data)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TreeNode) and self._data == other._data
-
-    def __hash__(self) -> int:  # pragma: no cover - nodes are not dict keys
-        return hash(bytes(self._data))
 
 
 class DefaultNodes:

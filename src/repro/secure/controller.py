@@ -5,6 +5,15 @@ and a sparse 8-ary Bonsai Merkle Tree over the counter blocks — the secure
 NVM stack of Section II — together with the three security-metadata caches of
 Table I and a pluggable integrity-tree update scheme (eager / lazy).
 
+The metadata caches are data-cache lanes
+(:class:`~repro.cache.cache.SetAssociativeCache`) of immutable values: a
+counter block is one int (:mod:`repro.crypto.counters`), a tree node or a
+data-MAC block is 64 B ``bytes``.  A store into a line builds the new value
+and puts it back in its lane.  :func:`encode_counter` is the one place a
+counter int becomes its 64 B wire form, and :func:`decode_counter` the one
+place it comes back; everything that moves metadata as bytes (the victim
+buffer, drains, dumps, the oracle) takes it from here.
+
 Baseline secure EPD systems drain the cache hierarchy straight through this
 controller's run-time write path (Section IV-B) — :meth:`write` per line, or
 its batched form :meth:`run_ops_batch` — which is where the paper's 10.3x
@@ -14,32 +23,51 @@ every access into a miss plus a dirty eviction.
 """
 
 from collections import OrderedDict
+from collections.abc import Iterator
 
-from repro.common.config import SystemConfig
+from repro.cache.cache import MISS, Line, SetAssociativeCache
+from repro.common.config import CacheConfig, SystemConfig
 from repro.common.constants import (
     CACHE_LINE_SIZE,
     COUNTER_BLOCK_COVERAGE,
     MAC_SIZE,
     MACS_PER_BLOCK,
+    MAJOR_COUNTER_BITS,
     MINOR_COUNTER_BITS,
 )
-from repro.common.config import CacheConfig
 from repro.common.errors import ConfigError, IntegrityError, ReproError
 from repro.crypto.arena import frame_buffer
-from repro.crypto.counters import SplitCounterBlock
+from repro.crypto.counters import (
+    MAJOR_MASK,
+    MINOR_MASK,
+    counter_for,
+    increment,
+)
 from repro.crypto.engine import AesEngine, KeySchedule, MacEngine
 from repro.crypto.primitives import MacDomain
 from repro.mem.nvm import NvmDevice
 from repro.mem.regions import MemoryLayout
-from repro.metadata.cache import MetadataCache, MetaLine
-from repro.metadata.nodes import DefaultNodes, TreeNode
+from repro.metadata.nodes import DefaultNodes
 from repro.secure.schemes import UpdateScheme, make_scheme
 from repro.stats.counters import SimStats
 from repro.stats.events import MacKind, ReadKind, WriteKind
 
 _ZERO_BLOCK = bytes(CACHE_LINE_SIZE)
-_MINOR_MASK = (1 << MINOR_COUNTER_BITS) - 1
 _READ_MAC = ReadKind.MAC
+
+Victim = tuple[bytes, str]
+"""A victim-buffer entry: the line's 64 B wire form and its cache kind
+(``"counter"``, ``"tree"`` or ``"mac"``)."""
+
+
+def encode_counter(block: int) -> bytes:
+    """The 64 B NVM form of a counter-lane int: its little-endian bytes."""
+    return block.to_bytes(CACHE_LINE_SIZE, "little")
+
+
+def decode_counter(raw: bytes) -> int:
+    """The counter-lane int of a counter block's 64 B NVM form."""
+    return int.from_bytes(raw, "little")
 
 
 class SecureMemoryController:
@@ -69,13 +97,13 @@ class SecureMemoryController:
         self._defaults = DefaultNodes(self.mac._key, layout.num_tree_levels)
 
         sec = config.security
-        self.counter_cache = MetadataCache(
+        self.counter_cache = SetAssociativeCache(
             _meta_cache_config("counter-cache", sec.counter_cache_size,
                                sec.counter_cache_ways))
-        self.mac_cache = MetadataCache(
+        self.mac_cache = SetAssociativeCache(
             _meta_cache_config("mac-cache", sec.mac_cache_size,
                                sec.mac_cache_ways))
-        self.tree_cache = MetadataCache(
+        self.tree_cache = SetAssociativeCache(
             _meta_cache_config("tree-cache", sec.tree_cache_size,
                                sec.tree_cache_ways))
 
@@ -91,11 +119,13 @@ class SecureMemoryController:
         # Parking victims here and draining at the end of each top-level
         # operation (with lookups absorbing buffered victims) closes both
         # hazards — it is the writeback/victim buffer a real controller has.
-        self._victims: "OrderedDict[int, tuple[MetaLine, str]]" = OrderedDict()
+        self._victims: "OrderedDict[int, Victim]" = OrderedDict()
         self._draining_victims = False
-        self._writing_back: MetaLine | None = None
-        """The victim :meth:`drain_victims` is writing back (or last wrote
-        back): after a failed drain, the victim whose writeback raised."""
+        self._writing_back: Victim | None = None
+        """The victim-buffer entry :meth:`drain_victims` is writing back (or
+        last wrote back): after a failed drain, the one whose writeback
+        raised.  Matched by identity, so a line that was re-parked after
+        its entry left the buffer is a different victim."""
 
         self.op_hook = None
         """Optional observer called as ``op_hook(kind, address)`` (kind
@@ -119,23 +149,24 @@ class SecureMemoryController:
         self.layout.require_data_address(address)
         if self.op_hook is not None:
             self.op_hook("w", address)
-        counter_line = self.get_counter_line(address)
-        block: SplitCounterBlock = counter_line.value
+        cb_address = self.layout.counter_block_address(address)
+        old = self._fetch_counter(cb_address)
         slot = self.layout.counter_slot(address)
 
-        old_block = block.copy() if block.will_overflow(slot) else None
-        overflowed = block.increment(slot)
+        block, overflowed = increment(old, slot)
+        cache = self.counter_cache
+        cache.sets[cache.set_index(cb_address)][cb_address] = block
         if overflowed:
-            self._reencrypt_page(address, old_block, block, skip_slot=slot)
+            self._reencrypt_page(address, old, block, skip_slot=slot)
 
-        counter = block.counter_for(slot)
+        counter = counter_for(block, slot)
         ciphertext = self.aes.encrypt(address, counter, plaintext)
         mac_value = self.mac.block_mac(
             MacKind.DATA_PROTECT, ciphertext, address, counter,
             domain=MacDomain.DATA)
         self._store_data_mac(address, mac_value)
         self.nvm.write(address, ciphertext, WriteKind.DATA)
-        self.scheme.on_data_write(self, counter_line)
+        self.scheme.on_data_write(self, cb_address)
         self.drain_victims()
 
     def read(self, address: int) -> bytes:
@@ -148,9 +179,8 @@ class SecureMemoryController:
             # Never-written memory decrypts to zeros by convention (boot-time
             # initialized); there is nothing to verify yet.
             return _ZERO_BLOCK
-        counter_line = self.get_counter_line(address)
-        slot = self.layout.counter_slot(address)
-        counter = counter_line.value.counter_for(slot)
+        counter = counter_for(self.get_counter(address),
+                              self.layout.counter_slot(address))
 
         stored_mac = self._load_data_mac(address)
         actual_mac = self.mac.block_mac(
@@ -261,18 +291,18 @@ class SecureMemoryController:
         layout = self.layout
         counter_block_address = layout.counter_block_address
         counter_cache = self.counter_cache
-        # The counter/MAC phases below transcribe MetadataCache.lookup /
-        # insert, _absorb_victim, and NvmDevice.read inline against the
-        # cache's set dicts: same probes, same LRU movement, same victim
-        # parking, same stats events — minus the per-access call chain,
-        # which dominates the memory-side profile of epoch replay.
-        ctr_sets = counter_cache._sets
-        ctr_ns = counter_cache._num_sets
+        # The counter/MAC phases below act on the metadata caches' lanes
+        # directly, as CacheHierarchy.replay_epoch does on the data caches:
+        # the scalar fetches' probes, LRU moves, victim parking and stats
+        # events, minus the per-access call chain, which dominates the
+        # memory-side profile of epoch replay.
+        ctr_sets = counter_cache.sets
+        ctr_ns = counter_cache.num_sets
         ctr_base = layout._counters_base
         ctr_end = layout._counters_end
         data_size = layout._data_size
         ctr_hits = ctr_misses = 0
-        fill_counter = self._fill_counter_line
+        fill_counter = self._fill_counter
         require_data_address = layout.require_data_address
         on_data_write = self.scheme.on_data_write
         nvm = self.nvm
@@ -315,7 +345,7 @@ class SecureMemoryController:
         # scheme hook and victim drain, a read's victim drain), the victims
         # parked before that step, and whether the drain had started.
         admitted = -1
-        parked: tuple[tuple[MetaLine, str], ...] = ()
+        parked: tuple[tuple[int, Victim], ...] = ()
         draining = False
         try:
             while index < n:
@@ -329,36 +359,38 @@ class SecureMemoryController:
                             or cb_address >= ctr_end):
                         # Cold path: exact errors and region-tail handling.
                         cb_address = counter_block_address(address)
+                    # One probe: a hit pops the block and the store below
+                    # reinserts it as MRU (the LRU touch); a fill installs
+                    # it as MRU and the store replaces it in place.
                     ctr_set = ctr_sets[cb_address // CACHE_LINE_SIZE % ctr_ns]
-                    counter_line = ctr_set.get(cb_address)
-                    if counter_line is None:
+                    block = ctr_set.pop(cb_address, None)
+                    if block is None:
                         ctr_misses += 1
-                        counter_line = fill_counter(cb_address)
+                        block = fill_counter(cb_address)
                     else:
                         ctr_hits += 1
-                        ctr_set[cb_address] = ctr_set.pop(cb_address)
-                    block: SplitCounterBlock = counter_line.value
-                    slot = (address % COUNTER_BLOCK_COVERAGE) \
-                        // CACHE_LINE_SIZE
-                    # Inline of will_overflow/increment/counter_for for the
-                    # non-overflow case — the only one that stays in the
-                    # batch (the break leaves the block untouched for the
-                    # scalar overflow tail below, exactly like
-                    # will_overflow would).
-                    shift = slot * MINOR_COUNTER_BITS
-                    minor = (block.packed >> shift) & _MINOR_MASK
-                    if minor == _MINOR_MASK:
+                    # Inline of increment/counter_for for the non-overflow
+                    # case — the only one that stays in the batch (the
+                    # break puts the block back unchanged for the scalar
+                    # overflow tail below).
+                    shift = (MAJOR_COUNTER_BITS
+                             + address % COUNTER_BLOCK_COVERAGE
+                             // CACHE_LINE_SIZE * MINOR_COUNTER_BITS)
+                    minor = (block >> shift) & MINOR_MASK
+                    if minor == MINOR_MASK:
+                        ctr_set[cb_address] = block
                         overflow = index
                         break
-                    block.packed += 1 << shift
+                    ctr_set[cb_address] = block + (1 << shift)
                     w_addrs(address)
-                    w_ctrs((block.major << MINOR_COUNTER_BITS) | (minor + 1))
+                    w_ctrs(((block & MAJOR_MASK) << MINOR_COUNTER_BITS)
+                           | (minor + 1))
                     w_data(data)  # type: ignore[arg-type]
                     pending_add(address)
                     dp(index)
-                    parked = tuple(victims.values()) if victims else ()
+                    parked = tuple(victims.items()) if victims else ()
                     admitted, draining = index, False
-                    on_data_write(self, counter_line)
+                    on_data_write(self, cb_address)
                     if victims:
                         draining = True
                         drain(meta_kinds)
@@ -375,22 +407,22 @@ class SecureMemoryController:
                             cb_address = counter_block_address(address)
                         ctr_set = ctr_sets[cb_address // CACHE_LINE_SIZE
                                            % ctr_ns]
-                        counter_line = ctr_set.get(cb_address)
-                        if counter_line is None:
+                        block = ctr_set.pop(cb_address, None)
+                        if block is None:
                             ctr_misses += 1
-                            counter_line = fill_counter(cb_address)
+                            block = fill_counter(cb_address)
                         else:
                             ctr_hits += 1
-                            ctr_set[cb_address] = ctr_set.pop(cb_address)
-                        rblock = counter_line.value
-                        shift = (address % COUNTER_BLOCK_COVERAGE
+                            ctr_set[cb_address] = block
+                        shift = (MAJOR_COUNTER_BITS
+                                 + address % COUNTER_BLOCK_COVERAGE
                                  // CACHE_LINE_SIZE * MINOR_COUNTER_BITS)
                         r_ops(index)
                         r_addrs(address)
-                        r_ctrs((rblock.major << MINOR_COUNTER_BITS)
-                               | ((rblock.packed >> shift) & _MINOR_MASK))
+                        r_ctrs(((block & MAJOR_MASK) << MINOR_COUNTER_BITS)
+                               | ((block >> shift) & MINOR_MASK))
                         if victims:
-                            parked = tuple(victims.values())
+                            parked = tuple(victims.items())
                             admitted, draining = index, True
                             drain(meta_kinds)
                     else:
@@ -429,20 +461,26 @@ class SecureMemoryController:
 
         # Finish the overflowing write on the scalar path, reusing the
         # counter access stage 1 already performed for it (a scalar run
-        # fetches exactly once too); its parked victims drain at the end,
-        # as the scalar end-of-op drain would.
+        # fetches exactly once too): stages 2-5 touched only the MAC cache
+        # and NVM, so the block is still resident and is read from its lane
+        # without counting a second hit.  Its parked victims drain at the
+        # end, as the scalar end-of-op drain would.
         _, address, data = ops[overflow]
-        old_block = block.copy()
-        block.increment(slot)
-        self._reencrypt_page(address, old_block, block, skip_slot=slot)
-        counter = block.counter_for(slot)
+        cb_address = counter_block_address(address)
+        slot = layout.counter_slot(address)
+        ctr_set = ctr_sets[cb_address // CACHE_LINE_SIZE % ctr_ns]
+        old = ctr_set[cb_address]
+        block, _ = increment(old, slot)
+        ctr_set[cb_address] = block
+        self._reencrypt_page(address, old, block, skip_slot=slot)
+        counter = counter_for(block, slot)
         overflow_ct = self.aes.encrypt(address, counter, data)
         mac_value = self.mac.block_mac(
             MacKind.DATA_PROTECT, overflow_ct, address, counter,
             domain=MacDomain.DATA)
         self._store_data_mac(address, mac_value)
         self.nvm.write(address, overflow_ct, WriteKind.DATA)
-        self.scheme.on_data_write(self, counter_line)
+        self.scheme.on_data_write(self, cb_address)
         self.drain_victims()
         return overflow + 1
 
@@ -524,20 +562,21 @@ class SecureMemoryController:
 
         # Stage 4 — MAC-region phase, in op order, with per-op MAC victim
         # drains (the scalar end-of-op drain's position in this region's
-        # stream).
+        # stream).  A MAC store builds the block's new value and puts it
+        # back in its lane.
         stored_macs: list[bytes] = []
         mac_kind = ("mac",)
         mac_block_address = layout.mac_block_address
         mac_cache = self.mac_cache
-        mac_sets = mac_cache._sets
-        mac_ns = mac_cache._num_sets
-        mac_ways = mac_cache._ways
+        mac_sets = mac_cache.sets
+        mac_dirty = mac_cache.dirty
+        mac_ns = mac_cache.num_sets
+        mac_ways = mac_cache.ways
         macs_base = layout._macs_base
         macs_end = layout._macs_end
         mac_span = CACHE_LINE_SIZE * MACS_PER_BLOCK
         mac_hits = mac_misses = mac_reads = 0
         backend_read = nvm.backend.read_block
-        new_meta = MetaLine.__new__
         stored_append = stored_macs.append
         wpos = 0
         zpos = 0
@@ -565,35 +604,36 @@ class SecureMemoryController:
                     # Cold path: region-tail handling (addresses were
                     # validated in the counter phase).
                     mb_address = mac_block_address(address)
+                # One probe: a hit pops the block, and the store below
+                # reinserts it as MRU.
                 mac_set = mac_sets[mb_address // CACHE_LINE_SIZE % mac_ns]
-                mac_line = mac_set.get(mb_address)
-                if mac_line is None:
+                mac_block = mac_set.pop(mb_address, None)
+                if mac_block is None:
                     mac_misses += 1
                     buffered = victims.pop(mb_address, None)
                     if buffered is not None:
-                        mac_line = buffered[0]
+                        mac_block = buffered[0]
+                        mac_dirty.add(mb_address)
                     else:
                         mac_reads += 1
-                        mac_line = new_meta(MetaLine)
-                        mac_line.address = mb_address
-                        mac_line.value = bytearray(backend_read(mb_address))
-                        mac_line.dirty = False
+                        mac_block = backend_read(mb_address)
                     if len(mac_set) >= mac_ways:
-                        victim = mac_set.pop(next(iter(mac_set)))
-                        if victim.dirty:
-                            victims[victim.address] = (victim, "mac")
-                    mac_set[mb_address] = mac_line
+                        victim = next(iter(mac_set))
+                        victim_block = mac_set.pop(victim)
+                        if victim in mac_dirty:
+                            mac_dirty.remove(victim)
+                            victims[victim] = (victim_block, "mac")
                 else:
                     mac_hits += 1
-                    mac_set[mb_address] = mac_set.pop(mb_address)
                 offset = (address // CACHE_LINE_SIZE) % MACS_PER_BLOCK \
                     * MAC_SIZE
                 if mac_value is not None:
-                    mac_line.value[offset:offset + MAC_SIZE] = mac_value
-                    mac_line.dirty = True
+                    mac_block = (mac_block[:offset] + mac_value
+                                 + mac_block[offset + MAC_SIZE:])
+                    mac_dirty.add(mb_address)
                 else:
-                    stored_append(
-                        bytes(mac_line.value[offset:offset + MAC_SIZE]))
+                    stored_append(mac_block[offset:offset + MAC_SIZE])
+                mac_set[mb_address] = mac_block
                 if victims and entry != held:
                     drain(mac_kind)
         finally:
@@ -626,24 +666,24 @@ class SecureMemoryController:
             fetched.extend(results[~entry] for entry in data_phase
                            if entry < 0)
 
-    def _settle_failed_op(self, parked: "tuple[tuple[MetaLine, str], ...]",
-                          failed_victim: MetaLine | None) -> None:
+    def _settle_failed_op(self, parked: "tuple[tuple[int, Victim], ...]",
+                          failed_victim: Victim | None) -> None:
         """Leave the failed op's data-MAC victim where scalar issue would.
 
         Scalar issue makes an op's MAC-cache access before its scheme hook
         and end-of-op drain; the batched counter phase ran those first, so
         the victim that access parked (if any) is still at the buffer's
-        tail.  If the drain failed (``failed_victim`` is the victim whose
+        tail.  If the drain failed (``failed_victim`` is the entry whose
         writeback raised) on a victim parked after the access, scalar issue
         had already written the MAC victim out; otherwise it sits right
         behind the victims parked before the access (``parked``).
         """
         victims = self._victims
         if failed_victim is not None and not any(
-                line is failed_victim for line, _ in parked):
+                entry is failed_victim for _, entry in parked):
             self.drain_victims(("mac",))
             return
-        ahead = {id(entry) for entry in parked}
+        ahead = {id(entry) for _, entry in parked}
         for address, entry in list(victims.items()):
             if id(entry) not in ahead and entry[1] != "mac":
                 victims.move_to_end(address)
@@ -652,56 +692,61 @@ class SecureMemoryController:
     # Counter blocks
     # ------------------------------------------------------------------
 
-    def get_counter_line(self, data_address: int) -> MetaLine:
+    def get_counter(self, data_address: int) -> int:
         """Counter block for ``data_address``, verified and cached."""
-        cb_address = self.layout.counter_block_address(data_address)
-        line = self.counter_cache.lookup(cb_address)
-        if line is not None:
-            return line
-        return self._fill_counter_line(cb_address)
+        return self._fetch_counter(
+            self.layout.counter_block_address(data_address))
 
-    def _fill_counter_line(self, cb_address: int) -> MetaLine:
-        """Miss path of :meth:`get_counter_line`: the cache lookup (and its
-        hit/miss accounting) has already happened."""
+    def _fetch_counter(self, cb_address: int) -> int:
+        """The counter block at ``cb_address``: a hit (made MRU) or a
+        verified fill."""
+        block = self.counter_cache.lookup(cb_address)
+        return self._fill_counter(cb_address) if block is MISS else block
+
+    def _fill_counter(self, cb_address: int) -> int:
+        """Miss path of :meth:`_fetch_counter` (the lookup and its hit/miss
+        accounting have already happened): install the block as MRU and
+        return it."""
         buffered = self._absorb_victim(cb_address)
         if buffered is not None:
-            self._cache_insert(self.counter_cache, buffered, "counter")
-            return buffered
+            block = decode_counter(buffered)
+            self._install(self.counter_cache, cb_address, block, "counter",
+                          dirty=True)
+            return block
 
         raw = self.nvm.read(cb_address, ReadKind.COUNTER)
         actual = self.mac.digest_mac(MacKind.VERIFY, raw,
                                      domain=MacDomain.NODE)
-        parent, slot = self._counter_parent(cb_address)
-        if actual != parent.value.get_slot(slot):
+        index, slot = self._counter_parent(cb_address)
+        parent = self.get_tree_node(1, index)
+        if actual != parent[slot * MAC_SIZE:(slot + 1) * MAC_SIZE]:
             raise IntegrityError(
                 f"counter block MAC mismatch at {cb_address:#x}", cb_address)
 
-        line = MetaLine(cb_address, SplitCounterBlock.from_bytes(raw))
-        self._cache_insert(self.counter_cache, line, "counter")
-        return line
+        block = decode_counter(raw)
+        self._install(self.counter_cache, cb_address, block, "counter")
+        return block
 
-    def _counter_parent(self, cb_address: int) -> tuple[MetaLine, int]:
-        """The level-1 tree node over a counter block, and its slot there."""
+    def _counter_parent(self, cb_address: int) -> tuple[int, int]:
+        """Index of the level-1 tree node over a counter block, and the
+        block's slot there."""
         layout = self.layout
         cb = (cb_address - layout._counters_base) // CACHE_LINE_SIZE
-        return (self.get_tree_node(1, cb // layout._tree_arity),
-                cb % layout._tree_arity)
+        return cb // layout._tree_arity, cb % layout._tree_arity
 
-    def _writeback_counter(self, line: MetaLine) -> None:
-        content = line.value.to_bytes()
+    def _writeback_counter(self, address: int, content: bytes) -> None:
         if self.scheme.needs_parent_update_on_writeback():
             new_mac = self.mac.digest_mac(MacKind.TREE_UPDATE, content,
                                           domain=MacDomain.NODE)
-            parent, slot = self._counter_parent(line.address)
-            parent.value.set_slot(slot, new_mac)
-            parent.dirty = True
-        self.nvm.write(line.address, content, WriteKind.COUNTER)
+            index, slot = self._counter_parent(address)
+            self._set_tree_slot(1, index, slot, new_mac)
+        self.nvm.write(address, content, WriteKind.COUNTER)
 
     # ------------------------------------------------------------------
     # Tree nodes
     # ------------------------------------------------------------------
 
-    def get_tree_node(self, level: int, index: int) -> MetaLine:
+    def get_tree_node(self, level: int, index: int) -> bytes:
         """Tree node (level, index), verified against its ancestors.
 
         Climbs past each missing node (miss counted, victim buffer checked,
@@ -712,10 +757,11 @@ class SecureMemoryController:
         layout = self.layout
         address = layout.tree_node_address(level, index)
         cache = self.tree_cache
+        sets = cache.sets
+        num_sets = cache.num_sets
         climbed: list[tuple[int, int, int, bytes, bytes]] = []
         while True:
-            cache_set = cache._sets[address // CACHE_LINE_SIZE
-                                    % cache._num_sets]
+            cache_set = sets[address // CACHE_LINE_SIZE % num_sets]
             parent = cache_set.pop(address, None)
             if parent is not None:
                 cache.hits += 1
@@ -726,7 +772,7 @@ class SecureMemoryController:
             cache.misses += 1
             parent = self._absorb_victim(address)
             if parent is not None:
-                self._cache_insert(cache, parent, "tree")
+                self._install(cache, address, parent, "tree", dirty=True)
                 break
             raw = self.nvm.read(address, ReadKind.TREE_NODE)
             if not self.nvm.backend.is_written(address):
@@ -740,46 +786,62 @@ class SecureMemoryController:
             address = (layout._tree_level_bases[level - 1]
                        + index * CACHE_LINE_SIZE)
 
+        arity = layout._tree_arity
         for address, level, index, raw, actual in reversed(climbed):
-            expected = (self.root_mac if parent is None else
-                        parent.value.get_slot(index % layout._tree_arity))
+            if parent is None:
+                expected = self.root_mac
+            else:
+                offset = index % arity * MAC_SIZE
+                expected = parent[offset:offset + MAC_SIZE]
             if actual != expected:
                 raise IntegrityError(
                     f"tree node ({level},{index}) MAC mismatch", address)
-            parent = MetaLine(address, TreeNode(raw))
-            self._cache_insert(cache, parent, "tree")
+            parent = raw
+            self._install(cache, address, raw, "tree")
         return parent
 
-    def _writeback_tree_node(self, line: MetaLine) -> None:
-        content = line.value.to_bytes()
+    def _set_tree_slot(self, level: int, index: int, slot: int,
+                       mac: bytes) -> bytes:
+        """Store ``mac`` in ``slot`` of tree node (level, index) and mark
+        the node dirty; returns the node's new value.
+
+        The node is fetched and its new value stored back into the lane
+        with nothing in between, so no later fetch can evict the node
+        before the store lands."""
+        node = self.get_tree_node(level, index)
+        offset = slot * MAC_SIZE
+        node = node[:offset] + mac + node[offset + MAC_SIZE:]
+        self.tree_cache.store(self.layout._tree_level_bases[level - 1]
+                              + index * CACHE_LINE_SIZE, node)
+        return node
+
+    def _writeback_tree_node(self, address: int, content: bytes) -> None:
         if self.scheme.needs_parent_update_on_writeback():
             new_mac = self.mac.digest_mac(MacKind.TREE_UPDATE, content,
                                           domain=MacDomain.NODE)
             layout = self.layout
-            level, index = layout.tree_node_coords(line.address)
+            level, index = layout.tree_node_coords(address)
             if level == layout.num_tree_levels:
                 self.root_mac = new_mac
             else:
-                parent = self.get_tree_node(level + 1,
-                                            index // layout._tree_arity)
-                parent.value.set_slot(index % layout._tree_arity, new_mac)
-                parent.dirty = True
-        self.nvm.write(line.address, content, WriteKind.TREE_NODE)
+                self._set_tree_slot(level + 1, index // layout._tree_arity,
+                                    index % layout._tree_arity, new_mac)
+        self.nvm.write(address, content, WriteKind.TREE_NODE)
 
-    def propagate_to_root(self, counter_line: MetaLine) -> None:
-        """Eager-scheme path refresh: counter block up to the root register."""
+    def propagate_to_root(self, cb_address: int) -> None:
+        """Eager-scheme path refresh: the resident counter block at
+        ``cb_address`` up to the root register."""
         layout = self.layout
         arity = layout._tree_arity
-        index = (counter_line.address - layout._counters_base) \
-            // CACHE_LINE_SIZE
-        content = counter_line.value.to_bytes()
+        index = (cb_address - layout._counters_base) // CACHE_LINE_SIZE
+        cache = self.counter_cache
+        content = encode_counter(
+            cache.sets[cache.set_index(cb_address)][cb_address])
         for level in range(1, layout.num_tree_levels + 1):
             content_mac = self.mac.digest_mac(
                 MacKind.TREE_UPDATE, content, domain=MacDomain.NODE)
-            node = self.get_tree_node(level, index // arity)
-            node.value.set_slot(index % arity, content_mac)
-            node.dirty = True
-            content = node.value.to_bytes()
+            content = self._set_tree_slot(level, index // arity,
+                                          index % arity, content_mac)
             index //= arity
         self.root_mac = self.mac.digest_mac(
             MacKind.TREE_UPDATE, content, domain=MacDomain.NODE)
@@ -788,53 +850,56 @@ class SecureMemoryController:
     # Data MAC blocks
     # ------------------------------------------------------------------
 
-    def _get_mac_line(self, data_address: int) -> MetaLine:
-        mb_address = self.layout.mac_block_address(data_address)
-        line = self.mac_cache.lookup(mb_address)
-        if line is not None:
-            return line
-        return self._fill_mac_line(mb_address)
-
-    def _fill_mac_line(self, mb_address: int) -> MetaLine:
-        """Miss path of :meth:`_get_mac_line` (lookup already accounted)."""
-        buffered = self._absorb_victim(mb_address)
-        if buffered is not None:
-            self._cache_insert(self.mac_cache, buffered, "mac")
-            return buffered
-
-        raw = self.nvm.read(mb_address, ReadKind.MAC)
-        line = MetaLine(mb_address, bytearray(raw))
-        self._cache_insert(self.mac_cache, line, "mac")
-        return line
+    def _fetch_mac_block(self, mb_address: int) -> bytes:
+        """The data-MAC block at ``mb_address``: a hit (made MRU) or a fill
+        (victim buffer first, then NVM)."""
+        block = self.mac_cache.lookup(mb_address)
+        if block is not MISS:
+            return block
+        block = self._absorb_victim(mb_address)
+        if block is not None:
+            self._install(self.mac_cache, mb_address, block, "mac",
+                          dirty=True)
+            return block
+        block = self.nvm.read(mb_address, ReadKind.MAC)
+        self._install(self.mac_cache, mb_address, block, "mac")
+        return block
 
     def _store_data_mac(self, data_address: int, mac_value: bytes) -> None:
-        line = self._get_mac_line(data_address)
-        slot = self.layout.mac_slot(data_address)
-        line.value[slot * MAC_SIZE:(slot + 1) * MAC_SIZE] = mac_value
-        line.dirty = True
+        mb_address = self.layout.mac_block_address(data_address)
+        block = self._fetch_mac_block(mb_address)
+        offset = self.layout.mac_slot(data_address) * MAC_SIZE
+        self.mac_cache.store(mb_address, block[:offset] + mac_value
+                             + block[offset + MAC_SIZE:])
 
     def _load_data_mac(self, data_address: int) -> bytes:
-        line = self._get_mac_line(data_address)
-        slot = self.layout.mac_slot(data_address)
-        return bytes(line.value[slot * MAC_SIZE:(slot + 1) * MAC_SIZE])
+        block = self._fetch_mac_block(
+            self.layout.mac_block_address(data_address))
+        offset = self.layout.mac_slot(data_address) * MAC_SIZE
+        return block[offset:offset + MAC_SIZE]
 
     # ------------------------------------------------------------------
     # Victim buffer
     # ------------------------------------------------------------------
 
-    def _cache_insert(self, cache: MetadataCache, line: MetaLine,
-                      kind: str) -> None:
-        """Insert into a metadata cache; dirty victims park in the buffer."""
-        victim = cache.insert(line)
-        if victim is not None and victim.dirty:
-            self._victims[victim.address] = (victim, kind)
+    def _install(self, cache: SetAssociativeCache, address: int,
+                 value: int | bytes, kind: str, dirty: bool = False) -> None:
+        """Install a line as MRU; a dirty LRU victim parks in the buffer as
+        its wire form."""
+        victim = cache.insert(address, value, dirty)
+        if victim is not None and victim[2]:
+            victim_address, victim_value, _ = victim
+            if kind == "counter":
+                victim_value = encode_counter(victim_value)
+            self._victims[victim_address] = (victim_value, kind)
 
-    def _absorb_victim(self, address: int) -> MetaLine | None:
+    def _absorb_victim(self, address: int) -> bytes | None:
         """A lookup hit in the victim buffer: reclaim the line unwritten.
 
         The buffered copy is the newest version of the block; pulling it back
         avoids both the NVM round-trip and the stale-fetch hazard.  No
-        verification is needed — it never left the TCB.
+        verification is needed — it never left the TCB.  The caller
+        reinstalls it dirty.
         """
         entry = self._victims.pop(address, None)
         return entry[0] if entry is not None else None
@@ -852,35 +917,36 @@ class SecureMemoryController:
         park victims of another (a counter writeback touches the tree
         cache); the loop re-scans until no matching victim remains.
         """
-        if not self._victims or self._draining_victims:
+        victims = self._victims
+        if not victims or self._draining_victims:
             return
         self._draining_victims = True
         try:
-            while self._victims:
+            while victims:
                 if kinds is None:
-                    _, (line, kind) = self._victims.popitem(last=False)
+                    address, entry = victims.popitem(last=False)
                 else:
                     # The phase-confined drains only ever park victims of
                     # the kinds they drain, so the FIFO head almost always
                     # matches; scan only when it does not.
-                    address, (line, kind) = next(iter(self._victims.items()))
-                    if kind in kinds:
-                        del self._victims[address]
+                    address, entry = next(iter(victims.items()))
+                    if entry[1] in kinds:
+                        del victims[address]
                     else:
-                        found = next(
-                            (addr for addr, (_, k) in self._victims.items()
+                        address = next(
+                            (addr for addr, (_, k) in victims.items()
                              if k in kinds), None)
-                        if found is None:
+                        if address is None:
                             return
-                        line, kind = self._victims.pop(found)
-                self._writing_back = line
+                        entry = victims.pop(address)
+                self._writing_back = entry
+                content, kind = entry
                 if kind == "counter":
-                    self._writeback_counter(line)
+                    self._writeback_counter(address, content)
                 elif kind == "tree":
-                    self._writeback_tree_node(line)
+                    self._writeback_tree_node(address, content)
                 else:
-                    self.nvm.write(line.address, bytes(line.value),
-                                   WriteKind.DATA_MAC)
+                    self.nvm.write(address, content, WriteKind.DATA_MAC)
         finally:
             self._draining_victims = False
 
@@ -888,11 +954,10 @@ class SecureMemoryController:
     # Page re-encryption on minor-counter overflow
     # ------------------------------------------------------------------
 
-    def _reencrypt_page(self, address: int, old: SplitCounterBlock | None,
-                        new: SplitCounterBlock, skip_slot: int) -> None:
-        """Minor overflow bumped the major: re-encrypt the whole 4 KiB page."""
-        if old is None:
-            raise ConfigError("overflow without captured old counters")
+    def _reencrypt_page(self, address: int, old: int, new: int,
+                        skip_slot: int) -> None:
+        """Minor overflow bumped the major: re-encrypt the whole 4 KiB page
+        from the ``old`` block's counters to the ``new`` block's."""
         page_base = address - (address % COUNTER_BLOCK_COVERAGE)
         for slot in range(64):
             line_address = page_base + slot * CACHE_LINE_SIZE
@@ -900,12 +965,12 @@ class SecureMemoryController:
                 continue
             ciphertext = self.nvm.read(line_address, ReadKind.DATA)
             plaintext = self.aes.decrypt(
-                line_address, old.counter_for(slot), ciphertext)
-            new_ct = self.aes.encrypt(
-                line_address, new.counter_for(slot), plaintext)
+                line_address, counter_for(old, slot), ciphertext)
+            counter = counter_for(new, slot)
+            new_ct = self.aes.encrypt(line_address, counter, plaintext)
             mac_value = self.mac.block_mac(
-                MacKind.DATA_PROTECT, new_ct, line_address,
-                new.counter_for(slot), domain=MacDomain.DATA)
+                MacKind.DATA_PROTECT, new_ct, line_address, counter,
+                domain=MacDomain.DATA)
             self._store_data_mac(line_address, mac_value)
             self.nvm.write(line_address, new_ct, WriteKind.DATA)
 
@@ -914,20 +979,21 @@ class SecureMemoryController:
     # ------------------------------------------------------------------
 
     @property
-    def metadata_caches(self) -> tuple[MetadataCache, ...]:
+    def metadata_caches(self) -> tuple[SetAssociativeCache, ...]:
         return (self.counter_cache, self.tree_cache, self.mac_cache)
+
+    def metadata_lines(self, cache: SetAssociativeCache) -> Iterator[Line]:
+        """``cache``'s resident lines as ``(address, 64 B wire form,
+        dirty)``, in set order then LRU order (counter blocks encoded)."""
+        if cache is not self.counter_cache:
+            return cache.lines()
+        return ((address, encode_counter(block), dirty)
+                for address, block, dirty in cache.lines())
 
     def flush_metadata(self) -> None:
         """Drain-time step 2 (scheme-specific)."""
         self.drain_victims()
         self.scheme.flush_metadata(self)
-
-    def line_bytes(self, line: MetaLine) -> bytes:
-        """Serialize any metadata-cache line value to its 64 B wire form."""
-        value = line.value
-        if isinstance(value, (SplitCounterBlock, TreeNode)):
-            return value.to_bytes()
-        return bytes(value)
 
     def drop_volatile_state(self) -> None:
         """Model a crash: all metadata caches lose their content.
@@ -940,22 +1006,22 @@ class SecureMemoryController:
         self._victims.clear()
 
     def restore_metadata_line(self, address: int, content: bytes) -> None:
-        """Recovery hook: re-install a verified metadata block in its cache."""
+        """Recovery hook: re-install a verified metadata block, dirty, in
+        its cache."""
         region = self.layout.classify(address)
+        value: int | bytes = content
         if region == "counters":
-            cache: MetadataCache = self.counter_cache
-            value: object = SplitCounterBlock.from_bytes(content)
+            cache = self.counter_cache
+            value = decode_counter(content)
         elif region == "tree":
             cache = self.tree_cache
-            value = TreeNode(content)
         elif region == "macs":
             cache = self.mac_cache
-            value = bytearray(content)
         else:
             raise ConfigError(
                 f"{address:#x} ({region}) is not a metadata address")
-        victim = cache.insert(MetaLine(address, value, dirty=True))
-        if victim is not None and victim.dirty:
+        victim = cache.insert(address, value, dirty=True)
+        if victim is not None and victim[2]:
             raise ConfigError("metadata restore must not evict dirty lines")
 
 

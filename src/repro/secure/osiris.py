@@ -18,15 +18,25 @@ scheme; :class:`OsirisRecovery` performs the post-crash reconstruction.
 
 from dataclasses import dataclass
 
-from repro.common.constants import CACHE_LINE_SIZE, COUNTER_BLOCK_COVERAGE
+from repro.common.constants import (
+    CACHE_LINE_SIZE,
+    COUNTER_BLOCK_COVERAGE,
+    MAJOR_COUNTER_BITS,
+    MINOR_COUNTER_BITS,
+    MINOR_COUNTERS_PER_BLOCK,
+)
 from repro.common.errors import ConfigError, RecoveryError
-from repro.crypto.counters import SplitCounterBlock
+from repro.crypto.counters import MINOR_MASK, counter_for, major, minor
 from repro.crypto.primitives import MacDomain
-from repro.secure.schemes import LazyUpdateScheme
+from repro.secure.controller import decode_counter, encode_counter
+from repro.secure.schemes import LazyUpdateScheme, flush_dirty
 from repro.stats.counters import SimStats
 from repro.stats.events import MacKind, ReadKind, WriteKind
 
 DEFAULT_STOP_LOSS = 8
+
+_MINOR_SHIFTS = range(0, MINOR_COUNTERS_PER_BLOCK * MINOR_COUNTER_BITS,
+                      MINOR_COUNTER_BITS)
 
 
 class OsirisLazyScheme(LazyUpdateScheme):
@@ -39,9 +49,10 @@ class OsirisLazyScheme(LazyUpdateScheme):
             raise ConfigError("stop-loss must be positive")
         self.stop_loss = stop_loss
 
-    def on_data_write(self, controller, counter_line) -> None:
-        counter_line.dirty = True
-        block = counter_line.value
+    def on_data_write(self, controller, cb_address: int) -> None:
+        cache = controller.counter_cache
+        cache.dirty.add(cb_address)
+        block = cache.sets[cache.set_index(cb_address)][cb_address]
         # Persist the counter block every stop_loss-th update, so the NVM
         # copy is never more than stop_loss-1 increments behind; also force
         # a persist right after a minor-counter overflow (the page was just
@@ -52,20 +63,19 @@ class OsirisLazyScheme(LazyUpdateScheme):
         # stale state within stop-loss of the truth — recovery enumerates
         # touched counter blocks from the written *data* addresses, so
         # nothing needs to persist on first touch.
-        total = sum(block.minors) + block.major
-        just_overflowed = block.major > 0 and block.packed == 0
+        minors = block >> MAJOR_COUNTER_BITS
+        total = major(block) + sum((minors >> shift) & MINOR_MASK
+                                   for shift in _MINOR_SHIFTS)
+        just_overflowed = major(block) > 0 and not minors
         if total % self.stop_loss == 0 or just_overflowed:
-            controller.nvm.write(counter_line.address,
-                                 block.to_bytes(), WriteKind.COUNTER)
+            controller.nvm.write(cb_address, encode_counter(block),
+                                 WriteKind.COUNTER)
 
     def flush_metadata(self, controller) -> None:
         """No shadow dump — but the data MACs are the recovery oracle, so
         dirty MAC blocks flush to their home addresses (cheap: 8 data MACs
         per block).  Counters and tree nodes are reconstructed instead."""
-        for line in controller.mac_cache.dirty_lines():
-            controller.nvm.write(line.address, controller.line_bytes(line),
-                                 WriteKind.DATA_MAC)
-            line.dirty = False
+        flush_dirty(controller, controller.mac_cache, WriteKind.DATA_MAC)
         controller.cache_tree_root = None
         controller.shadow_count = 0
 
@@ -127,7 +137,7 @@ class OsirisRecovery:
         trials = 0
         for cb_address in self._written_counter_addresses():
             raw = controller.nvm.read(cb_address, ReadKind.COUNTER)
-            block = SplitCounterBlock.from_bytes(raw)
+            block = decode_counter(raw)
             changed = False
             page_base = ((cb_address - layout.counters.base)
                          // CACHE_LINE_SIZE) * COUNTER_BLOCK_COVERAGE
@@ -137,10 +147,11 @@ class OsirisRecovery:
                     continue
                 ciphertext = controller.nvm.read(data_address, ReadKind.DATA)
                 stored_mac = self._stored_mac(data_address)
-                base_value = block.counter_for(slot)
+                base_value = counter_for(block, slot)
                 # The forced persist on overflow guarantees the true value
                 # lies within the same minor-counter epoch.
-                max_delta = min(self._stop_loss, 127 - block.minors[slot])
+                max_delta = min(self._stop_loss,
+                                MINOR_MASK - minor(block, slot))
                 for delta in range(max_delta + 1):
                     trials += 1
                     candidate = base_value + delta
@@ -149,7 +160,11 @@ class OsirisRecovery:
                         domain=MacDomain.DATA)
                     if stored_mac == mac:
                         if delta:
-                            self._apply_delta(block, slot, delta)
+                            # Inside the minor epoch (max_delta), so the
+                            # advance is one add to the slot's field.
+                            block += delta << (
+                                MAJOR_COUNTER_BITS
+                                + slot * MINOR_COUNTER_BITS)
                             changed = True
                         recovered += 1
                         break
@@ -158,7 +173,7 @@ class OsirisRecovery:
                         f"no counter candidate within stop-loss verified "
                         f"{data_address:#x} (tampering or loss beyond K)")
             if changed:
-                controller.nvm.write(cb_address, block.to_bytes(),
+                controller.nvm.write(cb_address, encode_counter(block),
                                      WriteKind.COUNTER)
         return recovered, trials
 
@@ -168,11 +183,6 @@ class OsirisRecovery:
             controller.layout.mac_block_address(data_address), ReadKind.MAC)
         slot = controller.layout.mac_slot(data_address)
         return raw[slot * 8:(slot + 1) * 8]
-
-    @staticmethod
-    def _apply_delta(block: SplitCounterBlock, slot: int, delta: int) -> None:
-        for _ in range(delta):
-            block.increment(slot)
 
     # ------------------------------------------------------------------
 

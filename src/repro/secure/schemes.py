@@ -27,8 +27,9 @@ class UpdateScheme(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def on_data_write(self, controller, counter_line) -> None:
-        """Called after a data write updated the cached counter block."""
+    def on_data_write(self, controller, cb_address: int) -> None:
+        """Called after a data write stored its incremented counter block,
+        resident at ``cb_address`` in the counter cache."""
 
     @abstractmethod
     def needs_parent_update_on_writeback(self) -> bool:
@@ -44,9 +45,9 @@ class EagerUpdateScheme(UpdateScheme):
 
     name = "eager"
 
-    def on_data_write(self, controller, counter_line) -> None:
-        counter_line.dirty = True
-        controller.propagate_to_root(counter_line)
+    def on_data_write(self, controller, cb_address: int) -> None:
+        controller.counter_cache.dirty.add(cb_address)
+        controller.propagate_to_root(cb_address)
 
     def needs_parent_update_on_writeback(self) -> bool:
         return False
@@ -58,10 +59,7 @@ class EagerUpdateScheme(UpdateScheme):
             (controller.tree_cache, WriteKind.TREE_NODE),
             (controller.mac_cache, WriteKind.DATA_MAC),
         ):
-            for line in cache.dirty_lines():
-                controller.nvm.write(line.address,
-                                     controller.line_bytes(line), kind)
-                line.dirty = False
+            flush_dirty(controller, cache, kind)
 
 
 class LazyUpdateScheme(UpdateScheme):
@@ -69,8 +67,8 @@ class LazyUpdateScheme(UpdateScheme):
 
     name = "lazy"
 
-    def on_data_write(self, controller, counter_line) -> None:
-        counter_line.dirty = True
+    def on_data_write(self, controller, cb_address: int) -> None:
+        controller.counter_cache.dirty.add(cb_address)
 
     def needs_parent_update_on_writeback(self) -> bool:
         return True
@@ -84,34 +82,44 @@ class LazyUpdateScheme(UpdateScheme):
         block would let a crash (or adversary) silently re-home restored
         metadata.
         """
-        lines = [line for cache in controller.metadata_caches
-                 for line in cache.lines()]
-        if not lines:
+        addresses: list[int] = []
+        leaves: list[bytes] = []
+        for cache in controller.metadata_caches:
+            for address, content, _ in controller.metadata_lines(cache):
+                addresses.append(address)
+                leaves.append(content)
+        if not leaves:
             controller.cache_tree_root = None
             return
+        count = len(leaves)
 
         # One 64 B block of 8 original addresses per 8 dumped lines, so
         # recovery can put the content back where it belongs.
-        address_payloads = []
-        for start in range(0, len(lines), 8):
-            group = lines[start:start + 8]
-            payload = b"".join(line.address.to_bytes(8, "little")
-                               for line in group)
-            address_payloads.append(payload.ljust(64, b"\0"))
+        for start in range(0, count, 8):
+            payload = b"".join(address.to_bytes(8, "little")
+                               for address in addresses[start:start + 8])
+            leaves.append(payload.ljust(64, b"\0"))
 
         arity = controller.layout.config.security.tree_arity
-        num_leaves = len(lines) + len(address_payloads)
+        num_leaves = len(leaves)
         num_macs = num_leaves + sum(tree_level_sizes(num_leaves, arity))
         controller.stats.record_mac(MacKind.CACHE_TREE, num_macs)
-        leaves = [controller.line_bytes(line) for line in lines]
-        leaves += address_payloads
         controller.cache_tree_root = InMemoryMerkleTree(leaves, arity).root
 
         shadow = controller.layout.shadow
         for index, payload in enumerate(leaves):
             controller.nvm.write(shadow.block_at(index), payload,
                                  WriteKind.SHADOW)
-        controller.shadow_count = len(lines)
+        controller.shadow_count = count
+
+
+def flush_dirty(controller, cache, kind: WriteKind) -> None:
+    """Write ``cache``'s dirty lines to their home addresses, in set order
+    then LRU order, each marked clean once written."""
+    for address, content, dirty in controller.metadata_lines(cache):
+        if dirty:
+            controller.nvm.write(address, content, kind)
+            cache.dirty.discard(address)
 
 
 def make_scheme(name: str) -> UpdateScheme:

@@ -35,23 +35,29 @@ settings.load_profile(HYPOTHESIS_PROFILE)
 
 def controller_state(controller) -> dict:
     """What a secure controller leaves behind — NVM image, stats, metadata
-    caches in LRU order with hit/miss counters, victim buffer in FIFO
-    order — for comparing a batched run with the per-op loop."""
+    caches in set then LRU order with hit/miss counters, victim buffer in
+    FIFO order — for comparing a batched run with the per-op loop."""
     return {
         "NVM image": controller.nvm.backend.image(),
         "stats": controller.stats.snapshot(),
-        "metadata caches": [
-            [[(line.address, controller.line_bytes(line), line.dirty)
-              for line in cache_set.values()]
-             for cache_set in cache._sets]
-            for cache in controller.metadata_caches],
+        "metadata caches": [list(controller.metadata_lines(cache))
+                            for cache in controller.metadata_caches],
         "cache hits/misses": [(cache.hits, cache.misses)
                               for cache in controller.metadata_caches],
-        "victim buffer": [(address, kind, controller.line_bytes(line),
-                           line.dirty)
-                          for address, (line, kind)
+        "victim buffer": [(address, kind, content)
+                          for address, (content, kind)
                           in controller._victims.items()],
     }
+
+
+def install_counter_block(controller, data_address: int, block: int) -> None:
+    """Put ``block`` in the counter-cache lane of ``data_address``'s counter
+    block, which must be resident; its LRU place and dirty bit stay."""
+    cache = controller.counter_cache
+    cb_address = controller.layout.counter_block_address(data_address)
+    cache_set = cache.sets[cache.set_index(cb_address)]
+    assert cb_address in cache_set
+    cache_set[cb_address] = block
 
 
 def examples(count: int) -> int:

@@ -17,18 +17,21 @@ Corners the mainline roundtrip tests never reach:
 """
 
 import traceback
+from dataclasses import replace
 
 import pytest
 
 from repro.common.config import SystemConfig
 from repro.common.errors import AddressError, IntegrityError
 from repro.core.system import SecureEpdSystem
-from repro.crypto.counters import SplitCounterBlock
+from repro.common.constants import MAJOR_COUNTER_BITS, MINOR_COUNTER_BITS
+from repro.crypto.counters import MINOR_MASK, major
 from repro.mem.nvm import NvmDevice
 from repro.mem.regions import MemoryLayout
 from repro.secure.controller import SecureMemoryController
 from repro.stats.counters import SimStats
-from tests.conftest import controller_state
+from repro.secure.controller import encode_counter
+from tests.conftest import controller_state, install_counter_block
 
 WRITTEN_SLOTS = (0, 2, 3, 40, 63)
 OVERFLOW_SLOT = 2
@@ -51,13 +54,11 @@ def payload(tag: int) -> bytes:
 def _force_overflow(controller: SecureMemoryController,
                     address: int = OVERFLOW_SLOT * 64) -> None:
     """Arm ``address``'s minor counter so its next write wraps the page:
-    the cached line gets a new block whose slot sits at the minor limit."""
-    line = controller.get_counter_line(address)
-    block: SplitCounterBlock = line.value
-    assert block.major == 0
-    minors = list(block.minors)
-    minors[OVERFLOW_SLOT] = 127
-    line.value = SplitCounterBlock(block.major, minors)
+    the cached block's slot goes to the minor limit."""
+    block = controller.get_counter(address)
+    assert major(block) == 0
+    shift = MAJOR_COUNTER_BITS + OVERFLOW_SLOT * MINOR_COUNTER_BITS
+    install_counter_block(controller, address, block | MINOR_MASK << shift)
 
 
 def _run_overflow_sequence(batched: bool) -> SecureMemoryController:
@@ -67,7 +68,7 @@ def _run_overflow_sequence(batched: bool) -> SecureMemoryController:
         controller.write(slot * 64, payload(slot + 1))
     _force_overflow(controller)
     controller.write(OVERFLOW_SLOT * 64, payload(99))
-    assert controller.get_counter_line(0).value.major == 1
+    assert major(controller.get_counter(0)) == 1
     return controller
 
 
@@ -75,8 +76,7 @@ class TestReencryptPageOnOverflow:
     @pytest.mark.parametrize("batched", [False, True])
     def test_overflow_bumps_major_and_preserves_contents(self, batched):
         controller = _run_overflow_sequence(batched)
-        block = controller.get_counter_line(0).value
-        assert block.major == 1
+        assert major(controller.get_counter(0)) == 1
         assert controller.read(OVERFLOW_SLOT * 64) == payload(99)
         for slot in WRITTEN_SLOTS:
             if slot != OVERFLOW_SLOT:
@@ -101,7 +101,7 @@ class TestReencryptPageOnOverflow:
             results = controller.run_ops_batch(
                 [("r", 0, None), ("w", OVERFLOW_SLOT * 64, payload(9))])
             assert results == [payload(1), None]
-            assert controller.get_counter_line(0).value.major == 1
+            assert major(controller.get_counter(0)) == 1
             return controller
 
         batched, scalar = run(batched=True), run(batched=False)
@@ -137,7 +137,7 @@ class TestReencryptPageOnOverflow:
         assert batched.nvm.backend.image() == scalar.nvm.backend.image()
         assert batched.stats.snapshot() == scalar.stats.snapshot()
         for system in (scalar, batched):
-            assert system.controller.get_counter_line(0).value.major == 1
+            assert major(system.controller.get_counter(0)) == 1
         # The re-encrypted page still decrypts after power restoration.
         for slot in (1, 5, OVERFLOW_SLOT):
             assert scalar.controller.read(slot * 64) == \
@@ -171,7 +171,7 @@ class TestReencryptPageOnOverflow:
         assert batched.nvm.backend.image() == scalar.nvm.backend.image()
         assert batched.stats.snapshot() == scalar.stats.snapshot()
         for system in (scalar, batched):
-            assert system.controller.get_counter_line(0).value.major == 1
+            assert major(system.controller.get_counter(0)) == 1
             assert system.read(OVERFLOW_SLOT * 64) == payload(99)
             for slot in WRITTEN_SLOTS:
                 if slot != OVERFLOW_SLOT:
@@ -198,10 +198,12 @@ class TestDrainVictimsOrdering:
                           for page in range(ways + self.EXTRA)]
         cb_addresses = []
         for data_address in data_addresses:
-            line = controller.get_counter_line(data_address)
-            line.value = SplitCounterBlock(minors=[1] + [0] * 63)
-            line.dirty = True
-            cb_addresses.append(line.address)
+            controller.get_counter(data_address)
+            install_counter_block(controller, data_address,
+                                  1 << MAJOR_COUNTER_BITS)
+            cb_address = controller.layout.counter_block_address(data_address)
+            controller.counter_cache.dirty.add(cb_address)
+            cb_addresses.append(cb_address)
         return data_addresses, cb_addresses
 
     def test_full_set_parks_victims_in_eviction_order(self):
@@ -243,20 +245,24 @@ class TestDrainVictimsOrdering:
         self._fill_one_set(controller)
         controller.drain_victims()
         assert not controller._victims
-        assert not any(line.dirty for line in
+        assert not any(dirty for address, _, dirty in
                        controller.counter_cache.lines()
-                       if line.address in controller._victims)
+                       if address in controller._victims)
 
     def test_victim_hit_reclaims_newest_copy(self):
         """A lookup that hits the victim buffer absorbs the parked line
-        instead of fetching a stale copy from NVM."""
+        instead of fetching a stale copy from NVM, and reinstalls it
+        dirty."""
         controller = make_controller(batched=True)
         data_addresses, touched = self._fill_one_set(controller)
         victim_cb = touched[0]
-        parked_line, _ = controller._victims[victim_cb]
-        line = controller.get_counter_line(data_addresses[0])
-        assert line is parked_line
+        parked, kind = controller._victims[victim_cb]
+        assert kind == "counter"
+        assert parked != controller.nvm.peek(victim_cb)
+        block = controller.get_counter(data_addresses[0])
+        assert encode_counter(block) == parked
         assert victim_cb not in controller._victims
+        assert victim_cb in controller.counter_cache.dirty
 
 
 class TestSchemeHookFailureParity:
@@ -324,6 +330,84 @@ class TestSchemeHookFailureParity:
         assert batched_error == scalar_error
         scalar_state = controller_state(scalar)
         assert any(kind == "mac"
+                   for _, kind, *_ in scalar_state["victim buffer"])
+        batched_state = controller_state(batched)
+        for name in scalar_state:
+            assert batched_state[name] == scalar_state[name], name
+
+
+class TestReparkedVictimFailureParity:
+    """A victim parked before a write's MAC access can leave the buffer
+    and come back behind that access's MAC victim, and then fail.
+
+    The buffer holds counter block X, its level-1 parent V and counter
+    block Y under another level-2 node.  X's writeback absorbs V; Y's
+    writeback climbs a 2-way, 1-set tree cache and evicts V again, so V
+    re-parks at the tail; V's own writeback then fetches its tampered
+    level-2 parent and fails.  Scalar issue parked the write's MAC victim
+    before V re-parked, so it wrote that victim out: the batched segment
+    must too, though V's address was among the victims parked before the
+    access."""
+
+    def _run(self, batched: bool):
+        base = SystemConfig.scaled(512)
+        config = replace(base, security=replace(
+            base.security, tree_cache_size=128, tree_cache_ways=2,
+            mac_cache_size=128, mac_cache_ways=2))
+        layout = MemoryLayout(config)
+        stats = SimStats()
+        controller = SecureMemoryController(
+            config, NvmDevice(layout.total_size, stats), layout, stats,
+            scheme="lazy", batched=batched)
+        controller.get_counter(0)
+        controller.tree_cache.clear()
+        for data_address in (4096, 8192):
+            # The MAC set is full of dirty lines: the write's MAC fill
+            # parks one.
+            controller.mac_cache.insert(
+                layout.mac_block_address(data_address), bytes(64),
+                dirty=True)
+        x_block = layout.counter_block_address(64 * 4096)
+        y_block = layout.counter_block_address(128 * 4096)
+        v_node = layout.tree_node_address(1, 8)
+        assert layout.parent_of_counter_block(x_block)[:2] == (1, 8)
+        assert layout.parent_of_tree_node(1, 8)[:2] == (2, 1)
+        assert layout.parent_of_counter_block(y_block)[:2] == (1, 16)
+        assert layout.parent_of_tree_node(1, 16)[:2] == (2, 2)
+        controller._victims[x_block] = (
+            encode_counter(1 << MAJOR_COUNTER_BITS), "counter")
+        controller._victims[v_node] = (controller._defaults.content(1),
+                                       "tree")
+        controller._victims[y_block] = (
+            encode_counter(2 << MAJOR_COUNTER_BITS), "counter")
+        controller.nvm.backend.corrupt_block(
+            layout.tree_node_address(2, 1), b"\x5a" * 64)
+        written = []
+        nvm_write = controller.nvm.write
+
+        def recording_write(address, data, kind):
+            written.append(address)
+            return nvm_write(address, data, kind)
+
+        controller.nvm.write = recording_write
+        with pytest.raises(IntegrityError) as failure:
+            controller.run_ops_batch([("w", 0, payload(7))])
+        return controller, str(failure.value), written
+
+    def test_reparked_victim_failure_matches_the_write_loop(self):
+        batched, batched_error, _ = self._run(batched=True)
+        scalar, scalar_error, written = self._run(batched=False)
+        assert scalar_error == "tree node (2,1) MAC mismatch"
+        assert batched_error == scalar_error
+        layout = scalar.layout
+        mac_victim = layout.mac_block_address(4096)
+        # The write loop wrote X, Y, then the MAC victim, and failed on the
+        # re-parked V (never written).
+        assert written == [0, layout.counter_block_address(64 * 4096),
+                           layout.counter_block_address(128 * 4096),
+                           mac_victim]
+        scalar_state = controller_state(scalar)
+        assert all(kind != "mac"
                    for _, kind, *_ in scalar_state["victim buffer"])
         batched_state = controller_state(batched)
         for name in scalar_state:
@@ -416,8 +500,8 @@ class TestTreeWalkFailureParity:
 
     @staticmethod
     def _tree_cache(controller: SecureMemoryController) -> list:
-        return [(line.address, line.dirty)
-                for line in controller.tree_cache.lines()]
+        return [(address, dirty)
+                for address, _, dirty in controller.tree_cache.lines()]
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
     def test_tampered_level_stops_the_walk(self, level):
@@ -436,10 +520,10 @@ class TestTreeWalkFailureParity:
         """An ancestor parked in the victim buffer is absorbed, unread and
         unverified, and anchors the verification below it."""
         controller = self._cold_controller()
-        line = controller.get_tree_node(3, 0)
-        controller.tree_cache.invalidate(line.address)
-        line.dirty = True
-        controller._victims[line.address] = (line, "tree")
+        node = controller.get_tree_node(3, 0)
+        address = controller.layout.tree_node_address(3, 0)
+        controller.tree_cache.invalidate(address)
+        controller._victims[address] = (node, "tree")
         error, stats = self._failing_read(controller, 1)
         assert error == "tree node (1,0) MAC mismatch"
         assert controller.nvm.trace == self.TRACE[:4]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import AddressError
 from repro.core.chv import ChvLayout, VaultRotation
 from repro.core.system import SecureEpdSystem
 from repro.mem.regions import MemoryLayout
@@ -42,6 +43,36 @@ class TestVaultRotationArithmetic:
 
     def test_capacity_is_dlm_group_aligned(self, chv):
         assert chv.capacity % 64 == 0
+
+
+class TestEpisodeDataAddresses:
+    """``ChvLayout.data_addresses`` builds an episode's slot addresses as
+    at most two runs; it must equal the per-position spec."""
+
+    @pytest.mark.parametrize("dc, rotate", [(0, False), (777, True)],
+                             ids=["unrotated", "rotated"])
+    def test_matches_the_per_position_spec(self, chv, dc, rotate):
+        rotation = VaultRotation.for_episode(chv, dc, enabled=rotate)
+        # Rotated, the episodes past capacity - offset wrap to slot 0.
+        assert (rotation.offset > 0) == rotate
+        counts = [0, 1, 13, chv.capacity]
+        if rotate:
+            counts.append(chv.capacity - rotation.offset + 5)
+        for count in counts:
+            assert chv.data_addresses(count, rotation) == [
+                chv.data_address(rotation.data_slot(position))
+                for position in range(count)], count
+
+    @pytest.mark.parametrize("dc, rotate", [(0, False), (777, True)],
+                             ids=["unrotated", "rotated"])
+    def test_count_past_capacity_raises_as_data_address(self, chv, dc,
+                                                        rotate):
+        rotation = VaultRotation.for_episode(chv, dc, enabled=rotate)
+        with pytest.raises(AddressError) as expected:
+            chv.data_address(chv.capacity)
+        with pytest.raises(AddressError) as raised:
+            chv.data_addresses(chv.capacity + 1, rotation)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestRotatedSystem:

@@ -1,95 +1,93 @@
-"""Split counter blocks and the Horus drain counter."""
+"""Split counter blocks (ints and the functions on them) and the Horus
+drain counter."""
 
 import pytest
 
 from repro.common.errors import CounterOverflowError
-from repro.crypto.counters import DrainCounter, SplitCounterBlock
+from repro.crypto.counters import (
+    DrainCounter,
+    counter_for,
+    increment,
+    major,
+    minor,
+)
+from repro.secure.controller import encode_counter
 
 
-class TestSplitCounterBlock:
+def block_of(major_value: int, minors: list[int]) -> int:
+    """A counter-block int from its fields (the wire layout, spelled out)."""
+    block = major_value
+    for slot, value in enumerate(minors):
+        block |= value << (64 + 7 * slot)
+    return block
+
+
+class TestSplitCounters:
     def test_fresh_block_is_zero(self):
-        block = SplitCounterBlock()
-        assert block.major == 0 and not any(block.minors)
-        assert block.counter_for(0) == 0
-        assert block.counter_for(63) == 0
+        assert major(0) == 0
+        assert not any(minor(0, slot) for slot in range(64))
+        assert counter_for(0, 0) == 0
+        assert counter_for(0, 63) == 0
 
     def test_counter_concatenates_major_and_minor(self):
-        block = SplitCounterBlock(major=3, minors=[5] + [0] * 63)
-        assert block.counter_for(0) == (3 << 7) | 5
+        block = block_of(3, [5] + [0] * 63)
+        assert counter_for(block, 0) == (3 << 7) | 5
 
     def test_increment_advances_one_slot(self):
-        block = SplitCounterBlock()
-        assert block.increment(7) is False
-        assert block.minors[7] == 1
-        assert block.minors[6] == 0
+        block, overflowed = increment(0, 7)
+        assert overflowed is False
+        assert minor(block, 7) == 1
+        assert minor(block, 6) == 0
 
     def test_minor_overflow_bumps_major_and_resets(self):
-        block = SplitCounterBlock(major=0, minors=[127] + [3] * 63)
-        assert block.will_overflow(0)
-        overflowed = block.increment(0)
+        block = block_of(0, [127] + [3] * 63)
+        block, overflowed = increment(block, 0)
         assert overflowed is True
-        assert block.major == 1
-        assert all(minor == 0 for minor in block.minors)
+        assert major(block) == 1
+        assert all(minor(block, slot) == 0 for slot in range(64))
 
     def test_counters_never_repeat_across_overflow(self):
         """A block's counter stream must be strictly increasing even through
         a minor-counter wrap (the split-counter security invariant)."""
-        block = SplitCounterBlock()
+        block = 0
         seen = set()
         for _ in range(300):
-            block.increment(0)
-            value = block.counter_for(0)
+            block, _ = increment(block, 0)
+            value = counter_for(block, 0)
             assert value not in seen
             seen.add(value)
 
     def test_major_exhaustion_raises(self):
-        block = SplitCounterBlock(major=(1 << 64) - 1,
-                                  minors=[127] + [0] * 63)
+        block = block_of((1 << 64) - 1, [127] + [0] * 63)
         with pytest.raises(CounterOverflowError):
-            block.increment(0)
+            increment(block, 0)
 
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(CounterOverflowError):
-            SplitCounterBlock(major=1 << 64)
-        with pytest.raises(CounterOverflowError):
-            SplitCounterBlock(minors=[128] + [0] * 63)
-        with pytest.raises(ValueError):
-            SplitCounterBlock(minors=[0] * 10)
-
-    def test_minors_are_read_only(self):
-        """Minors change only through increment: the property is a
-        snapshot, so an item store would silently do nothing if it
-        were allowed."""
-        block = SplitCounterBlock()
-        with pytest.raises(TypeError):
-            block.minors[0] = 1
-        with pytest.raises(AttributeError):
-            block.minors = [1] * 64
-        assert block.counter_for(0) == 0
-
-    def test_copy_is_independent(self):
-        block = SplitCounterBlock()
-        copy = block.copy()
-        copy.increment(0)
-        assert block.minors[0] == 0
+    def test_increment_leaves_its_input_alone(self):
+        """Blocks are immutable values: an increment returns a new int and
+        the old one still reads the old counters (what page re-encryption
+        decrypts under)."""
+        old = block_of(2, [127] * 64)
+        new, overflowed = increment(old, 9)
+        assert overflowed
+        assert counter_for(old, 9) == (2 << 7) | 127
+        assert counter_for(new, 9) == 3 << 7
 
 
 class TestCounterBlockWireFormat:
     def test_zero_block_serializes_to_zeros(self):
-        assert SplitCounterBlock().to_bytes() == bytes(64)
+        assert encode_counter(0) == bytes(64)
 
     def test_roundtrip(self):
-        block = SplitCounterBlock(major=0xDEADBEEF,
-                                  minors=[i % 128 for i in range(64)])
-        assert SplitCounterBlock.from_bytes(block.to_bytes()) == block
+        block = block_of(0xDEADBEEF, [i % 128 for i in range(64)])
+        assert int.from_bytes(encode_counter(block), "little") == block
 
-    def test_exactly_64_bytes(self):
-        """64-bit major + 64 x 7-bit minors = exactly one cache line."""
-        assert len(SplitCounterBlock().to_bytes()) == 64
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            SplitCounterBlock.from_bytes(bytes(63))
+    def test_major_then_packed_minors(self):
+        """64-bit major + 64 x 7-bit minors = exactly one cache line: the
+        major is the first 8 bytes, minor 0 the low bits of byte 8."""
+        wire = encode_counter(block_of(0x0102, [0x7F] + [0] * 63))
+        assert len(wire) == 64
+        assert wire[:8] == (0x0102).to_bytes(8, "little")
+        assert wire[8] == 0x7F and not any(wire[9:])
 
 
 class TestDrainCounter:

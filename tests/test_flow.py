@@ -345,62 +345,134 @@ class TestF4HookForcedScalar:
 
 
 class TestF5CounterMonotonicity:
-    def test_decremented_counter_written_back(self, tmp_path):
-        result = run_deep(tmp_path, {"repro/crypto/evil.py": """\
-            def rollback(block, slot):
-                counter = block.counter_for(slot)
-                block.minors[slot] = counter - 1
+    """Each sink shape that puts a counter int back into state flags one
+    planted decrement: the lane store, the encoder and the NVM write."""
+
+    def test_decremented_counter_stored_in_a_lane(self, tmp_path):
+        result = run_deep(tmp_path, {"repro/secure/evil.py": """\
+            def rollback(cache, block, slot, index, address):
+                counter = counter_for(block, slot)
+                cache.sets[index][address] = counter - 1
         """}, rules=["F5"])
         assert rules_hit(result) == ["F5"]
+        assert len(result.findings) == 1
         assert "monotonic" in result.findings[0].message
 
-    def test_decremented_counter_persisted_via_metaline(self, tmp_path):
-        result = run_deep(tmp_path, {"repro/metadata/evil.py": """\
-            from repro.metadata.cache import MetaLine
+    def test_decremented_counter_encoded(self, tmp_path):
+        result = run_deep(tmp_path, {"repro/secure/evil.py": """\
+            def stash(block, slot):
+                new, _ = increment(block, slot)
+                return encode_counter(new - (1 << 64))
+        """}, rules=["F5"])
+        assert rules_hit(result) == ["F5"]
+        assert len(result.findings) == 1
+        assert "monotonic" in result.findings[0].message
 
-            def stash(block, slot, address):
-                counter = block.counter_for(slot)
-                return MetaLine(address, counter - 1)
+    def test_decremented_counter_written_to_nvm(self, tmp_path):
+        result = run_deep(tmp_path, {"repro/secure/evil.py": """\
+            def persist(controller, block, address):
+                rolled = major(block) - 1
+                controller.nvm.write(address, rolled.to_bytes(64, "little"),
+                                     WriteKind.COUNTER)
+        """}, rules=["F5"])
+        assert rules_hit(result) == ["F5"]
+        assert len(result.findings) == 1
+        assert "monotonic" in result.findings[0].message
+
+    def test_decrement_in_the_batched_lane_loop(self, tmp_path):
+        # The batched segment's shape: the block comes off a local bound
+        # to a counter-cache set (a hit's pop, or a fill on a miss) and
+        # goes back through that local.
+        result = run_deep(tmp_path, {"repro/secure/evil.py": """\
+            class Controller:
+                def segment(self, cb_address, shift):
+                    ctr_sets = self.counter_cache.sets
+                    ctr_set = ctr_sets[cb_address // 64 % 8]
+                    block = ctr_set.pop(cb_address, None)
+                    if block is None:
+                        block = self._fill_counter(cb_address)
+                    ctr_set[cb_address] = block - (1 << shift)
+        """}, rules=["F5"])
+        assert rules_hit(result) == ["F5"]
+        assert len(result.findings) == 1
+        assert result.findings[0].line == 8
+
+    def test_decrement_of_a_lane_hit_is_tracked(self, tmp_path):
+        # A value read straight out of the counter cache is a counter,
+        # with no fetch call in sight.
+        result = run_deep(tmp_path, {"repro/secure/evil.py": """\
+            def rewind(controller, cb_address):
+                cache = controller.counter_cache
+                lane = cache.sets[cache.set_index(cb_address)]
+                lane[cb_address] = lane[cb_address] - 1
+        """}, rules=["F5"])
+        assert rules_hit(result) == ["F5"]
+        assert len(result.findings) == 1
+
+    def test_decrement_in_the_osiris_fix_up(self, tmp_path):
+        # Osiris recovery's shape: a decoded NVM block adjusted in place,
+        # then encoded and written home.
+        result = run_deep(tmp_path, {"repro/secure/evil.py": """\
+            def fix_up(controller, cb_address, raw, delta, shift):
+                block = decode_counter(raw)
+                block -= delta << shift
+                controller.nvm.write(cb_address, encode_counter(block),
+                                     WriteKind.COUNTER)
+        """}, rules=["F5"])
+        assert rules_hit(result) == ["F5"]
+        assert any("encoded" in finding.message and finding.line == 4
+                   for finding in result.findings)
+
+    def test_lane_loop_increment_is_the_designed_path(self, tmp_path):
+        result = run_deep(tmp_path, {"repro/secure/ok.py": """\
+            class Controller:
+                def segment(self, cb_address, shift):
+                    ctr_set = self.counter_cache.sets[cb_address % 8]
+                    block = ctr_set.pop(cb_address, None)
+                    if block is None:
+                        block = self._fill_counter(cb_address)
+                    ctr_set[cb_address] = block + (1 << shift)
+
+                def fix_up(self, cb_address, raw, delta, shift):
+                    block = decode_counter(raw)
+                    block += delta << shift
+                    self.nvm.write(cb_address, encode_counter(block),
+                                   WriteKind.COUNTER)
+        """}, rules=["F5"])
+        assert result.findings == []
+
+    def test_decrement_through_a_helper_is_tracked(self, tmp_path):
+        result = run_deep(tmp_path, {"repro/secure/evil.py": """\
+            def back_off(value):
+                return value - 1
+
+            def rollback(cache, block, slot, index, address):
+                cache.sets[index][address] = back_off(minor(block, slot))
         """}, rules=["F5"])
         assert rules_hit(result) == ["F5"]
 
-    def test_incremented_write_back_is_the_designed_path(self, tmp_path):
-        result = run_deep(tmp_path, {"repro/crypto/ok.py": """\
-            def advance(block, slot):
-                counter = block.counter_for(slot)
-                block.minors[slot] = counter + 1
+    def test_incremented_lane_store_is_the_designed_path(self, tmp_path):
+        result = run_deep(tmp_path, {"repro/secure/ok.py": """\
+            def advance(controller, cache, block, slot, index, address):
+                new, _ = increment(block, slot)
+                cache.sets[index][address] = new
+                controller.nvm.write(address, encode_counter(new),
+                                     WriteKind.COUNTER)
         """}, rules=["F5"])
         assert result.findings == []
 
     def test_decrement_used_only_for_comparison_is_clean(self, tmp_path):
-        result = run_deep(tmp_path, {"repro/crypto/ok.py": """\
-            def will_wrap(block, slot, limit):
-                counter = block.counter_for(slot)
-                return (counter - 1) >= limit
+        result = run_deep(tmp_path, {"repro/secure/ok.py": """\
+            def mark_wrap(cache, block, slot, index, address, limit):
+                wraps = (counter_for(block, slot) - 1) >= limit
+                cache.sets[index][address] = wraps
         """}, rules=["F5"])
         assert result.findings == []
 
-    def test_decremented_packed_minors_written_back(self, tmp_path):
-        result = run_deep(tmp_path, {"repro/crypto/evil.py": """\
-            def rollback(block, slot):
-                shift = slot * 7
-                block.packed = block.packed - (1 << shift)
-        """}, rules=["F5"])
-        assert rules_hit(result) == ["F5"]
-        assert "monotonic" in result.findings[0].message
-
-    def test_incremented_packed_minors_are_the_designed_path(self, tmp_path):
-        result = run_deep(tmp_path, {"repro/crypto/ok.py": """\
-            def advance(block, slot):
-                shift = slot * 7
-                block.packed += 1 << shift
-        """}, rules=["F5"])
-        assert result.findings == []
-
-    def test_non_counter_subtraction_into_minors_is_clean(self, tmp_path):
-        result = run_deep(tmp_path, {"repro/crypto/ok.py": """\
-            def resize(block, slot, width):
-                block.minors[slot] = width - 1
+    def test_non_counter_subtraction_into_a_lane_is_clean(self, tmp_path):
+        result = run_deep(tmp_path, {"repro/secure/ok.py": """\
+            def resize(cache, index, address, width):
+                cache.sets[index][address] = width - 1
         """}, rules=["F5"])
         assert result.findings == []
 
@@ -458,6 +530,26 @@ class TestRegressionTeeth:
                    for f in result.findings), \
             [f.format() for f in result.findings]
 
+    @pytest.mark.parametrize("module, designed", [
+        ("repro/secure/controller.py",
+         "ctr_set[cb_address] = block + (1 << shift)"),
+        ("repro/secure/osiris.py", "block += delta << ("),
+    ], ids=["batched-increment", "osiris-fix-up"])
+    def test_f5_redetects_a_planted_counter_decrement(self, tmp_path,
+                                                      module, designed):
+        src = copy_src_tree(tmp_path)
+        path = src / module
+        source = path.read_text()
+        assert source.count(designed) == 1, \
+            f"{module}: counter update moved; update the planted shape"
+        path.write_text(source.replace(
+            designed, designed.replace("+", "-", 1)))
+        result = lint_paths([src], root=tmp_path, deep=True, rules=["F5"])
+        assert result.findings, "planted decrement not flagged"
+        assert all(f.rule == "F5" and f.path.endswith(module)
+                   for f in result.findings), \
+            [f.format() for f in result.findings]
+
     def test_unmodified_copy_is_deep_clean(self, tmp_path):
         src = copy_src_tree(tmp_path)
         result = lint_paths(
@@ -511,9 +603,9 @@ class TestBaselineMechanics:
 
 _F5_DEFECT = {
     "repro/crypto/evil.py": """\
-        def rollback(block, slot):
-            counter = block.counter_for(slot)
-            block.minors[slot] = counter - 1
+        def rollback(cache, block, slot, index, address):
+            counter = counter_for(block, slot)
+            cache.sets[index][address] = counter - 1
     """,
 }
 

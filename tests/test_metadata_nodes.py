@@ -1,50 +1,7 @@
-"""Tree nodes and sparse defaults."""
+"""Sparse tree-node defaults."""
 
-import pytest
-
-from repro.common.errors import AddressError
 from repro.crypto.primitives import compute_mac
-from repro.metadata.nodes import DefaultNodes, TreeNode
-
-
-class TestTreeNode:
-    def test_fresh_node_is_zeroed(self):
-        node = TreeNode()
-        assert node.to_bytes() == bytes(64)
-        assert node.get_slot(0) == bytes(8)
-
-    def test_slot_roundtrip(self):
-        node = TreeNode()
-        node.set_slot(3, b"\x01" * 8)
-        assert node.get_slot(3) == b"\x01" * 8
-        assert node.get_slot(2) == bytes(8)
-
-    def test_slots_map_to_byte_ranges(self):
-        node = TreeNode()
-        node.set_slot(0, b"A" * 8)
-        node.set_slot(7, b"B" * 8)
-        raw = node.to_bytes()
-        assert raw[:8] == b"A" * 8
-        assert raw[56:] == b"B" * 8
-
-    def test_rejects_bad_slots_and_sizes(self):
-        node = TreeNode()
-        with pytest.raises(AddressError):
-            node.get_slot(8)
-        with pytest.raises(AddressError):
-            node.set_slot(-1, bytes(8))
-        with pytest.raises(AddressError):
-            node.set_slot(0, bytes(7))
-        with pytest.raises(AddressError):
-            TreeNode(bytes(63))
-
-    def test_equality(self):
-        node, twin = TreeNode(), TreeNode()
-        node.set_slot(1, b"\x42" * 8)
-        twin.set_slot(1, b"\x42" * 8)
-        assert twin == node
-        twin.set_slot(1, bytes(8))
-        assert twin != node
+from repro.metadata.nodes import DefaultNodes
 
 
 class TestDefaultNodes:

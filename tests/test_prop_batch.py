@@ -8,13 +8,18 @@ that repeat the same address (the drain never produces those, but the
 primitives must not care).
 """
 
+import importlib
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.constants import CACHE_LINE_SIZE
+from repro.common.constants import CACHE_LINE_SIZE, MAJOR_COUNTER_BITS
 from repro.crypto import batch
 from repro.crypto.arena import frame_buffer
+from repro.crypto.counters import major
 from repro.crypto.engine import AesEngine, MacEngine
 from repro.crypto.primitives import (
     MacDomain,
@@ -26,7 +31,7 @@ from repro.crypto.primitives import (
 )
 from repro.stats.counters import SimStats
 from repro.stats.events import MacKind
-from tests.conftest import examples
+from tests.conftest import examples, install_counter_block
 
 BATCH_COVERAGE = {
     # Every public *_batch/*_blocks method in src/repro must appear here
@@ -71,6 +76,30 @@ BATCH_COVERAGE = {
     "SparseMemory.write_arena":
         "oracle NVM image + tests/test_mem_backend.py arena tests",
 }
+
+
+
+class TestBatchCoverageEvidence:
+    """The evidence BATCH_COVERAGE cites must exist.  Reprolint's R3 checks
+    only that every batch method has an entry, so a misspelt test name in
+    one would pass it silently."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_every_cited_test_and_path_resolves(self):
+        for method, evidence in BATCH_COVERAGE.items():
+            for path in re.findall(r"tests/[\w/]+\.py", evidence):
+                assert (self.ROOT / path).is_file(), (method, path)
+            for path, cls, test in re.findall(
+                    r"(tests/[\w/]+)\.py::(\w+)::(\w+)", evidence):
+                module = importlib.import_module(path.replace("/", "."))
+                assert hasattr(getattr(module, cls, None), test), \
+                    (method, f"{path}.py::{cls}::{test}")
+            for cls, test in re.findall(r"\b(Test\w+)\.(test_\w+)",
+                                        evidence):
+                assert hasattr(globals().get(cls), test), \
+                    (method, f"{cls}.{test}")
+
 
 keys = st.binary(min_size=1, max_size=64)
 addresses = st.integers(0, 2**64 - 1)
@@ -273,11 +302,8 @@ def _make_controller(batched: bool, scheme: str):
 def _arm_overflow(controller) -> None:
     """Install a fresh block for page 0 whose slot 0 sits one below the
     minor limit: the second write to address 0 overflows it."""
-    from repro.crypto.counters import SplitCounterBlock
-
-    line = controller.get_counter_line(0)
-    assert line.value == SplitCounterBlock()
-    line.value = SplitCounterBlock(minors=[126] + [0] * 63)
+    assert controller.get_counter(0) == 0
+    install_counter_block(controller, 0, 126 << MAJOR_COUNTER_BITS)
 
 
 def _controller_state(controller) -> dict:
@@ -286,10 +312,8 @@ def _controller_state(controller) -> dict:
         "stats": controller.stats.snapshot(),
         "hit rates": [(cache.name, cache.hits, cache.misses)
                       for cache in controller.metadata_caches],
-        "meta lines": [
-            sorted((line.address, bytes(controller.line_bytes(line)),
-                    line.dirty) for line in cache.lines())
-            for cache in controller.metadata_caches],
+        "meta lines": [sorted(controller.metadata_lines(cache))
+                       for cache in controller.metadata_caches],
         "root": controller.root_mac,
         "lost": list(controller.nvm.lost_writes),
     }
@@ -389,7 +413,7 @@ class TestRunOpsEquivalence:
         assert fetched == [result for op, result in zip(ops, reference)
                            if op[0] == "r"]
         for controller in (scalar, batched):
-            assert controller.get_counter_line(0).value.major == 1
+            assert major(controller.get_counter(0)) == 1
 
     @pytest.mark.parametrize("scheme", ["lazy", "eager"])
     def test_minor_counter_overflow_stays_equivalent(self, scheme):
@@ -404,4 +428,4 @@ class TestRunOpsEquivalence:
         assert scalar.run_ops(list(ops)) == batched.run_ops_batch(list(ops))
         assert _controller_state(scalar) == _controller_state(batched)
         for controller in (scalar, batched):
-            assert controller.get_counter_line(0).value.major == 1
+            assert major(controller.get_counter(0)) == 1

@@ -10,13 +10,14 @@ from repro.common.constants import (
     MINOR_COUNTERS_PER_BLOCK,
 )
 from repro.common.errors import CounterOverflowError
-from repro.crypto.counters import SplitCounterBlock
+from repro.crypto.counters import counter_for, increment, major, minor
 from repro.crypto.primitives import (
     decrypt_block,
     encrypt_block,
     generate_pad,
     xor_block,
 )
+from repro.secure.controller import encode_counter
 
 KEY = b"prop-test-key"
 
@@ -58,33 +59,25 @@ class TestEncryptionProperties:
 
 
 class TestSplitCounterProperties:
-    @given(st.integers(0, (1 << 64) - 1),
-           st.lists(st.integers(0, 127), min_size=64, max_size=64))
-    def test_wire_format_roundtrip(self, major, minors):
-        block = SplitCounterBlock(major, minors)
-        decoded = SplitCounterBlock.from_bytes(block.to_bytes())
-        assert decoded.major == major
-        assert decoded.minors == tuple(minors)
-
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=300))
     @settings(max_examples=50)
     def test_counter_stream_never_repeats_per_slot(self, slots):
         """Interleaved increments across slots: each slot's counter sequence
         is strictly increasing (no pad reuse, the CME invariant)."""
-        block = SplitCounterBlock()
-        last = {slot: block.counter_for(slot) for slot in range(64)}
+        block = 0
+        last = {slot: counter_for(block, slot) for slot in range(64)}
         for slot in slots:
-            block.increment(slot)
-            value = block.counter_for(slot)
+            block, _ = increment(block, slot)
+            value = counter_for(block, slot)
             assert value > last[slot]
             last[slot] = value
 
     @given(st.integers(0, 63))
     def test_overflow_resets_all_minors(self, slot):
-        block = SplitCounterBlock(minors=[127] * 64)
-        assert block.increment(slot)
-        assert block.minors == (0,) * 64
-        assert block.major == 1
+        block = int.from_bytes(bytes(8) + b"\xff" * 56, "little")
+        block, overflowed = increment(block, slot)
+        assert overflowed
+        assert block == 1
 
 
 # -- reference model: a list of minors and the generic shift-loop packer ------
@@ -102,9 +95,6 @@ class ListCounterBlock:
 
     def counter_for(self, slot: int) -> int:
         return (self.major << MINOR_COUNTER_BITS) | self.minors[slot]
-
-    def will_overflow(self, slot: int) -> bool:
-        return self.minors[slot] + 1 >= _MINOR_LIMIT
 
     def increment(self, slot: int) -> bool:
         minor = self.minors[slot] + 1
@@ -140,13 +130,13 @@ minor_values = st.one_of(st.sampled_from([0, 125, 126, 127]),
 slots = st.one_of(st.sampled_from([0, 1, 62, 63]), st.integers(0, 63))
 
 
-def assert_matches(block: SplitCounterBlock, model: ListCounterBlock) -> None:
-    assert block.major == model.major
-    assert block.minors == tuple(model.minors)
-    assert block.to_bytes() == model.to_bytes()
+def assert_matches(block: int, model: ListCounterBlock) -> None:
+    assert major(block) == model.major
+    assert [minor(block, slot) for slot in range(MINOR_COUNTERS_PER_BLOCK)] \
+        == model.minors
+    assert encode_counter(block) == model.to_bytes()
     for slot in range(MINOR_COUNTERS_PER_BLOCK):
-        assert block.counter_for(slot) == model.counter_for(slot)
-        assert block.will_overflow(slot) == model.will_overflow(slot)
+        assert counter_for(block, slot) == model.counter_for(slot)
 
 
 class TestSplitCounterAgainstListModel:
@@ -154,32 +144,32 @@ class TestSplitCounterAgainstListModel:
            st.lists(minor_values, min_size=64, max_size=64),
            st.lists(slots, max_size=400))
     @settings(max_examples=200)
-    def test_increments_match_the_model(self, major, minors, touched):
-        """Every counter operation agrees with the list-of-minors model,
+    def test_increments_match_the_model(self, major_value, minors, touched):
+        """Every counter function agrees with the list-of-minors model,
         through overflow resets and up to major exhaustion, which must
         leave both blocks untouched."""
-        block = SplitCounterBlock(major, minors)
-        model = ListCounterBlock(major, minors)
+        model = ListCounterBlock(major_value, minors)
+        block = int.from_bytes(model.to_bytes(), "little")
         assert_matches(block, model)
         for slot in touched:
             try:
                 expected = model.increment(slot)
             except CounterOverflowError:
                 with pytest.raises(CounterOverflowError):
-                    block.increment(slot)
+                    increment(block, slot)
                 assert model.major == _MAJOR_MAX
             else:
-                assert block.increment(slot) is expected
-            assert block.counter_for(slot) == model.counter_for(slot)
-            assert block.packed.bit_length() <= 8 * (CACHE_LINE_SIZE - 8)
+                block, overflowed = increment(block, slot)
+                assert overflowed is expected
+            assert counter_for(block, slot) == model.counter_for(slot)
+            assert 0 <= block < 1 << (8 * CACHE_LINE_SIZE)
         assert_matches(block, model)
 
     @given(st.binary(min_size=64, max_size=64))
-    def test_codec_matches_the_reference_packer(self, data):
-        """Any 64 B pattern decodes as the reference does and re-encodes
-        to itself."""
-        block = SplitCounterBlock.from_bytes(data)
+    def test_any_wire_form_reads_as_the_reference_decodes_it(self, data):
+        """Any 64 B pattern, read as a counter-block int, has the fields
+        the reference packer decodes, and encodes back to itself."""
+        block = int.from_bytes(data, "little")
         model = ListCounterBlock.from_bytes(data)
         assert_matches(block, model)
-        assert block.to_bytes() == data
-        assert block == SplitCounterBlock(model.major, model.minors)
+        assert model.to_bytes() == data

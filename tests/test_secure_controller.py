@@ -6,6 +6,7 @@ import pytest
 from repro.attacks.adversary import Adversary
 from repro.common.config import SystemConfig
 from repro.common.errors import IntegrityError
+from repro.crypto.counters import major
 from repro.mem.nvm import NvmDevice
 from repro.mem.regions import MemoryLayout
 from repro.secure.controller import SecureMemoryController
@@ -83,8 +84,8 @@ class TestUpdateSchemes:
         controller = make_controller("lazy")
         controller.write(0, payload(1))
         cb_address = controller.layout.counter_block_address(0)
-        line = controller.counter_cache.lookup(cb_address)
-        assert line is not None and line.dirty
+        assert controller.counter_cache.contains(cb_address)
+        assert cb_address in controller.counter_cache.dirty
 
     def test_eager_accounts_tree_update_macs(self):
         controller = make_controller("eager")
@@ -207,8 +208,7 @@ class TestCounterOverflow:
         ct_before = controller.nvm.peek(0)
         for i in range(130):                 # force minor of slot 1 to wrap
             controller.write(64, payload(i))
-        cb = controller.get_counter_line(64).value
-        assert cb.major >= 1
+        assert major(controller.get_counter(64)) >= 1
         # Neighbour was re-encrypted under the new major counter...
         assert controller.nvm.peek(0) != ct_before
         # ...and still decrypts to the original plaintext.

@@ -5,6 +5,7 @@ import pytest
 from repro.attacks.adversary import Adversary
 from repro.common.errors import ConfigError, RecoveryError
 from repro.core.system import SecureEpdSystem
+from repro.crypto.counters import counter_for
 from repro.secure.audit import audit_memory
 from repro.secure.osiris import OsirisLazyScheme, OsirisRecovery
 from tests.test_secure_controller import payload
@@ -28,11 +29,9 @@ class TestStopLossWriteThrough:
             controller.write(0, payload(i))
         cb_address = controller.layout.counter_block_address(0)
         assert controller.nvm.backend.is_written(cb_address)
-        from repro.crypto.counters import SplitCounterBlock
-        persisted = SplitCounterBlock.from_bytes(
-            controller.nvm.peek(cb_address))
-        live = controller.get_counter_line(0).value
-        staleness = live.counter_for(0) - persisted.counter_for(0)
+        persisted = int.from_bytes(controller.nvm.peek(cb_address), "little")
+        live = controller.get_counter(0)
+        staleness = counter_for(live, 0) - counter_for(persisted, 0)
         assert 0 <= staleness < 4
 
     def test_no_shadow_dump_at_drain(self, tiny_config):

@@ -49,7 +49,7 @@ class TestShadowRecovery:
     def test_restored_lines_are_dirty(self):
         controller = _crashed_lazy_controller()
         ShadowRecovery(controller).recover()
-        assert any(line.dirty for line in controller.counter_cache.lines())
+        assert any(dirty for _, _, dirty in controller.counter_cache.lines())
 
     def test_tampered_shadow_image_is_detected(self):
         controller = _crashed_lazy_controller()
