@@ -5,7 +5,7 @@ PYTHON ?= python
 .PHONY: test test-pure bench bench-full bench-e2e experiments experiments-full examples lint lint-deep typecheck clean
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # Tier-1 with numpy import-blocked in every Python process it starts, so
 # the pure-Python kernels run as on a numpy-less install (CI's pure-python

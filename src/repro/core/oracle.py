@@ -144,12 +144,7 @@ def _observe(config: SystemConfig, scheme: str, batched: bool, fill: str,
     if system.drain_counter is not None:
         obs["drain counter"] = (system.drain_counter.value,
                                 system.drain_counter.ephemeral)
-    if rec_exc is None:
-        # A failing batched recovery MAC-checks the whole vault before its
-        # first comparison, so only its operation counters may differ from
-        # the scalar loop's (HorusRecovery._recover_batched); the restored
-        # prefix, the NVM image and the exception are still compared.
-        obs["total stats"] = system.stats.snapshot()
+    obs["total stats"] = system.stats.snapshot()
     return system, report, recovery, drain_exc, obs
 
 

@@ -19,13 +19,17 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import SystemConfig
 from repro.common.constants import (
     ADDRESSES_PER_BLOCK,
-    CACHE_LINE_SIZE,
     MAC_SIZE,
     MACS_PER_BLOCK,
 )
-from repro.common.errors import ConfigError, IntegrityError, RecoveryError
+from repro.common.errors import (
+    ConfigError,
+    IntegrityError,
+    OracleDivergenceError,
+    RecoveryError,
+)
 from repro.core.chv import MAC_GROUP_DLM, MAC_GROUP_SLM, ChvLayout
-from repro.crypto.arena import FRAME_SIZE, frame_buffer, unpack_u64
+from repro.crypto.arena import frame_buffer, unpack_u64
 from repro.crypto.batch import split_blocks
 from repro.crypto.counters import DrainCounter
 from repro.crypto.primitives import MacDomain
@@ -103,7 +107,15 @@ class HorusRecovery:
         writeback_queue: list[tuple[int, bytes]] = []
         if (self.batched and self._nvm.trace is None
                 and self.step_hook is None):
-            self._recover_batched(count, rotation, writeback_queue)
+            if not self._recover_batched(count, rotation, writeback_queue):
+                # The vault failed to verify: the scalar loop, from the
+                # untouched state, raises where and as the spec does.
+                stats.rewind(before)
+                self._recover_scalar(count, rotation, writeback_queue)
+                raise OracleDivergenceError(
+                    f"batched {self.name} recovery found a MAC mismatch "
+                    f"the scalar loop over the same {count} positions "
+                    f"did not")
         else:
             self._recover_scalar(count, rotation, writeback_queue)
 
@@ -183,24 +195,26 @@ class HorusRecovery:
                               address, counter, ciphertext)
 
     def _recover_batched(self, count: int, rotation,
-                         writeback_queue: list[tuple[int, bytes]]) -> None:
+                         writeback_queue: list[tuple[int, bytes]]) -> bool:
         """Whole-episode verify/decrypt through the batch crypto engines.
 
-        On success the restored state, NVM image, and operation counters are
-        identical to :meth:`_recover_scalar` (the differential oracle pins
-        this).  On an integrity failure the same blocks are restored — every
-        position (SLM) or full first-level group (DLM) *before* the failing
-        one — and the same exception is raised; only the failure-path
-        operation counters differ, because the batch computed the whole
-        episode's MACs before the first comparison.
+        The whole vault is MAC-checked in one comparison against the
+        stored MAC run (SLM's MACs, DLM's second level) before anything is
+        decrypted or restored.  On a mismatch it returns False having
+        restored nothing, and :meth:`recover` rewinds the stats and runs
+        :meth:`_recover_scalar`, the one failure path.  Otherwise it
+        returns True, and the restored state, NVM image, and operation
+        counters are identical to :meth:`_recover_scalar`'s (the
+        differential oracle pins this).
 
-        In refill mode the verified data run (every block before the first
-        metadata address) goes back into the LLC in one
+        In refill mode the data run (every block before the first metadata
+        address) goes back into the LLC in one
         :meth:`~repro.cache.hierarchy.CacheHierarchy.restore_dirty` pass;
         the metadata-cache dump after it is restored line by line.  Each
         whole-episode buffer is dropped once its last consumer has run.
         """
         aes = self._controller.aes
+        mac = self._controller.mac
         layout = self._controller.layout
         chv = self._chv
         group_size = self.mac_group
@@ -223,90 +237,37 @@ class HorusRecovery:
         counters = range(base, base + count)
         # One frame pass serves both the verify MACs and the decryption.
         frames = frame_buffer(addresses, counters)
-        verified, failure = self._verify_batch(mac_buf, buffer, addresses,
-                                               counters, frames)
-        del mac_buf
-
-        if verified:
-            if verified < count:
-                del addresses[verified:]
-                counters = counters[:verified]
-                buffer = buffer[:verified * CACHE_LINE_SIZE]
-                frames = frames[:verified * FRAME_SIZE]
-            plaintext = aes.decrypt_batch(addresses, counters, buffer, frames)
-            del buffer, frames
-            blocks = split_blocks(plaintext)
-            del plaintext
-            data_end = 0
-            if self.mode == "refill":
-                # The drain vaults the hierarchy's lines first and the
-                # metadata caches' dump after them.
-                data_end = next(
-                    compress(count_from(), map(layout._data_size.__le__,
-                                               addresses)),
-                    verified)
-                self._hierarchy.restore_dirty(addresses[:data_end],
-                                              blocks[:data_end])
-            for index in range(data_end, verified):
-                self._place(layout, writeback_queue, addresses[index],
-                            blocks[index])
-        if failure is not None:
-            # The raised error's traceback holds this frame: drop the
-            # local so error and frame do not form a reference cycle.
-            try:
-                raise failure
-            finally:
-                del failure
-
-    def _verify_batch(self, mac_buf: bytes, buffer: bytes,
-                      addresses: list[int], counters: range,
-                      frames: bytes) -> tuple[int, IntegrityError | None]:
-        """MAC-check a whole vault read back by :meth:`_recover_batched`.
-
-        Returns how many leading positions verified and, when that is not
-        all of them, the error the scalar loop raises at the first failing
-        position (SLM) or group (DLM).
-        """
-        mac = self._controller.mac
-        count = len(addresses)
-        computed = mac.block_mac_batch(MacKind.VERIFY, buffer, addresses,
-                                       counters, domain=MacDomain.CHV_DATA,
-                                       frames=frames)
-        computed_raw = b"".join(computed)
-
+        computed = b"".join(mac.block_mac_batch(
+            MacKind.VERIFY, buffer, addresses, counters,
+            domain=MacDomain.CHV_DATA, frames=frames))
         if self._dlm:
-            level2 = mac.digest_mac_batch(MacKind.VERIFY,
-                                          split_blocks(computed_raw),
-                                          domain=MacDomain.CHV_LEVEL2)
-            level2_raw = b"".join(level2)
-            # Fast path: an untampered vault matches the whole stored MAC
-            # run at once (stored second-level MACs are consecutive 8 B
-            # slots); only a mismatch pays the per-group scan that
-            # pinpoints the first failing group exactly like scalar.
-            if mac_buf[:len(level2_raw)] != level2_raw:
-                mac_blocks = split_blocks(mac_buf)
-                for g, second in enumerate(level2):
-                    start = g * MACS_PER_BLOCK
-                    slot = (start % MAC_GROUP_DLM) // MACS_PER_BLOCK
-                    stored = mac_blocks[start // MAC_GROUP_DLM][
-                        slot * MAC_SIZE:(slot + 1) * MAC_SIZE]
-                    if stored != second:
-                        position = min(start + MACS_PER_BLOCK, count) - 1
-                        return start, IntegrityError(
-                            f"CHV second-level MAC mismatch for group "
-                            f"ending at vault position {position}")
-        elif mac_buf[:len(computed_raw)] != computed_raw:
-            mac_blocks = split_blocks(mac_buf)
-            for position in range(count):
-                stored = self._stored_mac(
-                    mac_blocks[position // MAC_GROUP_SLM], position,
-                    MAC_GROUP_SLM)
-                if stored != computed[position]:
-                    return position, IntegrityError(
-                        f"CHV MAC mismatch at vault position {position} "
-                        f"(original address {addresses[position]:#x})",
-                        addresses[position])
-        return count, None
+            computed = b"".join(mac.digest_mac_batch(
+                MacKind.VERIFY, split_blocks(computed),
+                domain=MacDomain.CHV_LEVEL2))
+        # Stored MACs (SLM) and second-level MACs (DLM) sit in consecutive
+        # 8 B slots, so the whole episode is one prefix of the MAC run.
+        if mac_buf[:len(computed)] != computed:
+            return False
+        del mac_buf, computed
+
+        plaintext = aes.decrypt_batch(addresses, counters, buffer, frames)
+        del buffer, frames
+        blocks = split_blocks(plaintext)
+        del plaintext
+        data_end = 0
+        if self.mode == "refill":
+            # The drain vaults the hierarchy's lines first and the metadata
+            # caches' dump after them.
+            data_end = next(
+                compress(count_from(), map(layout._data_size.__le__,
+                                           addresses)),
+                count)
+            self._hierarchy.restore_dirty(addresses[:data_end],
+                                          blocks[:data_end])
+        for index in range(data_end, count):
+            self._place(layout, writeback_queue, addresses[index],
+                        blocks[index])
+        return True
 
     # ------------------------------------------------------------------
 

@@ -28,6 +28,13 @@ class SparseMemory:
         self._size = size
         self._blocks: dict[int, bytes] = {}
         self._attacked: set[int] = set()
+        self.journal: dict[int, bytes | None] | None = None
+        """Undo journal, while one is open
+        (:meth:`~repro.mem.nvm.NvmDevice.open_journal`): block index ->
+        the block's content before its first store since the journal
+        opened, or ``None`` when it had never been written.
+        :meth:`write_block` and :meth:`write_arena` record into it, and
+        :meth:`undo` puts it back."""
 
     @property
     def size(self) -> int:
@@ -73,7 +80,11 @@ class SparseMemory:
         if address % CACHE_LINE_SIZE \
                 or not 0 <= address <= self._size - CACHE_LINE_SIZE:
             self._check(address)
-        self._blocks[address // CACHE_LINE_SIZE] = bytes(data)
+        index = address // CACHE_LINE_SIZE
+        journal = self.journal
+        if journal is not None and index not in journal:
+            journal[index] = self._blocks.get(index)
+        self._blocks[index] = bytes(data)
 
     def write_arena(self, addresses, buffer) -> None:
         """Store blocks from one contiguous buffer: ``buffer[64*i:64*i+64]``
@@ -94,9 +105,26 @@ class SparseMemory:
                 f"arena writes must be exactly {CACHE_LINE_SIZE} B per "
                 f"address, got {len(buffer)} B for {count} addresses")
         self._check_batch(addresses)
+        journal = self.journal
+        if journal is not None:
+            fresh = set(map(floordiv, addresses, repeat(CACHE_LINE_SIZE)))
+            fresh.difference_update(journal)
+            journal.update(zip(fresh, map(self._blocks.get, fresh)))
         self._blocks.update(zip(
             map(floordiv, addresses, repeat(CACHE_LINE_SIZE)),
             records(buffer, CACHE_LINE_SIZE)))
+
+    def undo(self, journal: dict[int, bytes | None]) -> None:
+        """Put back every block a closed :attr:`journal` covers: its
+        recorded content, or unwritten.  Blocks written before the journal
+        opened keep their place in the store's order and the others leave
+        it, so the store is as it was when the journal opened."""
+        blocks = self._blocks
+        for index, content in journal.items():
+            if content is None:
+                blocks.pop(index, None)
+            else:
+                blocks[index] = content
 
     def read_arena(self, addresses) -> bytes:
         """Read a batch of blocks into one contiguous buffer.

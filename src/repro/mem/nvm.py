@@ -10,6 +10,8 @@ medium: the controller's view of a write and the cells' view can disagree,
 and that disagreement is exactly what recovery must survive.
 """
 
+from collections import Counter
+
 from repro.common.constants import CACHE_LINE_SIZE
 from repro.common.errors import AddressError
 from repro.faults.plan import FaultPlan, PowerCut
@@ -39,6 +41,7 @@ class NvmDevice:
         fault plan's business."""
         self.lost_writes: list[tuple[int, WriteKind]] = []
         """(address, kind) of every write a fault plan lost in flight."""
+        self._wear_mark: Counter | None = None
 
     @property
     def attacked_blocks(self) -> frozenset:
@@ -74,6 +77,27 @@ class NvmDevice:
             self.fault_plan = None
         else:
             self.fault_plan = FaultPlan([PowerCut(after_writes=budget)])
+
+    def open_journal(self) -> None:
+        """Start recording what :meth:`close_journal` can undo: each
+        block's content before its first write from now on
+        (:attr:`~repro.mem.backend.SparseMemory.journal`, fed by
+        :meth:`write` and :meth:`write_arena` alike), and the wear counts
+        when a tracker is attached."""
+        self._backend.journal = {}
+        self._wear_mark = None if self.wear is None else self.wear.counts()
+
+    def close_journal(self, undo: bool) -> None:
+        """Stop recording; with ``undo``, first put every written block
+        and the wear counts back as they were at :meth:`open_journal`.
+        Stats are the caller's to rewind
+        (:meth:`~repro.stats.counters.SimStats.rewind`)."""
+        journal, self._backend.journal = self._backend.journal, None
+        wear_mark, self._wear_mark = self._wear_mark, None
+        if undo and journal is not None:
+            self._backend.undo(journal)
+            if wear_mark is not None and self.wear is not None:
+                self.wear.rewind(wear_mark)
 
     def restore_power(self) -> FaultPlan | None:
         """Detach the fault plan (power restored / fault window over),

@@ -40,6 +40,14 @@ class WearTracker:
     def record_write(self, address: int) -> None:
         self._writes[address] += 1
 
+    def counts(self) -> Counter:
+        """A copy of the per-block write counts, for :meth:`rewind`."""
+        return self._writes.copy()
+
+    def rewind(self, counts: Counter) -> None:
+        """Put the per-block write counts back to a :meth:`counts` copy."""
+        self._writes = counts
+
     @property
     def total_writes(self) -> int:
         return sum(self._writes.values())

@@ -23,7 +23,7 @@ every access into a miss plus a dirty eviction.
 """
 
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from repro.cache.cache import MISS, Line, SetAssociativeCache
 from repro.common.config import CacheConfig, SystemConfig
@@ -35,7 +35,12 @@ from repro.common.constants import (
     MAJOR_COUNTER_BITS,
     MINOR_COUNTER_BITS,
 )
-from repro.common.errors import ConfigError, IntegrityError, ReproError
+from repro.common.errors import (
+    ConfigError,
+    IntegrityError,
+    OracleDivergenceError,
+    ReproError,
+)
 from repro.crypto.arena import frame_buffer
 from repro.crypto.counters import (
     MAJOR_MASK,
@@ -121,11 +126,6 @@ class SecureMemoryController:
         # hazards — it is the writeback/victim buffer a real controller has.
         self._victims: "OrderedDict[int, Victim]" = OrderedDict()
         self._draining_victims = False
-        self._writing_back: Victim | None = None
-        """The victim-buffer entry :meth:`drain_victims` is writing back (or
-        last wrote back): after a failed drain, the one whose writeback
-        raised.  Matched by identity, so a line that was re-parked after
-        its entry left the buffer is a different victim."""
 
         self.op_hook = None
         """Optional observer called as ``op_hook(kind, address)`` (kind
@@ -255,17 +255,14 @@ class SecureMemoryController:
         as does an armed :attr:`op_hook`; wear counts per block and rides
         the grouped issue.
 
-        Failures.  An exception raised in stage 1 — a counter-block or
-        tree-node MAC mismatch, or a bad address — leaves exactly the
-        scalar state: the ops stage 1 admitted before it run through
-        stages 2-5, then the error propagates.  A write-only segment (a
-        baseline drain chunk) therefore fails exactly as the per-line
-        :meth:`write` loop does: same exception, NVM image, stats,
-        metadata caches and victim buffer.  A data-MAC mismatch found by
-        stage 5's read verification raises the same
-        :class:`IntegrityError` as scalar, but the segment's later ops
-        have already run stages 1-4, so their counters and metadata state
-        may differ from scalar.
+        Failures have one path, the scalar spec's.  The call checkpoints
+        the metadata caches, victim buffer, root register and stats, and
+        opens an undo journal on the NVM device.  When any stage raises a
+        :class:`~repro.common.errors.ReproError`, the call rolls all of it
+        back and re-runs ``ops`` through :meth:`run_ops`, which raises
+        where scalar issue raises and leaves the state scalar issue
+        leaves.  A re-run that completes means the batched stages failed
+        where the spec does not: :class:`OracleDivergenceError`.
         """
         if (not self.batched or not self.nvm.grouped_io
                 or self.op_hook is not None):
@@ -276,12 +273,58 @@ class SecureMemoryController:
                 return [result for op, result in zip(ops, results)
                         if op[0] == "r"]
             return results
-        results = [None] * len(ops)
-        fetched: list[bytes | None] | None = [] if fetches else None
-        start = 0
-        while start < len(ops):
-            start = self._run_segment(ops, start, results, fetched)
-        return fetched if fetched is not None else results
+        rewind = self._checkpoint()
+        failure: str | None = None
+        try:
+            results = [None] * len(ops)
+            fetched: list[bytes | None] | None = [] if fetches else None
+            start = 0
+            while start < len(ops):
+                start = self._run_segment(ops, start, results, fetched)
+        except ReproError as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+        finally:
+            self.nvm.close_journal(undo=failure is not None)
+        if failure is None:
+            return fetched if fetched is not None else results
+        # Outside the handler, so the scalar error is not chained to the
+        # batched one and does not keep its frames alive.
+        rewind()
+        self.run_ops(ops)
+        raise OracleDivergenceError(
+            f"batched run_ops failed ({failure}) where the scalar run "
+            f"of the same {len(ops)} ops completed")
+
+    def _checkpoint(self) -> Callable[[], None]:
+        """Open the NVM device's undo journal, and return the rewind of
+        the rest of what a batched call changes: the metadata caches, the
+        victim buffer, the root register and the stats.  The caches are
+        copied whole: their lane values are immutable, so a set is one
+        C-level dict copy."""
+        caches = [(cache, list(map(dict.copy, cache.sets)),
+                   cache.dirty.copy(), cache.hits, cache.misses)
+                  for cache in self.metadata_caches]
+        victims = self._victims.copy()
+        root_mac = self.root_mac
+        live = [self.stats]
+        if self.nvm.stats is not self.stats:
+            live.append(self.nvm.stats)
+        stats = [(counts, counts.copy()) for counts in live]
+        self.nvm.open_journal()
+
+        def rewind() -> None:
+            for cache, sets, dirty, hits, misses in caches:
+                cache.sets[:] = sets
+                cache.dirty.clear()
+                cache.dirty.update(dirty)
+                cache.hits, cache.misses = hits, misses
+            self._victims.clear()
+            self._victims.update(victims)
+            self.root_mac = root_mac
+            for counts, earlier in stats:
+                counts.rewind(earlier)
+
+        return rewind
 
     def _run_segment(self, ops: "list[tuple[str, int, bytes | None]]",
                      start: int, results: list[bytes | None],
@@ -340,167 +383,85 @@ class SecureMemoryController:
         overflow = -1
         n = len(ops)
         index = start
-        # Failure bookkeeping for _settle_failed_op: the last op to reach
-        # a step scalar issue runs after the op's MAC access (a write's
-        # scheme hook and victim drain, a read's victim drain), the victims
-        # parked before that step, and whether the drain had started.
-        admitted = -1
-        parked: tuple[tuple[int, Victim], ...] = ()
-        draining = False
-        try:
-            while index < n:
-                kind, address, data = ops[index]
-                if kind == "w":
+        while index < n:
+            kind, address, data = ops[index]
+            if kind == "w":
+                cb_address = (ctr_base
+                              + address // COUNTER_BLOCK_COVERAGE
+                              * CACHE_LINE_SIZE)
+                if (address % CACHE_LINE_SIZE or address < 0
+                        or address >= data_size
+                        or cb_address >= ctr_end):
+                    # Cold path: exact errors and region-tail handling.
+                    cb_address = counter_block_address(address)
+                # One probe: a hit pops the block and the store below
+                # reinserts it as MRU (the LRU touch); a fill installs it
+                # as MRU and the store replaces it in place.
+                ctr_set = ctr_sets[cb_address // CACHE_LINE_SIZE % ctr_ns]
+                block = ctr_set.pop(cb_address, None)
+                if block is None:
+                    ctr_misses += 1
+                    block = fill_counter(cb_address)
+                else:
+                    ctr_hits += 1
+                # Inline of increment/counter_for for the non-overflow
+                # case — the only one that stays in the batch (the break
+                # puts the block back unchanged for the scalar overflow
+                # tail below).
+                shift = (MAJOR_COUNTER_BITS
+                         + address % COUNTER_BLOCK_COVERAGE
+                         // CACHE_LINE_SIZE * MINOR_COUNTER_BITS)
+                minor = (block >> shift) & MINOR_MASK
+                if minor == MINOR_MASK:
+                    ctr_set[cb_address] = block
+                    overflow = index
+                    break
+                ctr_set[cb_address] = block + (1 << shift)
+                w_addrs(address)
+                w_ctrs(((block & MAJOR_MASK) << MINOR_COUNTER_BITS)
+                       | (minor + 1))
+                w_data(data)  # type: ignore[arg-type]
+                pending_add(address)
+                dp(index)
+                on_data_write(self, cb_address)
+                if victims:
+                    drain(meta_kinds)
+            else:
+                if (address % CACHE_LINE_SIZE or address < 0
+                        or address >= data_size):
+                    require_data_address(address)  # raises, as scalar
+                dp(~index)
+                if is_written(address) or address in pending_written:
                     cb_address = (ctr_base
                                   + address // COUNTER_BLOCK_COVERAGE
                                   * CACHE_LINE_SIZE)
-                    if (address % CACHE_LINE_SIZE or address < 0
-                            or address >= data_size
-                            or cb_address >= ctr_end):
-                        # Cold path: exact errors and region-tail handling.
+                    if cb_address >= ctr_end:
                         cb_address = counter_block_address(address)
-                    # One probe: a hit pops the block and the store below
-                    # reinserts it as MRU (the LRU touch); a fill installs
-                    # it as MRU and the store replaces it in place.
-                    ctr_set = ctr_sets[cb_address // CACHE_LINE_SIZE % ctr_ns]
+                    ctr_set = ctr_sets[cb_address // CACHE_LINE_SIZE
+                                       % ctr_ns]
                     block = ctr_set.pop(cb_address, None)
                     if block is None:
                         ctr_misses += 1
                         block = fill_counter(cb_address)
                     else:
                         ctr_hits += 1
-                    # Inline of increment/counter_for for the non-overflow
-                    # case — the only one that stays in the batch (the
-                    # break puts the block back unchanged for the scalar
-                    # overflow tail below).
+                        ctr_set[cb_address] = block
                     shift = (MAJOR_COUNTER_BITS
                              + address % COUNTER_BLOCK_COVERAGE
                              // CACHE_LINE_SIZE * MINOR_COUNTER_BITS)
-                    minor = (block >> shift) & MINOR_MASK
-                    if minor == MINOR_MASK:
-                        ctr_set[cb_address] = block
-                        overflow = index
-                        break
-                    ctr_set[cb_address] = block + (1 << shift)
-                    w_addrs(address)
-                    w_ctrs(((block & MAJOR_MASK) << MINOR_COUNTER_BITS)
-                           | (minor + 1))
-                    w_data(data)  # type: ignore[arg-type]
-                    pending_add(address)
-                    dp(index)
-                    parked = tuple(victims.items()) if victims else ()
-                    admitted, draining = index, False
-                    on_data_write(self, cb_address)
+                    r_ops(index)
+                    r_addrs(address)
+                    r_ctrs(((block & MAJOR_MASK) << MINOR_COUNTER_BITS)
+                           | ((block >> shift) & MINOR_MASK))
                     if victims:
-                        draining = True
                         drain(meta_kinds)
                 else:
-                    if (address % CACHE_LINE_SIZE or address < 0
-                            or address >= data_size):
-                        require_data_address(address)  # raises, as scalar
-                    dp(~index)
-                    if is_written(address) or address in pending_written:
-                        cb_address = (ctr_base
-                                      + address // COUNTER_BLOCK_COVERAGE
-                                      * CACHE_LINE_SIZE)
-                        if cb_address >= ctr_end:
-                            cb_address = counter_block_address(address)
-                        ctr_set = ctr_sets[cb_address // CACHE_LINE_SIZE
-                                           % ctr_ns]
-                        block = ctr_set.pop(cb_address, None)
-                        if block is None:
-                            ctr_misses += 1
-                            block = fill_counter(cb_address)
-                        else:
-                            ctr_hits += 1
-                            ctr_set[cb_address] = block
-                        shift = (MAJOR_COUNTER_BITS
-                                 + address % COUNTER_BLOCK_COVERAGE
-                                 // CACHE_LINE_SIZE * MINOR_COUNTER_BITS)
-                        r_ops(index)
-                        r_addrs(address)
-                        r_ctrs(((block & MAJOR_MASK) << MINOR_COUNTER_BITS)
-                               | ((block >> shift) & MINOR_MASK))
-                        if victims:
-                            parked = tuple(victims.items())
-                            admitted, draining = index, True
-                            drain(meta_kinds)
-                    else:
-                        # Never-written memory reads as zeros with nothing
-                        # to verify — the scalar path touches no metadata
-                        # either.
-                        z_reads(index)
-                index += 1
-        except ReproError:
-            # Scalar issue stops at the failing op (a counter-block or
-            # tree-node MAC mismatch, a bad address) with every earlier op
-            # complete: finish the ops this phase admitted, then re-raise.
-            held = admitted == index
-            failed_victim = self._writing_back if held and draining else None
-            if not held and data_phase and data_phase[-1] == ~index:
-                # A read whose counter fetch failed: scalar issue had
-                # already read its data block, and touched no MAC yet.
-                zero_reads.append(index)
-            self._complete_segment(ops, data_phase, write_addrs, write_ctrs,
-                                   write_data, read_ops, read_addrs,
-                                   read_ctrs, zero_reads, results, fetched,
-                                   hold_last=held)
-            if held:
-                self._settle_failed_op(parked, failed_victim)
-            raise
-        finally:
-            counter_cache.hits += ctr_hits
-            counter_cache.misses += ctr_misses
-
-        self._complete_segment(ops, data_phase, write_addrs, write_ctrs,
-                               write_data, read_ops, read_addrs, read_ctrs,
-                               zero_reads, results, fetched)
-
-        if overflow < 0:
-            return n
-
-        # Finish the overflowing write on the scalar path, reusing the
-        # counter access stage 1 already performed for it (a scalar run
-        # fetches exactly once too): stages 2-5 touched only the MAC cache
-        # and NVM, so the block is still resident and is read from its lane
-        # without counting a second hit.  Its parked victims drain at the
-        # end, as the scalar end-of-op drain would.
-        _, address, data = ops[overflow]
-        cb_address = counter_block_address(address)
-        slot = layout.counter_slot(address)
-        ctr_set = ctr_sets[cb_address // CACHE_LINE_SIZE % ctr_ns]
-        old = ctr_set[cb_address]
-        block, _ = increment(old, slot)
-        ctr_set[cb_address] = block
-        self._reencrypt_page(address, old, block, skip_slot=slot)
-        counter = counter_for(block, slot)
-        overflow_ct = self.aes.encrypt(address, counter, data)
-        mac_value = self.mac.block_mac(
-            MacKind.DATA_PROTECT, overflow_ct, address, counter,
-            domain=MacDomain.DATA)
-        self._store_data_mac(address, mac_value)
-        self.nvm.write(address, overflow_ct, WriteKind.DATA)
-        self.scheme.on_data_write(self, cb_address)
-        self.drain_victims()
-        return overflow + 1
-
-    def _complete_segment(self, ops: "list[tuple[str, int, bytes | None]]",
-                          data_phase: list[int], write_addrs: list[int],
-                          write_ctrs: list[int], write_data: list[bytes],
-                          read_ops: list[int], read_addrs: list[int],
-                          read_ctrs: list[int], zero_reads: list[int],
-                          results: list[bytes | None],
-                          fetched: "list[bytes | None] | None",
-                          hold_last: bool = False) -> None:
-        """Stages 2-5 of :meth:`_run_segment` for the ops its counter phase
-        admitted (``data_phase`` holds them in op order).
-
-        ``hold_last`` skips the MAC-victim drain after the last op, whose
-        own scalar end-of-op drain failed (:meth:`_settle_failed_op`)."""
-        layout = self.layout
-        nvm = self.nvm
-        victims = self._victims
-        drain = self.drain_victims
+                    # Never-written memory reads as zeros with nothing to
+                    # verify — the scalar path touches no metadata either.
+                    z_reads(index)
+            index += 1
+        counter_cache.hits += ctr_hits
+        counter_cache.misses += ctr_misses
 
         # Stage 2 — one crypto batch for every write in the segment.
         write_macs: list[bytes]
@@ -541,11 +502,11 @@ class SecureMemoryController:
                         ct_view[offset:offset + CACHE_LINE_SIZE]
                 else:
                     op_index = ~entry
-                    block = pending.get(ops[op_index][1])
-                    if block is None:
+                    view = pending.get(ops[op_index][1])
+                    if view is None:
                         backend_reads.append(op_index)
                     else:
-                        read_blocks[op_index] = block
+                        read_blocks[op_index] = view
                         served += 1
         if backend_reads:
             arena = memoryview(nvm.read_arena(
@@ -581,79 +542,72 @@ class SecureMemoryController:
         wpos = 0
         zpos = 0
         num_zero = len(zero_reads)
-        held = data_phase[-1] if hold_last else None
-        try:
-            for entry in data_phase:
-                if entry >= 0:
-                    address = ops[entry][1]
-                    mac_value = write_macs[wpos]
-                    wpos += 1
-                else:
-                    op_index = ~entry
-                    # Zero reads touch no MAC state (scalar returns before
-                    # the MAC load); both streams are op-ordered, so one
-                    # cursor suffices to skip them.
-                    if zpos < num_zero and zero_reads[zpos] == op_index:
-                        zpos += 1
-                        continue
-                    address = ops[op_index][1]
-                    mac_value = None
-                mb_address = macs_base + address // mac_span \
-                    * CACHE_LINE_SIZE
-                if mb_address >= macs_end:
-                    # Cold path: region-tail handling (addresses were
-                    # validated in the counter phase).
-                    mb_address = mac_block_address(address)
-                # One probe: a hit pops the block, and the store below
-                # reinserts it as MRU.
-                mac_set = mac_sets[mb_address // CACHE_LINE_SIZE % mac_ns]
-                mac_block = mac_set.pop(mb_address, None)
-                if mac_block is None:
-                    mac_misses += 1
-                    buffered = victims.pop(mb_address, None)
-                    if buffered is not None:
-                        mac_block = buffered[0]
-                        mac_dirty.add(mb_address)
-                    else:
-                        mac_reads += 1
-                        mac_block = backend_read(mb_address)
-                    if len(mac_set) >= mac_ways:
-                        victim = next(iter(mac_set))
-                        victim_block = mac_set.pop(victim)
-                        if victim in mac_dirty:
-                            mac_dirty.remove(victim)
-                            victims[victim] = (victim_block, "mac")
-                else:
-                    mac_hits += 1
-                offset = (address // CACHE_LINE_SIZE) % MACS_PER_BLOCK \
-                    * MAC_SIZE
-                if mac_value is not None:
-                    mac_block = (mac_block[:offset] + mac_value
-                                 + mac_block[offset + MAC_SIZE:])
+        for entry in data_phase:
+            if entry >= 0:
+                address = ops[entry][1]
+                mac_value = write_macs[wpos]
+                wpos += 1
+            else:
+                op_index = ~entry
+                # Zero reads touch no MAC state (scalar returns before the
+                # MAC load); both streams are op-ordered, so one cursor
+                # suffices to skip them.
+                if zpos < num_zero and zero_reads[zpos] == op_index:
+                    zpos += 1
+                    continue
+                address = ops[op_index][1]
+                mac_value = None
+            mb_address = macs_base + address // mac_span * CACHE_LINE_SIZE
+            if mb_address >= macs_end:
+                # Cold path: region-tail handling (addresses were validated
+                # in the counter phase).
+                mb_address = mac_block_address(address)
+            # One probe: a hit pops the block, and the store below
+            # reinserts it as MRU.
+            mac_set = mac_sets[mb_address // CACHE_LINE_SIZE % mac_ns]
+            mac_block = mac_set.pop(mb_address, None)
+            if mac_block is None:
+                mac_misses += 1
+                buffered = victims.pop(mb_address, None)
+                if buffered is not None:
+                    mac_block = buffered[0]
                     mac_dirty.add(mb_address)
                 else:
-                    stored_append(mac_block[offset:offset + MAC_SIZE])
-                mac_set[mb_address] = mac_block
-                if victims and entry != held:
-                    drain(mac_kind)
-        finally:
-            mac_cache.hits += mac_hits
-            mac_cache.misses += mac_misses
-            # Fold the per-fill MAC-region reads into one stats bump —
-            # SimStats is pure counting, so the fold is unobservable.
-            nvm.stats.record_read(_READ_MAC, mac_reads)
+                    mac_reads += 1
+                    mac_block = backend_read(mb_address)
+                if len(mac_set) >= mac_ways:
+                    victim = next(iter(mac_set))
+                    victim_block = mac_set.pop(victim)
+                    if victim in mac_dirty:
+                        mac_dirty.remove(victim)
+                        victims[victim] = (victim_block, "mac")
+            else:
+                mac_hits += 1
+            offset = (address // CACHE_LINE_SIZE) % MACS_PER_BLOCK * MAC_SIZE
+            if mac_value is not None:
+                mac_block = (mac_block[:offset] + mac_value
+                             + mac_block[offset + MAC_SIZE:])
+                mac_dirty.add(mb_address)
+            else:
+                stored_append(mac_block[offset:offset + MAC_SIZE])
+            mac_set[mb_address] = mac_block
+            if victims:
+                drain(mac_kind)
+        mac_cache.hits += mac_hits
+        mac_cache.misses += mac_misses
+        # Fold the per-fill MAC-region reads into one stats bump — SimStats
+        # is pure counting, so the fold is unobservable.
+        nvm.stats.record_read(_READ_MAC, mac_reads)
 
-        # Stage 5 — batched verify + decrypt for the segment's reads.
+        # Stage 5 — batched verify + decrypt for the segment's reads.  A
+        # mismatch needs no position: run_ops_batch re-runs the call on the
+        # scalar path, which raises the exact error.
         if read_ops:
             read_ct = b"".join(read_blocks[op_index] for op_index in read_ops)
-            actual_macs = self.mac.block_mac_batch(
-                MacKind.VERIFY, read_ct, read_addrs, read_ctrs,
-                domain=MacDomain.DATA)
-            for stored, address, actual in zip(stored_macs, read_addrs,
-                                               actual_macs):
-                if stored != actual:
-                    raise IntegrityError(
-                        f"data MAC mismatch at {address:#x}", address)
+            if stored_macs != self.mac.block_mac_batch(
+                    MacKind.VERIFY, read_ct, read_addrs, read_ctrs,
+                    domain=MacDomain.DATA):
+                raise IntegrityError("data MAC mismatch in a batched read")
             plaintext = self.aes.decrypt_batch(read_addrs, read_ctrs, read_ct)
             for pos, op_index in enumerate(read_ops):
                 results[op_index] = plaintext[pos * CACHE_LINE_SIZE:
@@ -666,27 +620,33 @@ class SecureMemoryController:
             fetched.extend(results[~entry] for entry in data_phase
                            if entry < 0)
 
-    def _settle_failed_op(self, parked: "tuple[tuple[int, Victim], ...]",
-                          failed_victim: Victim | None) -> None:
-        """Leave the failed op's data-MAC victim where scalar issue would.
+        if overflow < 0:
+            return n
 
-        Scalar issue makes an op's MAC-cache access before its scheme hook
-        and end-of-op drain; the batched counter phase ran those first, so
-        the victim that access parked (if any) is still at the buffer's
-        tail.  If the drain failed (``failed_victim`` is the entry whose
-        writeback raised) on a victim parked after the access, scalar issue
-        had already written the MAC victim out; otherwise it sits right
-        behind the victims parked before the access (``parked``).
-        """
-        victims = self._victims
-        if failed_victim is not None and not any(
-                entry is failed_victim for _, entry in parked):
-            self.drain_victims(("mac",))
-            return
-        ahead = {id(entry) for _, entry in parked}
-        for address, entry in list(victims.items()):
-            if id(entry) not in ahead and entry[1] != "mac":
-                victims.move_to_end(address)
+        # Finish the overflowing write on the scalar path, reusing the
+        # counter access stage 1 already performed for it (a scalar run
+        # fetches exactly once too): stages 2-5 touched only the MAC cache
+        # and NVM, so the block is still resident and is read from its lane
+        # without counting a second hit.  Its parked victims drain at the
+        # end, as the scalar end-of-op drain would.
+        _, address, data = ops[overflow]
+        cb_address = counter_block_address(address)
+        slot = layout.counter_slot(address)
+        ctr_set = ctr_sets[cb_address // CACHE_LINE_SIZE % ctr_ns]
+        old = ctr_set[cb_address]
+        block, _ = increment(old, slot)
+        ctr_set[cb_address] = block
+        self._reencrypt_page(address, old, block, skip_slot=slot)
+        counter = counter_for(block, slot)
+        overflow_ct = self.aes.encrypt(address, counter, data)
+        mac_value = self.mac.block_mac(
+            MacKind.DATA_PROTECT, overflow_ct, address, counter,
+            domain=MacDomain.DATA)
+        self._store_data_mac(address, mac_value)
+        self.nvm.write(address, overflow_ct, WriteKind.DATA)
+        self.scheme.on_data_write(self, cb_address)
+        self.drain_victims()
+        return overflow + 1
 
     # ------------------------------------------------------------------
     # Counter blocks
@@ -939,7 +899,6 @@ class SecureMemoryController:
                         if address is None:
                             return
                         entry = victims.pop(address)
-                self._writing_back = entry
                 content, kind = entry
                 if kind == "counter":
                     self._writeback_counter(address, content)

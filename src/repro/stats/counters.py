@@ -81,6 +81,16 @@ class SimStats:
         out.merge(self)
         return out
 
+    def rewind(self, earlier: "SimStats") -> None:
+        """Put the counts back to ``earlier`` (a :meth:`copy` taken before),
+        in place: the engines and devices that record here keep this
+        object."""
+        self.reads.clear()
+        self.writes.clear()
+        self.macs.clear()
+        self.aes.clear()
+        self.merge(earlier)
+
     @classmethod
     def aggregate(cls, parts: Iterable["SimStats"]) -> "SimStats":
         """Fold many per-shard/per-episode stats into one fleet total.

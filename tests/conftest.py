@@ -22,6 +22,8 @@ from hypothesis import HealthCheck, settings
 
 from repro.common.config import SystemConfig
 from repro.core.system import SecureEpdSystem
+from repro.crypto.engine import MacEngine
+from repro.stats.events import MacKind
 
 HYPOTHESIS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "ci")
 
@@ -36,9 +38,11 @@ settings.load_profile(HYPOTHESIS_PROFILE)
 def controller_state(controller) -> dict:
     """What a secure controller leaves behind — NVM image, stats, metadata
     caches in set then LRU order with hit/miss counters, victim buffer in
-    FIFO order — for comparing a batched run with the per-op loop."""
+    FIFO order, root register — for comparing a batched run with the
+    per-op loop."""
     return {
         "NVM image": controller.nvm.backend.image(),
+        "root register": controller.root_mac,
         "stats": controller.stats.snapshot(),
         "metadata caches": [list(controller.metadata_lines(cache))
                             for cache in controller.metadata_caches],
@@ -58,6 +62,20 @@ def install_counter_block(controller, data_address: int, block: int) -> None:
     cache_set = cache.sets[cache.set_index(cb_address)]
     assert cb_address in cache_set
     cache_set[cb_address] = block
+
+
+def corrupt_batched_verify_macs(monkeypatch) -> None:
+    """Zero the last MAC of every batched VERIFY call, leaving the scalar
+    MAC engine intact: a mismatch only a batched path can see."""
+    real = MacEngine.block_mac_batch
+
+    def corrupted(self, kind, *args, **kwargs):
+        macs = real(self, kind, *args, **kwargs)
+        if kind is MacKind.VERIFY and macs:
+            macs[-1] = bytes(len(macs[-1]))
+        return macs
+
+    monkeypatch.setattr(MacEngine, "block_mac_batch", corrupted)
 
 
 def examples(count: int) -> int:

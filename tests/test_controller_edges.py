@@ -10,10 +10,11 @@ Corners the mainline roundtrip tests never reach:
 * ``drain_victims`` — with a metadata cache at capacity, every insert parks
   a dirty victim; the buffer must drain in FIFO order and run cascading
   writebacks to a fixed point;
-* a batched segment whose counter phase raises (a tampered counter block
-  or tree node, a bad address) must stop in the state the per-op loop
-  leaves: earlier ops complete, the failing op's MAC victim where the loop
-  parks it.
+* a batched call that fails anywhere (a tampered counter block or tree
+  node, a bad address, a data block whose batched verification fails
+  after later writes ran) rolls back and re-runs on the scalar path, so it
+  stops in the state the per-op loop leaves: earlier ops complete, the
+  failing op's MAC victim where the loop parks it, later ops undone.
 """
 
 import traceback
@@ -22,16 +23,26 @@ from dataclasses import replace
 import pytest
 
 from repro.common.config import SystemConfig
-from repro.common.errors import AddressError, IntegrityError
+from repro.common.errors import (
+    AddressError,
+    IntegrityError,
+    OracleDivergenceError,
+)
 from repro.core.system import SecureEpdSystem
 from repro.common.constants import MAJOR_COUNTER_BITS, MINOR_COUNTER_BITS
 from repro.crypto.counters import MINOR_MASK, major
 from repro.mem.nvm import NvmDevice
 from repro.mem.regions import MemoryLayout
+from repro.mem.wear import WearTracker
 from repro.secure.controller import SecureMemoryController
+from repro.secure.osiris import OsirisLazyScheme
 from repro.stats.counters import SimStats
 from repro.secure.controller import encode_counter
-from tests.conftest import controller_state, install_counter_block
+from tests.conftest import (
+    controller_state,
+    corrupt_batched_verify_macs,
+    install_counter_block,
+)
 
 WRITTEN_SLOTS = (0, 2, 3, 40, 63)
 OVERFLOW_SLOT = 2
@@ -537,3 +548,78 @@ class TestTreeWalkFailureParity:
         assert (controller.tree_cache.hits,
                 controller.tree_cache.misses) == (5, 11)
         assert not controller._victims
+
+
+class TestVerifyFailureParity:
+    """Stage 5 of a batched segment verifies its reads' data MACs after
+    stages 1-4 ran for every op, so a data block tampered under a read is
+    found once the segment's later writes are in NVM.  The call rolls back
+    and re-runs on the scalar path: it raises the loop's error and leaves
+    the loop's state, on every update scheme."""
+
+    PAGES = [9 * i for i in range(120)]
+
+    def _run(self, batched: bool, scheme: str, wear: bool = False,
+             lead: int = 1):
+        controller = make_controller(
+            batched, scheme=(OsirisLazyScheme(stop_loss=8)
+                             if scheme == "osiris" else scheme))
+        if wear:
+            controller.nvm.wear = WearTracker(controller.layout)
+        for page in self.PAGES:
+            controller.write(page * 4096, payload(page))
+        tampered = self.PAGES[61] * 4096
+        controller.nvm.backend.corrupt_block(tampered, b"\x3c" * 64)
+        writes = [("w", page * 4096 + 64, payload(page))
+                  for page in self.PAGES[60:82] if page != self.PAGES[61]]
+        ops = writes[:lead] + [("r", tampered, None)] + writes[lead:]
+        with pytest.raises(IntegrityError) as failure:
+            controller.run_ops_batch(ops)
+        assert str(failure.value) == f"data MAC mismatch at {tampered:#x}"
+        return controller
+
+    @pytest.mark.parametrize("lead", [1, 0],
+                             ids=["write-first", "read-first"])
+    @pytest.mark.parametrize("scheme", ["lazy", "eager", "osiris"])
+    def test_failing_verify_matches_the_op_loop(self, scheme, lead):
+        """``lead`` writes run before the read.  With none, the loop fails
+        before any write has moved the root register."""
+        scalar_state = controller_state(self._run(False, scheme, lead=lead))
+        batched_state = controller_state(self._run(True, scheme, lead=lead))
+        for name in scalar_state:
+            assert batched_state[name] == scalar_state[name], name
+
+    def test_wear_rolls_back_to_the_op_loop_counts(self):
+        scalar = self._run(False, "lazy", wear=True).nvm.wear
+        batched = self._run(True, "lazy", wear=True).nvm.wear
+        assert batched._writes == scalar._writes
+
+    def test_every_call_closes_the_journal(self):
+        controller = self._run(True, "lazy")
+        assert controller.nvm.backend.journal is None
+        controller.run_ops_batch([("w", 0, payload(3)), ("r", 0, None)])
+        assert controller.nvm.backend.journal is None
+        with pytest.raises(TypeError):
+            # Not a ReproError: no rollback, but the journal still closes.
+            controller.run_ops_batch([("w", 64, None)])
+        assert controller.nvm.backend.journal is None
+
+
+class TestBatchedOnlyFailure:
+    """A batched call that fails where the scalar re-run completes is a
+    bug in the batched stages, never a result: it raises
+    ``OracleDivergenceError``.  Planted by corrupting the batched VERIFY
+    MACs only."""
+
+    def test_batched_only_mismatch_is_a_divergence(self, monkeypatch):
+        controller = make_controller(batched=True)
+        controller.write(0, payload(1))
+        corrupt_batched_verify_macs(monkeypatch)
+        with pytest.raises(OracleDivergenceError,
+                           match="scalar run of the same 2 ops completed"):
+            controller.run_ops_batch([("w", 64, payload(2)),
+                                      ("r", 0, None)])
+        assert controller.nvm.backend.journal is None
+        # The scalar re-run is what the call left behind.
+        assert controller.read(64) == payload(2)
+

@@ -131,6 +131,42 @@ class TestBatchedDrainFailureParity:
         return layout.tree_node_address(
             level, index // self.CONFIG.security.tree_arity ** level)
 
+    @staticmethod
+    def _guard_rerun(controller) -> list[str]:
+        """Let ``run_ops`` run only as the scalar re-run of a rolled-back
+        batched call, and record the error each batched segment raised."""
+        batched_errors: list[str] = []
+        rewound: list[bool] = []
+        run_segment = controller._run_segment
+        checkpoint = controller._checkpoint
+        run_ops = controller.run_ops
+
+        def watched_segment(*args):
+            try:
+                return run_segment(*args)
+            except IntegrityError as exc:
+                batched_errors.append(str(exc))
+                raise
+
+        def watched_checkpoint():
+            rewind = checkpoint()
+
+            def watched_rewind():
+                rewound.append(True)
+                rewind()
+
+            return watched_rewind
+
+        def rerun(ops):
+            if not rewound:
+                raise AssertionError("batched drain fell back to run_ops")
+            return run_ops(ops)
+
+        controller._run_segment = watched_segment
+        controller._checkpoint = watched_checkpoint
+        controller.run_ops = rerun
+        return batched_errors
+
     def _failed_drain(self, scheme: str, batched: bool, position: int,
                       level: int, warm: bool = False) -> dict:
         system = SecureEpdSystem(self.CONFIG, scheme=scheme,
@@ -149,14 +185,16 @@ class TestBatchedDrainFailureParity:
                  for address, _ in system.hierarchy.drain_lines(drain_seed)]
         assert len(order) > 4096
         if batched:
-            def no_scalar_fallback(ops):
-                raise AssertionError("batched drain fell back to run_ops")
-            system.controller.run_ops = no_scalar_fallback
+            batched_errors = self._guard_rerun(system.controller)
         system.nvm.backend.corrupt_block(
             self._metadata_above(system, order[position], level),
             self.GARBAGE)
         with pytest.raises(IntegrityError) as failure:
             system.crash(seed=drain_seed)
+        if batched:
+            # The batched segment itself reached the tampered block: it
+            # raised the error the scalar re-run then raised.
+            assert batched_errors == [str(failure.value)]
         observed = controller_state(system.controller)
         observed["exception"] = str(failure.value)
         observed["failed in a writeback"] = any(

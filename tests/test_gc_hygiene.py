@@ -8,8 +8,9 @@ tests pin that assumption — a cycle added to a bulk path later fails here,
 instead of silently growing peak memory until the next full collection —
 along with the helper's own state handling, the slotted ``MemoryOp`` the
 split routes, and the collector time ``--profile`` reports.  Detected
-failures count too: a batched recovery that raises, and a campaign cell
-whose drain catches the attack, free everything once dropped.
+failures count too: a batched recovery that raises, a batched drain chunk
+that rolls back and re-runs on the scalar path, and a campaign cell whose
+drain catches the attack all free everything once dropped.
 """
 
 import copy
@@ -211,6 +212,25 @@ class TestNoCyclicGarbage:
         gc.collect()
         with pytest.raises(IntegrityError):
             system.recover()
+        del system
+        assert gc.collect() == 0
+
+    def test_detected_batched_drain_leaves_no_cycles(
+            self, collector_disabled):
+        """A tampered counter block fails a batched Base-LU drain chunk,
+        which rolls back and re-runs on the scalar path: the checkpoint,
+        the journal and both errors are freed with the system."""
+        config = SystemConfig.scaled(SCALE)
+        system = SecureEpdSystem(config, scheme="base-lu")
+        assert system.controller.batched
+        system.fill_worst_case(seed=1)
+        address = next(iter(system.hierarchy.drain_lines(2)))[0]
+        Adversary(system.nvm).tamper(
+            system.layout.counter_block_address(address))
+        gc.collect()
+        with pytest.raises(IntegrityError,
+                           match="counter block MAC mismatch"):
+            system.crash(seed=2)
         del system
         assert gc.collect() == 0
 

@@ -275,3 +275,42 @@ class TestWriteBatch:
         data = device.wear.wear_of("data")
         assert data.blocks_written == 5
         assert data.max_writes_per_block == 3
+
+
+class TestUndoJournal:
+    """The undo journal a failed batched controller call rolls back with:
+    undone, the medium and the wear counts are as the journal found them,
+    whichever write path touched a block and however often."""
+
+    def _written(self, device: NvmDevice) -> None:
+        device.write(0, b"\x01" * 64, WriteKind.DATA)
+        device.write(64, b"\x02" * 64, WriteKind.DATA)
+
+    def _journaled(self, device: NvmDevice) -> None:
+        device.open_journal()
+        device.write(0, b"\x11" * 64, WriteKind.COUNTER)
+        device.write_arena([0, 128, 128, 64], b"\x22" * 256, WriteKind.DATA)
+        device.write(128, b"\x33" * 64, WriteKind.DATA_MAC)
+
+    def test_undo_restores_the_medium_and_wear(self, tiny_config):
+        device = NvmDevice(1 << 20)
+        device.wear = WearTracker(MemoryLayout(tiny_config))
+        self._written(device)
+        image = device.backend.image()
+        wear = device.wear.region_wear()
+        self._journaled(device)
+        device.close_journal(undo=True)
+        assert device.backend.image() == image
+        assert list(device.backend.written_addresses()) == [0, 64]
+        assert not device.backend.is_written(128)
+        assert device.wear.region_wear() == wear
+        assert device.backend.journal is None
+
+    def test_close_without_undo_keeps_every_write(self):
+        device = NvmDevice(1 << 20)
+        self._written(device)
+        self._journaled(device)
+        device.close_journal(undo=False)
+        assert device.peek(0) == b"\x22" * 64
+        assert device.peek(128) == b"\x33" * 64
+        assert device.backend.journal is None

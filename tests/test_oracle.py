@@ -11,6 +11,7 @@ import inspect
 
 import pytest
 
+from repro.attacks.adversary import Adversary
 from repro.cache.hierarchy import CacheHierarchy
 from repro.campaigns.scenarios import SCHEME_VARIANTS
 from repro.common.config import SystemConfig
@@ -24,6 +25,7 @@ from repro.epd.drain import NonSecureDrain
 from repro.secure.controller import SecureMemoryController
 from repro.sharding.pool import ShardRunSpec
 from repro.sharding.system import ShardedSecureSystem
+from repro.stats.counters import SimStats
 
 CONFIG = SystemConfig.scaled(512)
 
@@ -83,6 +85,25 @@ class TestZeroDivergence:
         monkeypatch.setattr(batch, "compute_block_macs", corrupted)
         with pytest.raises(OracleDivergenceError, match="diverged on"):
             oracle.run_differential(CONFIG, "horus-slm", recover=True)
+
+
+def _tamper_vault(system):
+    Adversary(system.nvm).tamper(system.drain_engine._chv.data_address(37))
+
+
+class TestFailedRecoveryStats:
+    """A failed recovery is compared like a passing one, ``total stats``
+    included (``tests/test_recovery_edges.py`` runs the tampered vaults
+    that never diverge)."""
+
+    def test_unrewound_failure_stats_are_caught(self, monkeypatch):
+        """A batched recovery that kept its failed attempt's counts
+        diverges on the stats alone."""
+        monkeypatch.setattr(SimStats, "rewind", lambda self, earlier: None)
+        with pytest.raises(OracleDivergenceError,
+                           match="diverged on 'total stats'"):
+            oracle.run_differential(CONFIG, "horus-slm", recover=True,
+                                    before_recover=_tamper_vault)
 
 
 class TestReplayZeroDivergence:

@@ -54,7 +54,18 @@ BATCH_COVERAGE = {
     "SparseMemory.read_blocks": "oracle NVM image + tests/test_mem_backend.py",
     "SecureMemoryController.run_ops_batch":
         "TestRunOpsEquivalence + oracle replay "
-        "(repro.core.oracle.run_replay_differential)",
+        "(repro.core.oracle.run_replay_differential) + failure parity, "
+        "the rollback and scalar re-run: "
+        "tests/test_epd_drain.py::TestBatchedDrainFailureParity"
+        "::test_tampered_metadata_fails_like_the_write_loop, "
+        "tests/test_controller_edges.py::TestReadFailureParity"
+        "::test_failing_read_matches_the_op_loop, "
+        "tests/test_controller_edges.py::TestVerifyFailureParity"
+        "::test_failing_verify_matches_the_op_loop, "
+        "tests/test_controller_edges.py::TestSchemeHookFailureParity"
+        "::test_failure_in_the_hook_matches_the_write_loop, "
+        "tests/test_controller_edges.py::TestReparkedVictimFailureParity"
+        "::test_reparked_victim_failure_matches_the_write_loop",
     "CacheHierarchy.replay_epoch":
         "tests/test_prop_soa.py (fused-vs-scalar identity over arbitrary "
         "op sequences) + oracle replay + tests/test_golden_replay.py",

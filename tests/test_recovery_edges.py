@@ -4,15 +4,17 @@ The DLM verify path buffers a whole 64-position group before trusting any of
 it, and the rotated vault places episodes at a moving, group-aligned offset
 — both have boundary cases (final partial group, episode straddling the
 vault end) that only show up at block counts that are *not* multiples of the
-register sizes."""
+register sizes.  A tampered vault is an edge too: the batched path must fail
+exactly as the scalar loop does, stats included."""
 
 import pytest
 
 from repro.attacks.adversary import Adversary
 from repro.common.constants import CACHE_LINE_SIZE, MACS_PER_BLOCK
-from repro.common.errors import IntegrityError
+from repro.common.errors import IntegrityError, OracleDivergenceError
 from repro.core import oracle
 from repro.core.system import SecureEpdSystem
+from tests.conftest import corrupt_batched_verify_macs
 
 STRIDE = CACHE_LINE_SIZE * 64
 
@@ -143,3 +145,65 @@ class TestBatchedRefillParity:
         assert message.format(position=position, group_end=group_end) in text
         restored = len(batched.hierarchy.llc)
         assert 0 < restored < batched.last_drain.flushed_blocks
+
+
+class TestFailedRecoveryParity:
+    """A tampered vault slot fails the batched recovery's one whole-vault
+    comparison before anything is restored; recovery then rewinds the
+    stats and runs the scalar loop, the one failure path.  Both paths
+    leave the same error, stats, lanes and NVM image."""
+
+    def _failed_recovery(self, config, scheme: str, position: int,
+                         mode: str, rotate: bool, batched: bool) -> dict:
+        system = SecureEpdSystem(config, scheme=scheme, batched=batched,
+                                 recovery_mode=mode, rotate_vault=rotate)
+        for _ in range(3):
+            # Earlier episodes move a rotated vault off its base.
+            system.drain_counter.next()
+        system.fill_worst_case(seed=5)
+        system.crash(seed=9)
+        engine = system.drain_engine
+        assert position < system.drain_counter.ephemeral
+        Adversary(system.nvm).tamper(
+            engine._chv.data_address(engine._rotation.data_slot(position)))
+        with pytest.raises(IntegrityError) as failure:
+            system.recover()
+        controller = system.controller
+        return {
+            "exception": str(failure.value),
+            "stats": system.stats.snapshot(),
+            "hierarchy lanes": [list(level.lines())
+                                for level in system.hierarchy.levels],
+            "metadata lanes": [list(controller.metadata_lines(cache))
+                               for cache in controller.metadata_caches],
+            "NVM image": system.nvm.backend.image(),
+        }
+
+    @pytest.mark.parametrize("rotate", [False, True],
+                             ids=["unrotated", "rotated"])
+    @pytest.mark.parametrize("mode", ["refill", "writeback"])
+    @pytest.mark.parametrize("position", [0, 37, 300])
+    @pytest.mark.parametrize("scheme", ["horus-slm", "horus-dlm"])
+    def test_failed_recovery_matches_the_scalar_loop(self, tiny_config,
+                                                     scheme, position,
+                                                     mode, rotate):
+        batched = self._failed_recovery(tiny_config, scheme, position,
+                                        mode, rotate, batched=True)
+        scalar = self._failed_recovery(tiny_config, scheme, position,
+                                       mode, rotate, batched=False)
+        for name in scalar:
+            assert batched[name] == scalar[name], name
+
+    def test_batched_only_mismatch_is_a_divergence(self, tiny_config,
+                                                   monkeypatch):
+        """Batched VERIFY MACs corrupted, scalar ones intact: the scalar
+        loop restores the whole vault, so the batched mismatch is a bug
+        and recovery raises ``OracleDivergenceError``."""
+        system = SecureEpdSystem(tiny_config, scheme="horus-slm")
+        system.fill_worst_case(seed=5)
+        system.crash(seed=9)
+        corrupt_batched_verify_macs(monkeypatch)
+        with pytest.raises(OracleDivergenceError,
+                           match="horus-slm recovery found a MAC mismatch"):
+            system.recover()
+
