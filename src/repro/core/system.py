@@ -97,7 +97,7 @@ class SecureEpdSystem:
 
             self.hierarchy.attach(fetch, writeback)
             self.drain_engine: DrainEngine = NonSecureDrain(
-                self.stats, self.timing, self.nvm, batched=self.batched)
+                self.stats, self.timing, self.nvm)
         else:
             # Horus runs the recovery-oblivious lazy scheme at run time
             # (DRAM-like performance is the premise); the baselines pick

@@ -20,31 +20,8 @@ from repro.crypto.primitives import (
 from repro.stats.counters import SimStats
 from repro.stats.events import AesKind, MacKind
 
-_BLOCK_DOMAINS = {MacKind.CHV_DATA: MacDomain.CHV_DATA}
-_DIGEST_DOMAINS = {MacKind.CHV_LEVEL2: MacDomain.CHV_LEVEL2}
-
 DEFAULT_AES_KEY = b"repro-horus-aes-key-0001"
 DEFAULT_MAC_KEY = b"repro-horus-mac-key-0001"
-
-
-def block_domain(kind: MacKind, domain: MacDomain | None) -> MacDomain:
-    """Resolve a block-MAC call's protection domain from its ``kind``.
-
-    Compute sites inherit the domain from ``kind`` (``MacKind.CHV_DATA`` →
-    the CHV domain, everything else the run-time data domain); verify sites
-    pass ``domain`` explicitly.  Public so keyed engine subclasses resolve
-    domains identically to the base engine.
-    """
-    if domain is not None:
-        return domain
-    return _BLOCK_DOMAINS.get(kind, MacDomain.DATA)
-
-
-def digest_domain(kind: MacKind, domain: MacDomain | None) -> MacDomain:
-    """Resolve a digest-MAC call's domain (``CHV_LEVEL2`` → DLM level 2)."""
-    if domain is not None:
-        return domain
-    return _DIGEST_DOMAINS.get(kind, MacDomain.NODE)
 
 
 class AesEngine:
@@ -57,12 +34,12 @@ class AesEngine:
 
     def encrypt(self, address: int, counter: int, plaintext: bytes) -> bytes:
         """Encrypt one block; accounts one AES operation."""
-        self._stats.record_aes(AesKind.ENCRYPT)
+        self._stats.aes[AesKind.ENCRYPT] += 1
         return encrypt_block(self._key, address, counter, plaintext)
 
     def decrypt(self, address: int, counter: int, ciphertext: bytes) -> bytes:
         """Decrypt one block; accounts one AES operation."""
-        self._stats.record_aes(AesKind.DECRYPT)
+        self._stats.aes[AesKind.DECRYPT] += 1
         return decrypt_block(self._key, address, counter, ciphertext)
 
     def encrypt_batch(self, addresses: Sequence[int],
@@ -103,19 +80,17 @@ class MacEngine:
                         for domain in MacDomain}
 
     def block_mac(self, kind: MacKind, ciphertext: bytes,
-                  address: int, counter: int,
-                  domain: MacDomain | None = None) -> bytes:
+                  address: int, counter: int, *,
+                  domain: MacDomain) -> bytes:
         """MAC over (ciphertext, address, counter): the BMT-style data MAC and
         the Horus CHV MAC are both this shape.
 
-        The value is domain-separated: compute sites inherit the domain from
-        ``kind`` (``MacKind.CHV_DATA`` → the CHV domain, everything else the
-        run-time data domain); verify sites (``MacKind.VERIFY``) must pass
-        ``domain`` explicitly when checking a non-run-time MAC, so a MAC can
-        never verify outside the domain it was written for.
+        ``domain`` is required: a MAC is computed and verified under the
+        domain its call site names, so it can never verify outside the
+        domain it was written for.
         """
-        self._stats.record_mac(kind)
-        h = self._states[block_domain(kind, domain)].copy()
+        self._stats.macs[kind] += 1
+        h = self._states[domain].copy()
         h.update(ciphertext)
         h.update(int_field(address))
         h.update(int_field(counter, 16))
@@ -123,50 +98,45 @@ class MacEngine:
 
     def node_mac(self, kind: MacKind, content: bytes,
                  address: int) -> bytes:
-        """MAC over a 64 B metadata block bound to its address (tree slots)."""
-        self._stats.record_mac(kind)
+        """MAC over a 64 B metadata block bound to its address (tree slots),
+        always in the node domain."""
+        self._stats.macs[kind] += 1
         h = self._states[MacDomain.NODE].copy()
         h.update(content)
         h.update(int_field(address))
         return h.digest()
 
-    def digest_mac(self, kind: MacKind, content: bytes,
-                   domain: MacDomain | None = None) -> bytes:
-        """MAC over raw content (Horus-DLM second level, cache-tree levels).
-
-        Domain-separated like :meth:`block_mac`: ``MacKind.CHV_LEVEL2``
-        implies the DLM second-level domain, everything else the metadata
-        node domain; verifiers of DLM MACs pass ``domain`` explicitly.
-        """
-        self._stats.record_mac(kind)
-        h = self._states[digest_domain(kind, domain)].copy()
+    def digest_mac(self, kind: MacKind, content: bytes, *,
+                   domain: MacDomain) -> bytes:
+        """MAC over raw content (tree nodes, counter blocks, Horus-DLM
+        second level), under the required ``domain`` like
+        :meth:`block_mac`."""
+        self._stats.macs[kind] += 1
+        h = self._states[domain].copy()
         h.update(content)
         return h.digest()
 
     def block_mac_batch(self, kind: MacKind,
                         buffer: bytes | bytearray | memoryview,
                         addresses: Sequence[int], counters: Sequence[int],
-                        domain: MacDomain | None = None,
+                        *, domain: MacDomain,
                         frames: batch.Frames = None) -> list[bytes]:
         """Batched :meth:`block_mac`: one accounted MAC per element.
 
         ``buffer`` holds the batch's ciphertext blocks contiguously.
-        Domain resolution is identical to :meth:`block_mac`; ``frames``
-        shares a :func:`repro.crypto.arena.frame_buffer` pass with the AES
-        engine.
+        ``frames`` shares a :func:`repro.crypto.arena.frame_buffer` pass
+        with the AES engine.
         """
         self._stats.record_mac(kind, len(addresses))
         return batch.compute_block_macs(self._key, buffer, addresses,
-                                        counters, block_domain(kind, domain),
-                                        frames)
+                                        counters, domain, frames)
 
     def digest_mac_batch(self, kind: MacKind,
-                         contents: Sequence[batch.Buffer],
-                         domain: MacDomain | None = None) -> list[bytes]:
+                         contents: Sequence[batch.Buffer], *,
+                         domain: MacDomain) -> list[bytes]:
         """Batched :meth:`digest_mac`: one accounted MAC per content."""
         self._stats.record_mac(kind, len(contents))
-        return batch.compute_digest_macs(
-            self._key, contents, domain=digest_domain(kind, domain))
+        return batch.compute_digest_macs(self._key, contents, domain=domain)
 
 
 class KeySchedule(Protocol):

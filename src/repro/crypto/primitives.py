@@ -74,8 +74,7 @@ def decrypt_block(key: bytes, address: int, counter: int, ciphertext: bytes) -> 
     return xor_block(ciphertext, generate_pad(key, address, counter))
 
 
-def compute_mac(key: bytes, *parts: bytes,
-                domain: MacDomain = MacDomain.NODE) -> bytes:
+def compute_mac(key: bytes, *parts: bytes, domain: MacDomain) -> bytes:
     """8 B keyed MAC over the concatenation of ``parts``.
 
     ``domain`` separates the library's MAC uses cryptographically: equal

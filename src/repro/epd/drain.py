@@ -87,23 +87,12 @@ class NonSecureDrain(DrainEngine):
 
     name = "nosec"
 
-    def __init__(self, stats: SimStats, timing: TimingModel, nvm,
-                 batched: bool = True):
+    def __init__(self, stats: SimStats, timing: TimingModel, nvm):
         super().__init__(stats, timing)
         self._nvm = nvm
-        self.batched = batched
 
     def _run(self, hierarchy: CacheHierarchy,
              seed: int | None) -> tuple[int, int]:
-        if self.batched and self._nvm.grouped_io:
-            # One arena write: addresses in drain order, payloads as a
-            # single contiguous buffer (same image, one folded stats
-            # update — exactly what per-line issue would record).
-            lines = list(hierarchy.drain_lines(seed))
-            addresses = [address for address, _ in lines]
-            buffer = b"".join(data for _, data in lines)
-            self._nvm.write_arena(addresses, buffer, WriteKind.DATA)
-            return len(lines), 0
         flushed = 0
         for address, data in hierarchy.drain_lines(seed):
             self._nvm.write(address, data, WriteKind.DATA)

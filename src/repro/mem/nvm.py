@@ -113,7 +113,7 @@ class NvmDevice:
         if not isinstance(kind, ReadKind):
             raise AddressError(f"read kind must be a ReadKind, got {kind!r}")
         data = self._backend.read_block(address)
-        self.stats.record_read(kind)
+        self.stats.reads[kind] += 1
         if self.trace is not None:
             self.trace.append((address, False))
         return data
@@ -155,7 +155,7 @@ class NvmDevice:
             self._backend.write_block(address, persisted)
         else:
             self.lost_writes.append((address, kind))
-        self.stats.record_write(kind)
+        self.stats.writes[kind] += 1
         if self.wear is not None:
             self.wear.record_write(address)
         if self.trace is not None:

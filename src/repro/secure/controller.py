@@ -22,10 +22,11 @@ address-specific metadata through the caches, and sparse contents turn nearly
 every access into a miss plus a dirty eviction.
 """
 
+from bisect import bisect_right
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
 
-from repro.cache.cache import MISS, Line, SetAssociativeCache
+from repro.cache.cache import Line, SetAssociativeCache
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.constants import (
     CACHE_LINE_SIZE,
@@ -50,6 +51,7 @@ from repro.crypto.counters import (
 )
 from repro.crypto.engine import AesEngine, KeySchedule, MacEngine
 from repro.crypto.primitives import MacDomain
+from repro.mem.backend import ZERO_BLOCK
 from repro.mem.nvm import NvmDevice
 from repro.mem.regions import MemoryLayout
 from repro.metadata.nodes import DefaultNodes
@@ -57,8 +59,18 @@ from repro.secure.schemes import UpdateScheme, make_scheme
 from repro.stats.counters import SimStats
 from repro.stats.events import MacKind, ReadKind, WriteKind
 
-_ZERO_BLOCK = bytes(CACHE_LINE_SIZE)
+# The enum members of the per-access paths, resolved once: on CPython 3.11
+# an Enum class-attribute lookup costs about 0.1 µs, and the metadata walk
+# names a kind or a domain several times per flushed line.
+_READ_COUNTER = ReadKind.COUNTER
+_READ_TREE = ReadKind.TREE_NODE
 _READ_MAC = ReadKind.MAC
+_WRITE_COUNTER = WriteKind.COUNTER
+_WRITE_TREE = WriteKind.TREE_NODE
+_WRITE_MAC = WriteKind.DATA_MAC
+_VERIFY = MacKind.VERIFY
+_TREE_UPDATE = MacKind.TREE_UPDATE
+_NODE = MacDomain.NODE
 
 Victim = tuple[bytes, str]
 """A victim-buffer entry: the line's 64 B wire form and its cache kind
@@ -144,18 +156,29 @@ class SecureMemoryController:
         """Encrypt and persist one 64 B data block with full protection.
 
         This is both the run-time LLC-writeback path and the per-line step of
-        a baseline secure drain.
+        a baseline secure drain.  The address is validated once, here; the
+        counter block, its slot and the MAC slot all come from it.
         """
-        self.layout.require_data_address(address)
+        layout = self.layout
+        layout.require_data_address(address)
         if self.op_hook is not None:
             self.op_hook("w", address)
-        cb_address = self.layout.counter_block_address(address)
-        old = self._fetch_counter(cb_address)
-        slot = self.layout.counter_slot(address)
+        cb_address = layout.counter_block_address(address)
+        slot = address % COUNTER_BLOCK_COVERAGE // CACHE_LINE_SIZE
+        # One probe: a hit pops the block and the store below reinserts it
+        # as MRU (the LRU touch); a fill installs it as MRU and the store
+        # replaces it in place.
+        cache = self.counter_cache
+        cache_set = cache.sets[cb_address // CACHE_LINE_SIZE % cache.num_sets]
+        old = cache_set.pop(cb_address, None)
+        if old is None:
+            cache.misses += 1
+            old = self._fill_counter(cb_address)
+        else:
+            cache.hits += 1
 
         block, overflowed = increment(old, slot)
-        cache = self.counter_cache
-        cache.sets[cache.set_index(cb_address)][cb_address] = block
+        cache_set[cb_address] = block
         if overflowed:
             self._reencrypt_page(address, old, block, skip_slot=slot)
 
@@ -178,9 +201,10 @@ class SecureMemoryController:
         if not self.nvm.backend.is_written(address):
             # Never-written memory decrypts to zeros by convention (boot-time
             # initialized); there is nothing to verify yet.
-            return _ZERO_BLOCK
+            return ZERO_BLOCK
         counter = counter_for(self.get_counter(address),
-                              self.layout.counter_slot(address))
+                              address % COUNTER_BLOCK_COVERAGE
+                              // CACHE_LINE_SIZE)
 
         stored_mac = self._load_data_mac(address)
         actual_mac = self.mac.block_mac(
@@ -613,7 +637,7 @@ class SecureMemoryController:
                 results[op_index] = plaintext[pos * CACHE_LINE_SIZE:
                                               (pos + 1) * CACHE_LINE_SIZE]
         for op_index in zero_reads:
-            results[op_index] = _ZERO_BLOCK
+            results[op_index] = ZERO_BLOCK
         if fetched is not None:
             # The segment's reads, in op order (negative data_phase
             # entries), appended to the caller's fill-aligned stream.
@@ -651,6 +675,14 @@ class SecureMemoryController:
     # ------------------------------------------------------------------
     # Counter blocks
     # ------------------------------------------------------------------
+    #
+    # The metadata walk below acts on the three caches' lanes directly:
+    # a probe is one ``pop`` (a hit reinserts the line as MRU, the LRU
+    # touch), an install evicts ``next(iter(set))`` and parks a dirty
+    # victim in its wire form, and a store puts the new value back in its
+    # lane and marks it dirty.  Those are SetAssociativeCache's semantics,
+    # hit and miss counts included, without its per-access call chain and
+    # address checks: every address here is computed by the controller.
 
     def get_counter(self, data_address: int) -> int:
         """Counter block for ``data_address``, verified and cached."""
@@ -660,47 +692,45 @@ class SecureMemoryController:
     def _fetch_counter(self, cb_address: int) -> int:
         """The counter block at ``cb_address``: a hit (made MRU) or a
         verified fill."""
-        block = self.counter_cache.lookup(cb_address)
-        return self._fill_counter(cb_address) if block is MISS else block
+        cache = self.counter_cache
+        cache_set = cache.sets[cb_address // CACHE_LINE_SIZE % cache.num_sets]
+        block = cache_set.pop(cb_address, None)
+        if block is None:
+            cache.misses += 1
+            return self._fill_counter(cb_address)
+        cache.hits += 1
+        cache_set[cb_address] = block
+        return block
 
     def _fill_counter(self, cb_address: int) -> int:
-        """Miss path of :meth:`_fetch_counter` (the lookup and its hit/miss
-        accounting have already happened): install the block as MRU and
-        return it."""
-        buffered = self._absorb_victim(cb_address)
+        """Miss path of :meth:`_fetch_counter` (the probe and its miss
+        count have already happened): install the block as MRU and return
+        it.
+
+        A block parked in the victim buffer is the newest version and never
+        left the TCB: it is reclaimed unread and unverified, and reinstalled
+        dirty.
+        """
+        buffered = self._victims.pop(cb_address, None)
         if buffered is not None:
-            block = decode_counter(buffered)
+            block = decode_counter(buffered[0])
             self._install(self.counter_cache, cb_address, block, "counter",
                           dirty=True)
             return block
 
-        raw = self.nvm.read(cb_address, ReadKind.COUNTER)
-        actual = self.mac.digest_mac(MacKind.VERIFY, raw,
-                                     domain=MacDomain.NODE)
-        index, slot = self._counter_parent(cb_address)
-        parent = self.get_tree_node(1, index)
-        if actual != parent[slot * MAC_SIZE:(slot + 1) * MAC_SIZE]:
+        raw = self.nvm.read(cb_address, _READ_COUNTER)
+        actual = self.mac.digest_mac(_VERIFY, raw, domain=_NODE)
+        layout = self.layout
+        child = (cb_address - layout._counters_base) // CACHE_LINE_SIZE
+        parent = self.get_tree_node(1, child // layout._tree_arity)
+        offset = child % layout._tree_arity * MAC_SIZE
+        if actual != parent[offset:offset + MAC_SIZE]:
             raise IntegrityError(
                 f"counter block MAC mismatch at {cb_address:#x}", cb_address)
 
         block = decode_counter(raw)
         self._install(self.counter_cache, cb_address, block, "counter")
         return block
-
-    def _counter_parent(self, cb_address: int) -> tuple[int, int]:
-        """Index of the level-1 tree node over a counter block, and the
-        block's slot there."""
-        layout = self.layout
-        cb = (cb_address - layout._counters_base) // CACHE_LINE_SIZE
-        return cb // layout._tree_arity, cb % layout._tree_arity
-
-    def _writeback_counter(self, address: int, content: bytes) -> None:
-        if self.scheme.needs_parent_update_on_writeback():
-            new_mac = self.mac.digest_mac(MacKind.TREE_UPDATE, content,
-                                          domain=MacDomain.NODE)
-            index, slot = self._counter_parent(address)
-            self._set_tree_slot(1, index, slot, new_mac)
-        self.nvm.write(address, content, WriteKind.COUNTER)
 
     # ------------------------------------------------------------------
     # Tree nodes
@@ -719,34 +749,50 @@ class SecureMemoryController:
         cache = self.tree_cache
         sets = cache.sets
         num_sets = cache.num_sets
+        cache_set = sets[address // CACHE_LINE_SIZE % num_sets]
+        parent = cache_set.pop(address, None)
+        if parent is not None:
+            cache.hits += 1
+            cache_set[address] = parent
+            return parent
+
+        ways = cache.ways
+        dirty = cache.dirty
+        victims = self._victims
+        nvm = self.nvm
+        digest = self.mac.digest_mac
+        bases = layout._tree_level_bases
+        arity = layout._tree_arity
+        top = layout.num_tree_levels
         climbed: list[tuple[int, int, int, bytes, bytes]] = []
         while True:
+            cache.misses += 1
+            buffered = victims.pop(address, None)
+            if buffered is not None:
+                # A parked ancestor is the newest version and never left
+                # the TCB: it anchors the verification below it, dirty.
+                parent = buffered[0]
+                self._install(cache, address, parent, "tree", dirty=True)
+                break
+            raw = nvm.read(address, _READ_TREE)
+            # Only an unwritten node, or one written with the backend's own
+            # zero block, reads back as that object.
+            if raw is ZERO_BLOCK and not nvm.backend.is_written(address):
+                raw = self._defaults.content(level)
+            climbed.append((address, level, index, raw,
+                            digest(_VERIFY, raw, domain=_NODE)))
+            if level == top:
+                break
+            level += 1
+            index //= arity
+            address = bases[level - 1] + index * CACHE_LINE_SIZE
             cache_set = sets[address // CACHE_LINE_SIZE % num_sets]
             parent = cache_set.pop(address, None)
             if parent is not None:
                 cache.hits += 1
                 cache_set[address] = parent
-                if not climbed:
-                    return parent
                 break
-            cache.misses += 1
-            parent = self._absorb_victim(address)
-            if parent is not None:
-                self._install(cache, address, parent, "tree", dirty=True)
-                break
-            raw = self.nvm.read(address, ReadKind.TREE_NODE)
-            if not self.nvm.backend.is_written(address):
-                raw = self._defaults.content(level)
-            climbed.append((address, level, index, raw, self.mac.digest_mac(
-                MacKind.VERIFY, raw, domain=MacDomain.NODE)))
-            if level == layout.num_tree_levels:
-                break
-            level += 1
-            index //= layout._tree_arity
-            address = (layout._tree_level_bases[level - 1]
-                       + index * CACHE_LINE_SIZE)
 
-        arity = layout._tree_arity
         for address, level, index, raw, actual in reversed(climbed):
             if parent is None:
                 expected = self.root_mac
@@ -757,7 +803,16 @@ class SecureMemoryController:
                 raise IntegrityError(
                     f"tree node ({level},{index}) MAC mismatch", address)
             parent = raw
-            self._install(cache, address, raw, "tree")
+            # Install clean as MRU: the node was absent, so it cannot be
+            # dirty or resident.
+            cache_set = sets[address // CACHE_LINE_SIZE % num_sets]
+            if len(cache_set) >= ways:
+                victim = next(iter(cache_set))
+                victim_node = cache_set.pop(victim)
+                if victim in dirty:
+                    dirty.remove(victim)
+                    victims[victim] = (victim_node, "tree")
+            cache_set[address] = raw
         return parent
 
     def _set_tree_slot(self, level: int, index: int, slot: int,
@@ -765,77 +820,84 @@ class SecureMemoryController:
         """Store ``mac`` in ``slot`` of tree node (level, index) and mark
         the node dirty; returns the node's new value.
 
-        The node is fetched and its new value stored back into the lane
-        with nothing in between, so no later fetch can evict the node
-        before the store lands."""
-        node = self.get_tree_node(level, index)
+        A resident node is updated in place (its hit counted, made MRU); a
+        missing one is fetched by :meth:`get_tree_node`.  The new value
+        goes back into the lane with nothing in between, so no later fetch
+        can evict the node before the store lands."""
+        address = (self.layout._tree_level_bases[level - 1]
+                   + index * CACHE_LINE_SIZE)
+        cache = self.tree_cache
+        cache_set = cache.sets[address // CACHE_LINE_SIZE % cache.num_sets]
+        node = cache_set.pop(address, None)
+        if node is None:
+            node = self.get_tree_node(level, index)
+        else:
+            cache.hits += 1
         offset = slot * MAC_SIZE
         node = node[:offset] + mac + node[offset + MAC_SIZE:]
-        self.tree_cache.store(self.layout._tree_level_bases[level - 1]
-                              + index * CACHE_LINE_SIZE, node)
+        cache_set[address] = node
+        cache.dirty.add(address)
         return node
-
-    def _writeback_tree_node(self, address: int, content: bytes) -> None:
-        if self.scheme.needs_parent_update_on_writeback():
-            new_mac = self.mac.digest_mac(MacKind.TREE_UPDATE, content,
-                                          domain=MacDomain.NODE)
-            layout = self.layout
-            level, index = layout.tree_node_coords(address)
-            if level == layout.num_tree_levels:
-                self.root_mac = new_mac
-            else:
-                self._set_tree_slot(level + 1, index // layout._tree_arity,
-                                    index % layout._tree_arity, new_mac)
-        self.nvm.write(address, content, WriteKind.TREE_NODE)
 
     def propagate_to_root(self, cb_address: int) -> None:
         """Eager-scheme path refresh: the resident counter block at
-        ``cb_address`` up to the root register."""
+        ``cb_address`` up to the root register.  Each ancestor's slot is
+        stored by :meth:`_set_tree_slot`, so a resident ancestor is updated
+        in its lane and only a missing one is fetched."""
         layout = self.layout
         arity = layout._tree_arity
         index = (cb_address - layout._counters_base) // CACHE_LINE_SIZE
-        cache = self.counter_cache
-        content = encode_counter(
-            cache.sets[cache.set_index(cb_address)][cb_address])
+        counters = self.counter_cache
+        content = encode_counter(counters.sets[
+            cb_address // CACHE_LINE_SIZE % counters.num_sets][cb_address])
+        digest = self.mac.digest_mac
+        set_tree_slot = self._set_tree_slot
         for level in range(1, layout.num_tree_levels + 1):
-            content_mac = self.mac.digest_mac(
-                MacKind.TREE_UPDATE, content, domain=MacDomain.NODE)
-            content = self._set_tree_slot(level, index // arity,
-                                          index % arity, content_mac)
+            content = set_tree_slot(
+                level, index // arity, index % arity,
+                digest(_TREE_UPDATE, content, domain=_NODE))
             index //= arity
-        self.root_mac = self.mac.digest_mac(
-            MacKind.TREE_UPDATE, content, domain=MacDomain.NODE)
+        self.root_mac = digest(_TREE_UPDATE, content, domain=_NODE)
 
     # ------------------------------------------------------------------
     # Data MAC blocks
     # ------------------------------------------------------------------
 
-    def _fetch_mac_block(self, mb_address: int) -> bytes:
-        """The data-MAC block at ``mb_address``: a hit (made MRU) or a fill
-        (victim buffer first, then NVM)."""
-        block = self.mac_cache.lookup(mb_address)
-        if block is not MISS:
-            return block
-        block = self._absorb_victim(mb_address)
+    def _fetch_mac_block(self, data_address: int) \
+            -> tuple[dict[int, bytes], int, bytes]:
+        """The MAC block over a validated data address, as its lane set,
+        its address and its value.  One probe: a hit pops the block (the
+        caller's store reinserts it as MRU, the LRU touch); a fill (victim
+        buffer first, then NVM) installs it as MRU (the caller's store
+        replaces it in place)."""
+        mb_address = self.layout.mac_block_address(data_address)
+        cache = self.mac_cache
+        cache_set = cache.sets[mb_address // CACHE_LINE_SIZE % cache.num_sets]
+        block = cache_set.pop(mb_address, None)
         if block is not None:
-            self._install(self.mac_cache, mb_address, block, "mac",
-                          dirty=True)
-            return block
-        block = self.nvm.read(mb_address, ReadKind.MAC)
-        self._install(self.mac_cache, mb_address, block, "mac")
-        return block
+            cache.hits += 1
+            return cache_set, mb_address, block
+        cache.misses += 1
+        buffered = self._victims.pop(mb_address, None)
+        if buffered is not None:
+            block = buffered[0]
+            self._install(cache, mb_address, block, "mac", dirty=True)
+        else:
+            block = self.nvm.read(mb_address, _READ_MAC)
+            self._install(cache, mb_address, block, "mac")
+        return cache_set, mb_address, block
 
     def _store_data_mac(self, data_address: int, mac_value: bytes) -> None:
-        mb_address = self.layout.mac_block_address(data_address)
-        block = self._fetch_mac_block(mb_address)
-        offset = self.layout.mac_slot(data_address) * MAC_SIZE
-        self.mac_cache.store(mb_address, block[:offset] + mac_value
-                             + block[offset + MAC_SIZE:])
+        cache_set, mb_address, block = self._fetch_mac_block(data_address)
+        offset = data_address // CACHE_LINE_SIZE % MACS_PER_BLOCK * MAC_SIZE
+        cache_set[mb_address] = (block[:offset] + mac_value
+                                 + block[offset + MAC_SIZE:])
+        self.mac_cache.dirty.add(mb_address)
 
     def _load_data_mac(self, data_address: int) -> bytes:
-        block = self._fetch_mac_block(
-            self.layout.mac_block_address(data_address))
-        offset = self.layout.mac_slot(data_address) * MAC_SIZE
+        cache_set, mb_address, block = self._fetch_mac_block(data_address)
+        cache_set[mb_address] = block
+        offset = data_address // CACHE_LINE_SIZE % MACS_PER_BLOCK * MAC_SIZE
         return block[offset:offset + MAC_SIZE]
 
     # ------------------------------------------------------------------
@@ -844,28 +906,32 @@ class SecureMemoryController:
 
     def _install(self, cache: SetAssociativeCache, address: int,
                  value: int | bytes, kind: str, dirty: bool = False) -> None:
-        """Install a line as MRU; a dirty LRU victim parks in the buffer as
-        its wire form."""
-        victim = cache.insert(address, value, dirty)
-        if victim is not None and victim[2]:
-            victim_address, victim_value, _ = victim
-            if kind == "counter":
-                victim_value = encode_counter(victim_value)
-            self._victims[victim_address] = (victim_value, kind)
-
-    def _absorb_victim(self, address: int) -> bytes | None:
-        """A lookup hit in the victim buffer: reclaim the line unwritten.
-
-        The buffered copy is the newest version of the block; pulling it back
-        avoids both the NVM round-trip and the stale-fetch hazard.  No
-        verification is needed — it never left the TCB.  The caller
-        reinstalls it dirty.
-        """
-        entry = self._victims.pop(address, None)
-        return entry[0] if entry is not None else None
+        """Install a line as MRU in its lane: a resident line is replaced
+        in place, a full set evicts its LRU line, and a dirty victim parks
+        in the buffer as its wire form."""
+        cache_set = cache.sets[address // CACHE_LINE_SIZE % cache.num_sets]
+        if address in cache_set:
+            del cache_set[address]
+        elif len(cache_set) >= cache.ways:
+            victim = next(iter(cache_set))
+            victim_value = cache_set.pop(victim)
+            if victim in cache.dirty:
+                cache.dirty.remove(victim)
+                if kind == "counter":
+                    victim_value = encode_counter(victim_value)
+                self._victims[victim] = (victim_value, kind)
+        cache_set[address] = value
+        if dirty:
+            cache.dirty.add(address)
+        else:
+            cache.dirty.discard(address)
 
     def drain_victims(self, kinds: tuple[str, ...] | None = None) -> None:
         """Write out parked victims (may cascade; runs to a fixed point).
+
+        A counter or tree victim's writeback first refreshes its parent's
+        slot under the lazy scheme (the root register for the top node),
+        then writes the victim home; a MAC victim is written home.
 
         ``kinds`` restricts the drain to victims of the named kinds
         (``"counter"`` / ``"tree"`` / ``"mac"``), preserving FIFO order
@@ -881,6 +947,9 @@ class SecureMemoryController:
         if not victims or self._draining_victims:
             return
         self._draining_victims = True
+        lazy = self.scheme.needs_parent_update_on_writeback()
+        layout = self.layout
+        write = self.nvm.write
         try:
             while victims:
                 if kinds is None:
@@ -900,12 +969,29 @@ class SecureMemoryController:
                             return
                         entry = victims.pop(address)
                 content, kind = entry
+                if kind == "mac":
+                    write(address, content, _WRITE_MAC)
+                    continue
                 if kind == "counter":
-                    self._writeback_counter(address, content)
-                elif kind == "tree":
-                    self._writeback_tree_node(address, content)
+                    level = 0
+                    child = ((address - layout._counters_base)
+                             // CACHE_LINE_SIZE)
+                    write_kind = _WRITE_COUNTER
                 else:
-                    self.nvm.write(address, content, WriteKind.DATA_MAC)
+                    bases = layout._tree_level_bases
+                    level = bisect_right(bases, address)
+                    child = (address - bases[level - 1]) // CACHE_LINE_SIZE
+                    write_kind = _WRITE_TREE
+                if lazy:
+                    new_mac = self.mac.digest_mac(_TREE_UPDATE, content,
+                                                  domain=_NODE)
+                    if level == layout.num_tree_levels:
+                        self.root_mac = new_mac
+                    else:
+                        arity = layout._tree_arity
+                        self._set_tree_slot(level + 1, child // arity,
+                                            child % arity, new_mac)
+                write(address, content, write_kind)
         finally:
             self._draining_victims = False
 

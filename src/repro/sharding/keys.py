@@ -36,7 +36,6 @@ from repro.crypto.engine import (
     DEFAULT_MAC_KEY,
     AesEngine,
     MacEngine,
-    block_domain,
 )
 from repro.crypto.primitives import (
     MacDomain,
@@ -196,14 +195,14 @@ class TenantKeyedAes(AesEngine):
     def encrypt(self, address: int, counter: int,
                 plaintext: bytes) -> bytes:
         """Encrypt one block under its owning tenant's key."""
-        self._stats.record_aes(AesKind.ENCRYPT)
+        self._stats.aes[AesKind.ENCRYPT] += 1
         key = self.keyring.aes_key(self.keyring.tenant_of(address))
         return encrypt_block(key, address, counter, plaintext)
 
     def decrypt(self, address: int, counter: int,
                 ciphertext: bytes) -> bytes:
         """Decrypt one block under its owning tenant's key."""
-        self._stats.record_aes(AesKind.DECRYPT)
+        self._stats.aes[AesKind.DECRYPT] += 1
         key = self.keyring.aes_key(self.keyring.tenant_of(address))
         return decrypt_block(key, address, counter, ciphertext)
 
@@ -260,24 +259,22 @@ class TenantKeyedMac(MacEngine):
         self.keyring = keyring
 
     def block_mac(self, kind: MacKind, ciphertext: bytes,
-                  address: int, counter: int,
-                  domain: MacDomain | None = None) -> bytes:
+                  address: int, counter: int, *,
+                  domain: MacDomain) -> bytes:
         """Per-block data/CHV MAC under the owning tenant's key."""
-        self._stats.record_mac(kind)
+        self._stats.macs[kind] += 1
         key = self.keyring.mac_key(self.keyring.tenant_of(address))
         return compute_mac(key, ciphertext, int_field(address),
-                           int_field(counter, 16),
-                           domain=block_domain(kind, domain))
+                           int_field(counter, 16), domain=domain)
 
     def block_mac_batch(self, kind: MacKind,
                         buffer: bytes | bytearray | memoryview,
                         addresses: Sequence[int], counters: Sequence[int],
-                        domain: MacDomain | None = None,
+                        *, domain: MacDomain,
                         frames: batch.Frames = None) -> list[bytes]:
         """Batched :meth:`block_mac`: one MAC batch per key (gathered and
         scattered like :meth:`TenantKeyedAes.encrypt_batch`)."""
         self._stats.record_mac(kind, len(addresses))
-        resolved = block_domain(kind, domain)
         keyring = self.keyring
         blocks = _split_batch(buffer, len(addresses))
         macs = [b""] * len(addresses)
@@ -286,7 +283,7 @@ class TenantKeyedMac(MacEngine):
                 positions, addresses, counters, blocks)
             for position, mac in zip(positions, batch.compute_block_macs(
                     keyring.mac_key(tenant), sub_buffer, sub_addresses,
-                    sub_counters, resolved)):
+                    sub_counters, domain)):
                 macs[position] = mac
         return macs
 

@@ -62,16 +62,19 @@ class TestEncryption:
 
 class TestMac:
     def test_mac_is_8_bytes(self):
-        assert len(primitives.compute_mac(KEY, b"data")) == 8
+        assert len(primitives.compute_mac(
+            KEY, b"data", domain=primitives.MacDomain.NODE)) == 8
 
     def test_mac_depends_on_every_part(self):
-        base = primitives.compute_mac(KEY, b"aa", b"bb")
-        assert primitives.compute_mac(KEY, b"aa", b"bc") != base
-        assert primitives.compute_mac(KEY, b"ab", b"bb") != base
+        node = primitives.MacDomain.NODE
+        base = primitives.compute_mac(KEY, b"aa", b"bb", domain=node)
+        assert primitives.compute_mac(KEY, b"aa", b"bc", domain=node) != base
+        assert primitives.compute_mac(KEY, b"ab", b"bb", domain=node) != base
 
     def test_mac_depends_on_key(self):
-        assert primitives.compute_mac(b"k1", b"x") != \
-            primitives.compute_mac(b"k2", b"x")
+        node = primitives.MacDomain.NODE
+        assert primitives.compute_mac(b"k1", b"x", domain=node) != \
+            primitives.compute_mac(b"k2", b"x", domain=node)
 
     def test_int_field_is_fixed_width(self):
         assert primitives.int_field(0) == bytes(8)

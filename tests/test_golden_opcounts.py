@@ -10,12 +10,20 @@ deliberately:
 
     REPRO_REGOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_opcounts.py
 
+Each entry also pins the sha256 of the NVM image the drain leaves
+(``nvm_image_sha256``), and the two baseline entries at 1/128 pin the
+request trace of the same episode run with a trace attached
+(``request_trace_sha256``), which forces the controller's scalar path.
+Counts and result text alone cannot catch a change that the scalar and
+batched paths share: what the drain writes, and in which order, can.
+
 The fixture is additionally cross-checked against the closed forms in
 :mod:`repro.core.analytic`: Horus episodes must match ``horus_drain_cost``
 exactly, baseline episodes must satisfy its hard invariants — so a
 regeneration can never silently commit numbers the paper's model rejects.
 """
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -26,27 +34,51 @@ from repro.common.config import SystemConfig
 from repro.core.analytic import horus_drain_cost
 from repro.core.system import SCHEMES, SecureEpdSystem
 from repro.experiments.suite import DRAIN_SEED, FILL_SEED
+from repro.sharding.system import nvm_image_sha256
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "drain_op_counts.json"
 SCALES = (512, 256, 128)
+TRACED = ((128, "base-lu"), (128, "base-eu"))
+"""Episodes whose request trace is pinned too: the baseline drains, whose
+metadata walk the scalar spec and the batched segment share."""
 
 
-def episode_counts(scale: int, scheme: str) -> dict:
+def episode_counts(scale: int, scheme: str, *, traced: bool = False) -> dict:
     system = SecureEpdSystem(SystemConfig.scaled(scale), scheme=scheme)
     system.fill_worst_case(seed=FILL_SEED)
+    if traced:
+        system.nvm.trace = []
     report = system.crash(seed=DRAIN_SEED)
-    return {
+    counts = {
         "flushed_blocks": report.flushed_blocks,
         "metadata_blocks": report.metadata_blocks,
         "cycles": report.cycles,
         "stats": report.stats.snapshot(),
+        "nvm_image_sha256": nvm_image_sha256(system),
     }
+    if traced:
+        counts["request_trace_sha256"] = trace_sha256(system.nvm.trace)
+    return counts
+
+
+def trace_sha256(trace: list[tuple[int, bool]]) -> str:
+    """Hash of a request trace: per request, its 8-byte little-endian
+    address and one byte for read (0) or write (1)."""
+    digest = hashlib.sha256()
+    for address, is_write in trace:
+        digest.update(address.to_bytes(8, "little"))
+        digest.update(b"\1" if is_write else b"\0")
+    return digest.hexdigest()
 
 
 def current_counts() -> dict:
-    return {str(scale): {scheme: episode_counts(scale, scheme)
-                         for scheme in SCHEMES}
-            for scale in SCALES}
+    counts = {str(scale): {scheme: episode_counts(scale, scheme)
+                           for scheme in SCHEMES}
+              for scale in SCALES}
+    for scale, scheme in TRACED:
+        counts[str(scale)][scheme]["request_trace_sha256"] = episode_counts(
+            scale, scheme, traced=True)["request_trace_sha256"]
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +95,19 @@ class TestGoldenOpCounts:
     @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_simulator_matches_fixture(self, golden, scale, scheme):
-        assert episode_counts(scale, scheme) == \
-            golden[str(scale)][scheme], (
+        expected = dict(golden[str(scale)][scheme])
+        expected.pop("request_trace_sha256", None)
+        assert episode_counts(scale, scheme) == expected, (
             f"{scheme}@1/{scale} drifted from the committed counters; "
+            f"if intentional, regenerate with REPRO_REGOLDEN=1")
+
+    @pytest.mark.parametrize(("scale", "scheme"), TRACED)
+    def test_traced_drain_matches_fixture(self, golden, scale, scheme):
+        """The scalar path (a trace forces it) leaves the pinned counters
+        and image, and issues the pinned requests in the pinned order."""
+        assert episode_counts(scale, scheme, traced=True) == \
+            golden[str(scale)][scheme], (
+            f"traced {scheme}@1/{scale} drifted from the fixture; "
             f"if intentional, regenerate with REPRO_REGOLDEN=1")
 
     @pytest.mark.parametrize("scale", SCALES)

@@ -56,13 +56,14 @@ class TestVaultMacSplice:
                              domain=MacDomain.CHV_DATA) == stored
         # ...same inputs, runtime data domain: a different tag.
         assert mac.block_mac(MacKind.DATA_PROTECT, ciphertext, address,
-                             counter) != stored
+                             counter, domain=MacDomain.DATA) != stored
 
     def test_spliced_data_mac_is_rejected_at_recovery(self, tiny_config):
         system = _crashed(tiny_config, "horus-slm")
         ciphertext, address, counter = _vault_inputs(system, 0)
         forged = system.controller.mac.block_mac(
-            MacKind.DATA_PROTECT, ciphertext, address, counter)
+            MacKind.DATA_PROTECT, ciphertext, address, counter,
+            domain=MacDomain.DATA)
         chv = system.drain_engine._chv
         adversary = Adversary(system.nvm)
         block = adversary.observe(chv.mac_block_address(0))
@@ -94,12 +95,13 @@ class TestLevelTwoDigestSplice:
         assert mac.digest_mac(MacKind.VERIFY, concat,
                               domain=MacDomain.CHV_LEVEL2) \
             == stored[:MAC_SIZE]
-        assert mac.digest_mac(MacKind.TREE_UPDATE, concat) \
-            != stored[:MAC_SIZE]
+        assert mac.digest_mac(MacKind.TREE_UPDATE, concat,
+                              domain=MacDomain.NODE) != stored[:MAC_SIZE]
 
     def test_spliced_tree_digest_is_rejected_at_recovery(self, tiny_config):
         system, concat, l2_address, stored = self._level2_state(tiny_config)
-        forged = system.controller.mac.digest_mac(MacKind.TREE_UPDATE, concat)
+        forged = system.controller.mac.digest_mac(
+            MacKind.TREE_UPDATE, concat, domain=MacDomain.NODE)
         Adversary(system.nvm).spoof(l2_address,
                                     forged + stored[MAC_SIZE:])
         with pytest.raises(IntegrityError):

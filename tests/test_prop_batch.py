@@ -243,23 +243,24 @@ class TestEngineBatchEquivalence:
         assert batch_stats.snapshot() == scalar_stats.snapshot()
 
     @given(kind=st.sampled_from([MacKind.CHV_DATA, MacKind.DATA_PROTECT]),
+           domain=st.sampled_from(list(MacDomain)),
            work=work_lists(), data=st.data())
     @settings(max_examples=examples(50))
-    def test_mac_engine_batch_matches_scalar(self, kind, work, data):
+    def test_mac_engine_batch_matches_scalar(self, kind, domain, work, data):
         addrs, ctrs = work
         cipher = [data.draw(blocks) for _ in addrs]
         scalar_stats, batch_stats = SimStats(), SimStats()
         scalar_engine = MacEngine(scalar_stats)
         batch_engine = MacEngine(batch_stats)
-        expected = [scalar_engine.block_mac(kind, block, a, c)
+        expected = [scalar_engine.block_mac(kind, block, a, c, domain=domain)
                     for block, a, c in zip(cipher, addrs, ctrs)]
         macs = batch_engine.block_mac_batch(kind, b"".join(cipher),
-                                            addrs, ctrs)
+                                            addrs, ctrs, domain=domain)
         assert macs == expected
         assert batch_stats.snapshot() == scalar_stats.snapshot()
 
     @given(kind=st.sampled_from([MacKind.CHV_LEVEL2, MacKind.VERIFY]),
-           domain=st.sampled_from([None, *MacDomain]),
+           domain=st.sampled_from(list(MacDomain)),
            macs=st.binary(max_size=20 * 8).map(
                lambda raw: raw[:len(raw) - len(raw) % 8]))
     @settings(max_examples=examples(50))

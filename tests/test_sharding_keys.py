@@ -13,6 +13,7 @@ from repro.crypto.engine import (
     AesEngine,
     MacEngine,
 )
+from repro.crypto.primitives import MacDomain
 from repro.sharding.keys import (
     MASTER_TENANT,
     TENANT_KEY_SIZE,
@@ -178,9 +179,13 @@ class TestTenantKeyedMac:
         under different tenants' keys — the isolation the splice tests
         lean on."""
         tenant_mac, master_mac, _ = self.engines()
-        a = tenant_mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 0, 1)
-        b = tenant_mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 8 * LINE, 1)
-        master = master_mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 0, 1)
+        data = MacDomain.DATA
+        a = tenant_mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 0, 1,
+                                 domain=data)
+        b = tenant_mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 8 * LINE, 1,
+                                 domain=data)
+        master = master_mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 0, 1,
+                                      domain=data)
         assert a != master
         assert a != b
 
@@ -190,8 +195,10 @@ class TestTenantKeyedMac:
         tenant_mac, master_mac, _ = self.engines()
         assert tenant_mac.node_mac(MacKind.TREE_UPDATE, BLOCK, 3 * LINE) == \
             master_mac.node_mac(MacKind.TREE_UPDATE, BLOCK, 3 * LINE)
-        assert tenant_mac.digest_mac(MacKind.CHV_LEVEL2, BLOCK) == \
-            master_mac.digest_mac(MacKind.CHV_LEVEL2, BLOCK)
+        level2 = MacDomain.CHV_LEVEL2
+        assert tenant_mac.digest_mac(MacKind.CHV_LEVEL2, BLOCK,
+                                     domain=level2) == \
+            master_mac.digest_mac(MacKind.CHV_LEVEL2, BLOCK, domain=level2)
 
     def test_block_mac_batch_matches_scalar(self):
         tenant_mac, _, _ = self.engines()
@@ -199,9 +206,11 @@ class TestTenantKeyedMac:
         counters = [1, 2, 3, 4, 5]
         buffer = b"".join(BLOCK for _ in addresses)
         batched = tenant_mac.block_mac_batch(
-            MacKind.DATA_PROTECT, buffer, addresses, counters)
+            MacKind.DATA_PROTECT, buffer, addresses, counters,
+            domain=MacDomain.DATA)
         scalar = [tenant_mac.block_mac(MacKind.DATA_PROTECT, BLOCK,
-                                       address, counter)
+                                       address, counter,
+                                       domain=MacDomain.DATA)
                   for address, counter in zip(addresses, counters)]
         assert batched == scalar
 
@@ -275,19 +284,21 @@ class TestKeyGroupedBatches:
         assert batch_stats.snapshot() == scalar_stats.snapshot()
 
     @given(batch=keyed_batches(), share_frames=st.booleans(),
-           kind=st.sampled_from([MacKind.DATA_PROTECT, MacKind.CHV_DATA]))
+           kind=st.sampled_from([MacKind.DATA_PROTECT, MacKind.CHV_DATA]),
+           domain=st.sampled_from([MacDomain.DATA, MacDomain.CHV_DATA]))
     @settings(max_examples=examples(60), deadline=None)
     def test_block_mac_batches_match_scalar(self, batch, share_frames,
-                                            kind):
+                                            kind, domain):
         addresses, counters, blocks = batch
         frames = frame_buffer(addresses, counters) if share_frames else None
         scalar_stats, batch_stats = SimStats(), SimStats()
         scalar = TenantKeyedMac(scalar_stats, MIXED_RING)
         batched = TenantKeyedMac(batch_stats, MIXED_RING)
-        expected = [scalar.block_mac(kind, b, a, c)
+        expected = [scalar.block_mac(kind, b, a, c, domain=domain)
                     for a, c, b in zip(addresses, counters, blocks)]
         assert batched.block_mac_batch(kind, b"".join(blocks), addresses,
-                                       counters, frames=frames) == expected
+                                       counters, domain=domain,
+                                       frames=frames) == expected
         assert batch_stats.snapshot() == scalar_stats.snapshot()
 
     def test_one_kernel_call_per_key(self, monkeypatch):
@@ -308,7 +319,8 @@ class TestKeyGroupedBatches:
         TenantKeyedAes(SimStats(), MIXED_RING).encrypt_batch(
             addresses, counters, buffer)
         TenantKeyedMac(SimStats(), MIXED_RING).block_mac_batch(
-            MacKind.DATA_PROTECT, buffer, addresses, counters)
+            MacKind.DATA_PROTECT, buffer, addresses, counters,
+            domain=MacDomain.DATA)
         assert calls == ["encrypt_blocks"] * 3 + ["compute_block_macs"] * 3
 
     @pytest.mark.parametrize("addresses", [[0, 8 * LINE], [0, LINE]],
@@ -319,7 +331,8 @@ class TestKeyGroupedBatches:
                 addresses, [1, 2], bytes(LINE))
         with pytest.raises(ValueError, match="per address"):
             TenantKeyedMac(SimStats(), MIXED_RING).block_mac_batch(
-                MacKind.DATA_PROTECT, bytes(LINE), addresses, [1, 2])
+                MacKind.DATA_PROTECT, bytes(LINE), addresses, [1, 2],
+                domain=MacDomain.DATA)
 
 
 class TestTenantKeySchedule:
@@ -330,7 +343,8 @@ class TestTenantKeySchedule:
         assert isinstance(aes, TenantKeyedAes)
         assert isinstance(mac, TenantKeyedMac)
         aes.encrypt(0, 1, BLOCK)
-        mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 0, 1)
+        mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 0, 1,
+                      domain=MacDomain.DATA)
         assert stats.aes[AesKind.ENCRYPT] == 1
         assert stats.macs[MacKind.DATA_PROTECT] == 1
 
@@ -342,9 +356,11 @@ class TestTenantKeySchedule:
         ciphertext = aes.encrypt(0, 1, BLOCK)
         assert ciphertext != BLOCK
         assert aes.decrypt(0, 1, ciphertext) == BLOCK
-        tag = mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 0, 1)
+        data = MacDomain.DATA
+        tag = mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 0, 1, domain=data)
         assert tag != bytes(len(tag))
         # Tenant 1's tag is keyed apart from the master key's.
-        assert mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 2 * size, 1) != \
+        assert mac.block_mac(MacKind.DATA_PROTECT, BLOCK, 2 * size, 1,
+                             domain=data) != \
             MacEngine(SimStats()).block_mac(MacKind.DATA_PROTECT, BLOCK,
-                                            2 * size, 1)
+                                            2 * size, 1, domain=data)
