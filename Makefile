@@ -2,20 +2,14 @@
 
 PYTHON ?= python
 
-.PHONY: test test-pure bench bench-full bench-e2e experiments experiments-full examples lint lint-deep typecheck clean
+.PHONY: test bench bench-full bench-e2e experiments experiments-full examples lint lint-deep typecheck clean
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
-# Tier-1 with numpy import-blocked in every Python process it starts, so
-# the pure-Python kernels run as on a numpy-less install (CI's pure-python
-# leg); tests/purepython/sitecustomize.py installs the blocking finder and
-# then runs the sitecustomize it shadows, if the interpreter has one.
-test-pure:
-	PYTHONPATH=tests/purepython:src $(PYTHON) -m pytest -x -q
-
-# reprolint is stdlib-only and always runs; ruff/mypy are optional dev tools
-# (CI installs them) and are skipped with a notice when absent locally.
+# reprolint always runs (it imports repro, so numpy must be installed);
+# ruff/mypy are optional dev tools (CI installs them) and are skipped with a
+# notice when absent locally.
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.lint src tests
 	@if $(PYTHON) -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; then \
@@ -24,8 +18,8 @@ lint:
 		echo "ruff not installed; skipping (CI runs it)"; \
 	fi
 
-# The cross-module dataflow rules (F1-F5) on top of the fast rules; still
-# stdlib-only, just slower (whole-project call graph + taint fixed point).
+# The cross-module dataflow rules (F1, F2, F5) on top of the fast rules;
+# slower (whole-project call graph + taint fixed point).
 lint-deep:
 	PYTHONPATH=src $(PYTHON) -m repro.lint --deep src tests
 

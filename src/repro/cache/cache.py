@@ -23,9 +23,10 @@ representation to convert to or from.  A line crosses the API as an
 from collections.abc import Iterator, Sequence
 from typing import Any
 
+import numpy as np
+
 from repro.common.address import require_block_aligned
 from repro.common.config import CacheConfig
-from repro.crypto import arena
 
 MISS: Any = object()
 """What :meth:`SetAssociativeCache.lookup` returns for an absent address.
@@ -46,13 +47,11 @@ def decompose_sets(addresses: Sequence[int],
     """Per-level set indices for every address, one bulk pass per level.
 
     For geometry ``(line_size, num_sets)`` the set index of address ``a``
-    is ``(a // line_size) % num_sets``.  Accelerated mode evaluates all
-    addresses per level in one numpy u64 expression; the fallback (and any
-    address numpy cannot hold) produces the same Python ints from the same
-    arithmetic.
+    is ``(a // line_size) % num_sets``.  All addresses of a level are
+    evaluated in one numpy u64 expression; a single address, or any
+    address numpy cannot hold, takes the same arithmetic on Python ints.
     """
-    np = arena._np
-    if np is not None and len(addresses) > 1:
+    if len(addresses) > 1:
         try:
             lane = np.asarray(addresses, dtype=np.uint64)
         except (OverflowError, TypeError, ValueError):

@@ -25,10 +25,11 @@ cache levels cannot collide either.
 
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.constants import CACHE_LINE_SIZE, COUNTER_BLOCK_COVERAGE
 from repro.common.errors import ConfigError
-from repro.crypto import arena
 
 _BLOCKS_PER_PAGE = COUNTER_BLOCK_COVERAGE // CACHE_LINE_SIZE  # 64
 
@@ -92,14 +93,13 @@ def worst_case_addresses_bulk(config: CacheConfig,
     closed form: on a *fresh* allocator the ``k``-th draw of residue class
     ``r`` is page ``r + k*period``, so every page, offset and address of
     the fill is pure index arithmetic.  A used allocator (whose cursors
-    the closed form cannot reconstruct), a numpy-less install, or any
-    fill the closed form would reject (page overflow, set outside its
-    page) falls back to the scalar generator, which also reproduces the
-    generator's exact ``ConfigError`` and partial allocator mutation on
-    pathological configs.
+    the closed form cannot reconstruct), or any fill the closed form
+    would reject (page overflow, set outside its page) falls back to the
+    scalar generator, which also reproduces the generator's exact
+    ``ConfigError`` and partial allocator mutation on pathological
+    configs.
     """
-    np = arena._np
-    if np is None or not allocator.fresh:
+    if not allocator.fresh:
         return list(worst_case_addresses(config, allocator))
     num_sets = config.num_sets
     ways = config.ways

@@ -9,8 +9,7 @@ fresh objects just to be re-joined by the memory layer.  This module is
 the shared substrate that removes those round-trips:
 
 * ``pack_u64``/``unpack_u64``/``tile_u64`` convert between integer lanes
-  and little-endian byte buffers in bulk (numpy u64 lanes where
-  available, pure Python otherwise);
+  and little-endian byte buffers in bulk (numpy u64 lanes);
 * ``frame_buffer`` assembles all 24 B (address, counter) hash frames of a
   batch as one contiguous buffer;
 * ``records`` cuts a buffer into fixed-size ``bytes`` records, and
@@ -20,29 +19,20 @@ the shared substrate that removes those round-trips:
   C (one numpy void-dtype pass) rather than by a per-block slice;
 * ``xor_bytes`` is the counter-mode XOR kernel over whole buffers.
 
-Every kernel is *value-transparent*: the numpy path and the pure-Python
-path produce byte-identical output (property-tested against the scalar
-primitives in ``tests/test_prop_arena.py``).  This is the only module
-that imports numpy; :mod:`repro.cache.fill` and :mod:`repro.cache.cache`
-reach it through :data:`_np` and :func:`arena_accelerated`, so a
-numpy-less install takes the pure path everywhere.  Inputs that the u64
-lanes cannot represent (counters at or above 2**64) transparently fall
-back to the arbitrary-precision path.
+Every kernel is *value-transparent*: its output is byte-identical to the
+scalar spelling it replaces (property-tested against the scalar primitives
+in ``tests/test_prop_arena.py``).  Inputs too small to repay numpy's
+per-call cost take a Python path, and inputs that the u64 lanes cannot
+represent (counters at or above 2**64) transparently fall back to the
+arbitrary-precision path; both give the same bytes.
 """
 
 from collections.abc import Sequence
 from operator import add
-from typing import Any
+
+import numpy as np
 
 from repro.common.constants import CACHE_LINE_SIZE
-
-_np: Any
-try:
-    import numpy
-except ImportError:  # pragma: no cover - numpy is an optional extra
-    _np = None
-else:
-    _np = numpy
 
 FRAME_SIZE = 24
 """One (address, counter) hash frame: 8 B address + 16 B counter."""
@@ -58,11 +48,6 @@ fixed per-call cost (about 1.6 us per call against 0.2 us per slice on a
 _U64_MAX = (1 << 64) - 1
 
 
-def arena_accelerated() -> bool:
-    """Whether the numpy u64 lanes are in use (numpy is importable)."""
-    return _np is not None
-
-
 def pack_u64(values: Sequence[int]) -> bytes:
     """``values`` as consecutive little-endian u64 lanes.
 
@@ -70,9 +55,9 @@ def pack_u64(values: Sequence[int]) -> bytes:
     outside the u64 range fall back to the arbitrary-precision path
     (where they raise ``OverflowError`` exactly as ``to_bytes`` would).
     """
-    if arena_accelerated() and len(values) > 1:
+    if len(values) > 1:
         try:
-            return bytes(_np.asarray(values, dtype="<u8").tobytes())
+            return bytes(np.asarray(values, dtype="<u8").tobytes())
         except (OverflowError, TypeError, ValueError):
             pass  # value outside u64 — the scalar path raises precisely
     return b"".join(value.to_bytes(8, "little") for value in values)
@@ -82,8 +67,8 @@ def unpack_u64(buffer: bytes | bytearray | memoryview) -> list[int]:
     """Little-endian u64 lanes back to a list of ints (pack_u64 inverse)."""
     if len(buffer) % 8:
         raise ValueError(f"buffer length {len(buffer)} not a multiple of 8")
-    if arena_accelerated() and len(buffer) > 8:
-        lanes: list[int] = _np.frombuffer(buffer, dtype="<u8").tolist()
+    if len(buffer) > 8:
+        lanes: list[int] = np.frombuffer(buffer, dtype="<u8").tolist()
         return lanes
     return [int.from_bytes(buffer[i:i + 8], "little")
             for i in range(0, len(buffer), 8)]
@@ -95,10 +80,10 @@ def tile_u64(values: Sequence[int], lanes: int) -> bytes:
     ``tile_u64([a], 8)`` is one 64 B pattern block; over a whole fill's
     address list it assembles every pattern payload in one pass.
     """
-    if arena_accelerated() and len(values) > 1:
+    if len(values) > 1:
         try:
-            return bytes(_np.repeat(
-                _np.asarray(values, dtype="<u8"), lanes).tobytes())
+            return bytes(np.repeat(
+                np.asarray(values, dtype="<u8"), lanes).tobytes())
         except (OverflowError, TypeError, ValueError):
             pass
     return b"".join(value.to_bytes(8, "little") * lanes for value in values)
@@ -116,20 +101,20 @@ def frame_buffer(addresses: Sequence[int], counters: Sequence[int]) -> bytes:
     count = len(addresses)
     if count != len(counters):
         raise ValueError("addresses and counters must have equal length")
-    if arena_accelerated() and count > 1:
+    if count > 1:
         try:
-            frames = _np.zeros((count, 3), dtype="<u8")
-            frames[:, 0] = _np.asarray(addresses, dtype="<u8")
+            frames = np.zeros((count, 3), dtype="<u8")
+            frames[:, 0] = np.asarray(addresses, dtype="<u8")
             if isinstance(counters, range):
                 if not (0 <= counters.start
                         and counters[-1] <= _U64_MAX
                         and counters[0] <= _U64_MAX):
                     raise OverflowError
-                frames[:, 1] = _np.arange(
+                frames[:, 1] = np.arange(
                     counters.start, counters.stop, counters.step,
                     dtype="<u8")
             else:
-                frames[:, 1] = _np.asarray(counters, dtype="<u8")
+                frames[:, 1] = np.asarray(counters, dtype="<u8")
             return bytes(frames.tobytes())
         except (OverflowError, TypeError, ValueError):
             pass  # counter/address outside u64 lanes
@@ -150,8 +135,8 @@ def records(buffer: bytes | bytearray | memoryview,
     if len(buffer) % size:
         raise ValueError(
             f"buffer length {len(buffer)} not a multiple of {size}")
-    if arena_accelerated() and len(buffer) >= size * _MIN_RECORD_LANES:
-        cut: list[bytes] = _np.frombuffer(buffer, dtype=f"V{size}").tolist()
+    if len(buffer) >= size * _MIN_RECORD_LANES:
+        cut: list[bytes] = np.frombuffer(buffer, dtype=f"V{size}").tolist()
         return cut
     if not isinstance(buffer, bytes):
         buffer = bytes(buffer)
@@ -173,11 +158,11 @@ def block_frame_records(blocks: bytes | bytearray | memoryview,
         raise ValueError(
             f"need {CACHE_LINE_SIZE} B of blocks and {FRAME_SIZE} B of "
             f"frames per record, got {len(blocks)} B and {len(frames)} B")
-    if arena_accelerated() and count >= _MIN_RECORD_LANES:
-        joined = _np.empty((count, BLOCK_RECORD_SIZE), dtype="u1")
-        joined[:, :CACHE_LINE_SIZE] = _np.frombuffer(
+    if count >= _MIN_RECORD_LANES:
+        joined = np.empty((count, BLOCK_RECORD_SIZE), dtype="u1")
+        joined[:, :CACHE_LINE_SIZE] = np.frombuffer(
             blocks, dtype="u1").reshape(count, CACHE_LINE_SIZE)
-        joined[:, CACHE_LINE_SIZE:] = _np.frombuffer(
+        joined[:, CACHE_LINE_SIZE:] = np.frombuffer(
             frames, dtype="u1").reshape(count, FRAME_SIZE)
         cut: list[bytes] = joined.view(
             f"V{BLOCK_RECORD_SIZE}").ravel().tolist()
@@ -195,8 +180,8 @@ def xor_bytes(a: bytes | bytearray | memoryview,
     """
     if len(a) != len(b):
         raise ValueError(f"buffer lengths differ: {len(a)} != {len(b)}")
-    if arena_accelerated() and len(a) > 8 and len(a) % 8 == 0:
-        return bytes((_np.frombuffer(a, dtype="<u8")
-                      ^ _np.frombuffer(b, dtype="<u8")).tobytes())
+    if len(a) > 8 and len(a) % 8 == 0:
+        return bytes((np.frombuffer(a, dtype="<u8")
+                      ^ np.frombuffer(b, dtype="<u8")).tobytes())
     return (int.from_bytes(a, "little")
             ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")

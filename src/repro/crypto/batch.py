@@ -24,9 +24,7 @@ fixed costs across the whole work list:
 Nothing here changes any value the simulator produces: the scalar
 primitives remain the specification, and the differential oracle
 (:mod:`repro.core.oracle`) holds the batched engines to it end to end.
-This module reaches numpy only through the arena kernels, so a numpy-less
-install (or ``arena._np = None`` in a test) switches every kernel here to
-the pure path.
+This module reaches numpy only through the arena kernels.
 """
 
 import hashlib

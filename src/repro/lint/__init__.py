@@ -1,16 +1,12 @@
 """reprolint: simulator-invariant static analysis for the Horus reproduction.
 
-The two worst bug classes this repository has fixed — MAC domain mixing and
-batched-vs-scalar observable drift — were both visible in the AST long before
-any fault matrix or differential oracle caught them at run time.  This package
-encodes those invariants (and a few more) as machine-checked rules so they
-survive aggressive refactors:
+A rule lives here only while no type, runtime check or tier-1 test catches
+its defect (``docs/linting.md`` records the verdicts of the rules that
+went).  What stays encodes the paper's security invariants or checks
+something nothing else checks:
 
 ``R1`` determinism
     no wall-clock or entropy imports inside the simulator core packages;
-``R2`` MAC domain separation
-    every MAC computation names its :class:`~repro.crypto.primitives.MacDomain`
-    with an explicit ``domain=`` keyword;
 ``R3`` batch parity
     every public ``*_batch``/``*_blocks`` method has a same-class scalar twin
     and an entry in the batch-equivalence coverage map;
@@ -18,24 +14,19 @@ survive aggressive refactors:
     no bare/broad ``except`` that swallows (re-raising handlers are fine);
 ``R5`` magic timing/energy numbers
     Table I/II constants must come from :mod:`repro.common.constants`;
-``R6`` stats accounting
-    NVM data movement must go through the accounted
-    :class:`~repro.mem.nvm.NvmDevice` interface, never the raw backend;
 ``R0`` suppression hygiene
     every ``# reprolint: disable=...`` comment must name registered rules.
 
 On top of the fast AST rules, ``--deep`` runs the reproflow dataflow
 engine (:mod:`repro.lint.flow`): a call graph over ``src/repro``, per-
 function taint propagation, and interprocedural summaries to a fixed
-point, powering **F1** key-domain taint, **F2** plaintext escape, **F3**
-fault-plan parity, **F4** hook forced-scalar, and **F5** counter
-monotonicity — with a shrink-only ``flow-baseline.txt`` mirroring the
-mypy baseline.
+point, powering **F1** key-domain taint, **F2** plaintext escape and **F5**
+counter monotonicity.
 
 Run it as ``python -m repro.lint src tests`` (exit 0 = clean) or
-``python -m repro.lint --deep --format sarif``; see ``docs/linting.md``
-for rule details, suppression syntax (``# reprolint: disable=R4``), and
-how to add a rule.
+``python -m repro.lint --deep src tests``; see ``docs/linting.md`` for rule
+details, suppression syntax (``# reprolint: disable=R4``), and how to add
+a rule.
 """
 
 from repro.lint.core import RULES, Finding, Module, Project, Rule, register

@@ -9,7 +9,7 @@ with the :func:`register` decorator.
 Suppression is per line and per rule::
 
     risky_call()  # reprolint: disable=R4
-    # reprolint: disable-next-line=R2,R5
+    # reprolint: disable-next-line=R1,R5
     flagged_line()
 
 Suppressed findings are not dropped silently — the runner reports them
@@ -43,11 +43,6 @@ class Finding:
         tag = " (suppressed)" if self.suppressed else ""
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: " \
                f"{self.message}{tag}"
-
-    def to_dict(self) -> dict:
-        return {"path": self.path, "line": self.line, "col": self.col,
-                "rule": self.rule, "message": self.message,
-                "suppressed": self.suppressed}
 
 
 def module_name_for(path: Path, root: Path) -> str:

@@ -9,32 +9,21 @@ The engine layers on reprolint's :class:`~repro.lint.core.Module` /
    (sources introduce labels, sanitizers strip them, sinks flag them);
 3. :mod:`repro.lint.flow.summaries` propagates function summaries to a
    fixed point so taint crosses call boundaries;
-4. :mod:`repro.lint.flow.rules` ships the F1–F5 rule families on top;
-5. :mod:`repro.lint.flow.baseline` gives the gate a shrink-only baseline.
+4. :mod:`repro.lint.flow.rules` ships the F1, F2 and F5 rules on top.
 
 Run it as ``python -m repro.lint --deep``.
 """
 
-from repro.lint.flow.baseline import (
-    BASELINE_FILENAME,
-    apply_baseline,
-    fingerprint,
-    parse_baseline,
-)
 from repro.lint.flow.lattice import FlowConfig, Taint, merge_configs
 from repro.lint.flow.rules import RULES_FLOW, FlowRule
 from repro.lint.flow.summaries import FlowAnalysis, analyze_project
 
 __all__ = [
-    "BASELINE_FILENAME",
     "FlowAnalysis",
     "FlowConfig",
     "FlowRule",
     "RULES_FLOW",
     "Taint",
     "analyze_project",
-    "apply_baseline",
-    "fingerprint",
     "merge_configs",
-    "parse_baseline",
 ]

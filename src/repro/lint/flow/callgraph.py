@@ -5,8 +5,7 @@ is deliberately conservative about *which* edges get summary-level taint
 propagation (see :mod:`repro.lint.flow.summaries`):
 
 * ``self.m(...)`` resolves within the enclosing class and its project-local
-  base classes (by class name) — precise, and the only edges the F3/F4
-  guard-reachability checks use;
+  base classes (by class name);
 * ``f(...)`` resolves to module-level functions, preferring the defining
   module, then names imported into the calling module, then a unique
   project-wide definition;
@@ -17,7 +16,7 @@ propagation (see :mod:`repro.lint.flow.summaries`):
 """
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.lint.core import Module, Project, dotted_name
 
@@ -32,19 +31,12 @@ class FunctionInfo:
     module: Module
     node: FunctionNode
     class_name: str | None = None
-    bases: tuple[str, ...] = ()
     has_self: bool = False
     params: tuple[str, ...] = ()
-    attr_writes: set[str] = field(default_factory=set)
-    """``self.<name>`` attributes this function assigns."""
 
     @property
     def name(self) -> str:
         return self.node.name
-
-    @property
-    def is_public(self) -> bool:
-        return not self.node.name.startswith("_")
 
 
 def _param_names(node: FunctionNode, has_self: bool) -> tuple[str, ...]:
@@ -54,22 +46,6 @@ def _param_names(node: FunctionNode, has_self: bool) -> tuple[str, ...]:
         names = names[1:]
     names.extend(a.arg for a in args.kwonlyargs)
     return tuple(names)
-
-
-def _scan_attr_writes(node: FunctionNode) -> set[str]:
-    writes: set[str] = set()
-    for child in ast.walk(node):
-        targets: list[ast.expr] = []
-        if isinstance(child, ast.Assign):
-            targets = list(child.targets)
-        elif isinstance(child, (ast.AnnAssign, ast.AugAssign)):
-            targets = [child.target]
-        for target in targets:
-            if isinstance(target, ast.Attribute) \
-                    and isinstance(target.value, ast.Name) \
-                    and target.value.id == "self":
-                writes.add(target.attr)
-    return writes
 
 
 class CallGraph:
@@ -82,11 +58,9 @@ class CallGraph:
         self.module_functions: dict[tuple[str, str], FunctionInfo] = {}
         self.functions_by_name: dict[str, list[FunctionInfo]] = {}
         self.class_bases: dict[str, tuple[str, ...]] = {}
-        self.class_methods: dict[str, list[FunctionInfo]] = {}
         self.imports: dict[str, dict[str, str]] = {}
         """Per-module ``local name -> source module`` for from-imports."""
         self.callers: dict[str, set[str]] = {}
-        self.self_callees: dict[str, set[str]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -113,7 +87,7 @@ class CallGraph:
 
         for node in module.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._add_function(module, node, None, ())
+                self._add_function(module, node, None)
             elif isinstance(node, ast.ClassDef):
                 bases = tuple(name for name in
                               (dotted_name(base) for base in node.bases)
@@ -123,12 +97,10 @@ class CallGraph:
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef,
                                          ast.AsyncFunctionDef)):
-                        self._add_function(module, item, node.name,
-                                           base_tails)
+                        self._add_function(module, item, node.name)
 
     def _add_function(self, module: Module, node: FunctionNode,
-                      class_name: str | None,
-                      bases: tuple[str, ...]) -> None:
+                      class_name: str | None) -> None:
         has_self = (class_name is not None
                     and bool(node.args.posonlyargs or node.args.args)
                     and not self._is_static(node))
@@ -138,9 +110,8 @@ class CallGraph:
             qualname = f"{module.module}:{class_name}.{node.name}"
         info = FunctionInfo(
             qualname=qualname, module=module, node=node,
-            class_name=class_name, bases=bases, has_self=has_self,
-            params=_param_names(node, has_self),
-            attr_writes=_scan_attr_writes(node))
+            class_name=class_name, has_self=has_self,
+            params=_param_names(node, has_self))
         self.functions[qualname] = info
         if class_name is None:
             self.module_functions[(module.module, node.name)] = info
@@ -148,7 +119,6 @@ class CallGraph:
         else:
             self.methods.setdefault((class_name, node.name), info)
             self.methods_by_name.setdefault(node.name, []).append(info)
-            self.class_methods.setdefault(class_name, []).append(info)
 
     @staticmethod
     def _is_static(node: FunctionNode) -> bool:
@@ -220,36 +190,9 @@ class CallGraph:
 
     def _collect_edges(self, info: FunctionInfo) -> None:
         self.callers.setdefault(info.qualname, set())
-        self.self_callees.setdefault(info.qualname, set())
         for node in ast.walk(info.node):
             if not isinstance(node, ast.Call):
                 continue
             for callee in self.resolve_call(node, info):
                 self.callers.setdefault(callee.qualname, set()) \
                     .add(info.qualname)
-                if (callee.class_name is not None
-                        and callee.class_name == info.class_name):
-                    self.self_callees[info.qualname].add(callee.qualname)
-        # ``self.m`` calls resolved through base classes still count as
-        # same-object dispatch for guard reachability.
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and isinstance(node.func.value, ast.Name) \
-                    and node.func.value.id == "self":
-                callee = self.resolve_self_method(info.class_name,
-                                                  node.func.attr)
-                if callee is not None:
-                    self.self_callees[info.qualname].add(callee.qualname)
-
-    def transitive_self_closure(self, qualname: str) -> set[str]:
-        """``qualname`` plus everything reachable via same-object calls."""
-        seen: set[str] = set()
-        queue = [qualname]
-        while queue:
-            current = queue.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            queue.extend(self.self_callees.get(current, ()))
-        return seen

@@ -70,7 +70,6 @@ class IntraResult:
     hits: list[Hit] = field(default_factory=list)
     param_sinks: dict[int, set[tuple[str, str]]] = field(default_factory=dict)
     sink_labels: dict[tuple[str, str], Taint] = field(default_factory=dict)
-    attr_reads: set[str] = field(default_factory=set)
 
     @property
     def passthrough(self) -> frozenset[int]:
@@ -248,9 +247,6 @@ class FunctionEvaluator:
                 taint |= {label}
             return taint
         if isinstance(node, ast.Attribute):
-            if isinstance(node.value, ast.Name) \
-                    and node.value.id == "self":
-                self.result.attr_reads.add(node.attr)
             taint = self._eval(node.value)
             if isinstance(node.value, ast.Name) \
                     and node.value.id == "self":

@@ -1,21 +1,15 @@
 """The F-rule family: flow invariants checked by the dataflow engine.
 
-Each taint rule (F1, F2, F5) contributes a :class:`FlowConfig` fragment —
+Each rule (F1, F2, F5) contributes a :class:`FlowConfig` fragment —
 sources, sanitizers, sinks — and reads back the hits the engine collected
-for its rule id.  The structural rules (F3, F4) do not use taint at all:
-they ask guard-*reachability* questions over the same call graph ("can this
-public batched entry point ever observe the fault plan / the hook?").
-
-All five run a single shared project analysis, memoized on the
-:class:`~repro.lint.core.Project`, so ``--deep`` pays the fixed-point cost
-once no matter how many rules are selected.
+for its rule id.  All three run a single shared project analysis, memoized
+on the :class:`~repro.lint.core.Project`, so ``--deep`` pays the
+fixed-point cost once no matter how many rules are selected.
 """
 
-import ast
 from collections.abc import Iterator
 
-from repro.lint.core import Module, Project, Rule, dotted_name, register
-from repro.lint.flow.callgraph import FunctionInfo
+from repro.lint.core import Module, Project, Rule, register
 from repro.lint.flow.lattice import (
     COUNTER,
     COUNTER_DEC,
@@ -30,14 +24,6 @@ from repro.lint.flow.lattice import (
     merge_configs,
 )
 from repro.lint.flow.summaries import FlowAnalysis, analyze_project
-
-
-def _is_property(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for decorator in node.decorator_list:
-        name = dotted_name(decorator)
-        if name and name.split(".")[-1] in ("property", "cached_property"):
-            return True
-    return False
 
 
 class FlowRule(Rule):
@@ -57,22 +43,6 @@ class FlowRule(Rule):
         for hit in analysis.hits_for_module(module):
             if hit.rule == self.name:
                 yield module.finding(self, hit.node, hit.message)
-
-    @staticmethod
-    def _module_functions(analysis: FlowAnalysis,
-                          module: Module) -> list[FunctionInfo]:
-        return [info for info in analysis.graph.functions.values()
-                if info.module.relpath == module.relpath]
-
-    @staticmethod
-    def _class_attr_writes(analysis: FlowAnalysis, module: Module,
-                           class_name: str) -> set[str]:
-        writes: set[str] = set()
-        for info in analysis.graph.functions.values():
-            if info.class_name == class_name \
-                    and info.module.relpath == module.relpath:
-                writes.update(info.attr_writes)
-        return writes
 
 
 def _compute_analysis(project: Project) -> FlowAnalysis:
@@ -209,95 +179,6 @@ class RuleF2(FlowRule):
 
 
 @register
-class RuleF3(FlowRule):
-    """Grouped backend paths must observe the scalar-degradation guards."""
-
-    name = "F3"
-    title = "fault-plan parity: grouped backend methods must reach the " \
-            "scalar-degradation guard"
-    rationale = (
-        "PR 7's arena contract: batched/grouped NVM entry points must "
-        "degrade to the scalar path whenever a fault plan or trace is "
-        "active, or fault injection silently misses grouped I/O. "
-        "Checked structurally: every public *_batch/*_blocks/*_arena "
-        "method on a fault-plan-bearing class must (transitively) read one "
-        "of the guard attributes.")
-    scope = ("repro.mem",)
-
-    GUARDS = frozenset({"fault_plan", "trace", "grouped_io"})
-    SUFFIXES = ("_batch", "_blocks", "_arena")
-
-    def check(self, module: Module, project: Project) -> Iterator:
-        analysis = self.analysis(project)
-        for info in self._module_functions(analysis, module):
-            if info.class_name is None or not info.is_public:
-                continue
-            if not info.name.endswith(self.SUFFIXES):
-                continue
-            if _is_property(info.node):
-                continue
-            owns = self._class_attr_writes(analysis, module, info.class_name)
-            if "fault_plan" not in owns:
-                continue
-            reads = analysis.transitive_attr_reads(info.qualname)
-            if not reads & self.GUARDS:
-                yield module.finding(self, info.node, (
-                    f"grouped method {info.class_name}.{info.name}() never "
-                    f"consults the scalar-degradation guards "
-                    f"(fault_plan/trace/grouped_io); batched I/O would "
-                    f"bypass fault injection and request tracing"))
-
-
-@register
-class RuleF4(FlowRule):
-    """Hook injection windows must force the scalar path."""
-
-    name = "F4"
-    title = "hook forced-scalar: op_hook/step_hook windows must not " \
-            "enter batched paths"
-    rationale = (
-        "PR 6's contract: adversarial hooks (op_hook, step_hook) fire "
-        "between scalar steps, so any public entry point that can reach a "
-        "batched fast path must first check that no hook is armed. "
-        "Checked structurally on hook-bearing classes: batch-suffixed "
-        "public methods, and public methods directly dispatching to a "
-        "*_batched sibling, must (transitively) read the hook attribute.")
-    scope = ("repro",)
-
-    HOOKS = frozenset({"op_hook", "step_hook"})
-    BATCH_SUFFIXES = ("_batch", "_batched", "_blocks", "_arena")
-
-    def check(self, module: Module, project: Project) -> Iterator:
-        analysis = self.analysis(project)
-        for info in self._module_functions(analysis, module):
-            if info.class_name is None or not info.is_public:
-                continue
-            if _is_property(info.node):
-                continue
-            hooks = self.HOOKS & self._class_attr_writes(
-                analysis, module, info.class_name)
-            if not hooks:
-                continue
-            direct = {analysis.graph.functions[callee].name
-                      for callee in analysis.graph.self_callees
-                      .get(info.qualname, ())
-                      if callee in analysis.graph.functions}
-            enters_batched = (
-                info.name.endswith(self.BATCH_SUFFIXES)
-                or any(name.endswith(("_batch", "_batched"))
-                       for name in direct if name != info.name))
-            if not enters_batched:
-                continue
-            if not analysis.transitive_attr_reads(info.qualname) & hooks:
-                hook_list = "/".join(sorted(hooks))
-                yield module.finding(self, info.node, (
-                    f"{info.class_name}.{info.name}() enters a batched "
-                    f"path without consulting {hook_list}; armed hooks "
-                    f"must force the scalar path so injection windows are "
-                    f"not skipped"))
-
-
-@register
 class RuleF5(FlowRule):
     """Counters read from metadata state must not be written back lower."""
 
@@ -349,5 +230,4 @@ class RuleF5(FlowRule):
     )
 
 
-RULES_FLOW: tuple[FlowRule, ...] = (
-    RuleF1(), RuleF2(), RuleF3(), RuleF4(), RuleF5())
+RULES_FLOW: tuple[FlowRule, ...] = (RuleF1(), RuleF2(), RuleF5())

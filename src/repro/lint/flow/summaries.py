@@ -91,16 +91,6 @@ class FlowAnalysis:
                 hits.extend(result.hits)
         return hits
 
-    def transitive_attr_reads(self, qualname: str) -> set[str]:
-        """``self.<attr>`` reads of ``qualname`` and every same-object
-        method it transitively calls."""
-        reads: set[str] = set()
-        for reached in self.graph.transitive_self_closure(qualname):
-            result = self.results.get(reached)
-            if result is not None:
-                reads.update(result.attr_reads)
-        return reads
-
 
 def analyze_project(project: Project, modules: list[Module],
                     config: FlowConfig) -> FlowAnalysis:

@@ -1,10 +1,10 @@
-"""The simulator-invariant rules (R0-R6).
+"""The simulator-invariant rules (R0, R1, R3-R5).
 
 Each rule encodes an invariant a past bug (or a near-miss) showed to be
 load-bearing; ``docs/linting.md`` links every rule to its motivating
 incident.  Rules are pure AST analyses: no imports of the checked code, no
 execution, so the lint can run on a broken tree.  (The deep flow rules
-F1-F5 live in :mod:`repro.lint.flow.rules`.)
+F1, F2 and F5 live in :mod:`repro.lint.flow.rules`.)
 """
 
 import ast
@@ -93,51 +93,6 @@ class DeterminismRule(Rule):
         return (f"nondeterministic module '{name}' imported in simulator "
                 f"core; derive randomness from repro.common.rng and keep "
                 f"timing in the experiment harness")
-
-
-@register
-class MacDomainRule(Rule):
-    """R2: every MAC computation names its domain with domain=..."""
-
-    name = "R2"
-    title = "MAC domain separation"
-    rationale = ("PR 2's splice attacks worked because a run-time data MAC "
-                 "and a CHV MAC over the same bytes were the same value. "
-                 "Domain separation only protects call sites that say which "
-                 "domain they mean; implicit defaults reintroduce the bug "
-                 "one refactor later.")
-    scope = ("repro",)
-
-    MAC_CALLS = frozenset({
-        "compute_mac",
-        "block_mac",
-        "digest_mac",
-        "block_mac_batch",
-        "digest_mac_batch",
-    })
-
-    def check(self, module: Module, project: Project) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None)
-            if name not in self.MAC_CALLS:
-                continue
-            keywords = {kw.arg for kw in node.keywords}
-            if "domain" in keywords or None in keywords:
-                continue
-            positional = any(
-                isinstance(arg, ast.Attribute)
-                and dotted_name(arg.value) == "MacDomain"
-                for arg in node.args)
-            how = ("passes its MacDomain positionally"
-                   if positional else "relies on a default MacDomain")
-            yield module.finding(self, node, (
-                f"call to {name}() {how}; pass an explicit "
-                f"domain=MacDomain.<X> keyword so the protection domain "
-                f"survives signature refactors"))
 
 
 @register
@@ -332,54 +287,3 @@ class MagicNumberRule(Rule):
                 f"magic Table I/II literal {value!r}; import "
                 f"repro.common.constants.{constant.split()[0]} so the "
                 f"timing/energy model has one authoritative copy"))
-
-
-@register
-class StatsAccountingRule(Rule):
-    """R6: NVM data movement must be accounted in SimStats."""
-
-    name = "R6"
-    title = "stats accounting"
-    rationale = ("Drain time, energy, and the figures are all derived from "
-                 "SimStats counters; a read or write that goes straight to "
-                 "the raw backend moves data the timing model never sees. "
-                 "Only repro.mem (the device itself) and repro.attacks (the "
-                 "adversary, who bypasses accounting by definition) touch "
-                 "the backend's block I/O.")
-    scope = (
-        "repro.core",
-        "repro.secure",
-        "repro.epd",
-        "repro.cache",
-        "repro.metadata",
-        "repro.crypto",
-        "repro.faults",
-        "repro.campaigns",
-    )
-
-    RAW_IO = frozenset({
-        "read_block",
-        "write_block",
-        "read_blocks",
-        "write_blocks",
-        "corrupt_block",
-        "clear",
-    })
-
-    def check(self, module: Module, project: Project) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute) \
-                    or func.attr not in self.RAW_IO:
-                continue
-            holder = func.value
-            if not isinstance(holder, ast.Attribute) \
-                    or holder.attr not in ("backend", "_backend"):
-                continue
-            yield module.finding(self, node, (
-                f"raw backend call .{holder.attr}.{func.attr}() bypasses "
-                f"SimStats accounting; issue the request through "
-                f"NvmDevice.read()/write() (or peek()/poke() for "
-                f"unaccounted simulator-internal inspection)"))

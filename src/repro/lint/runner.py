@@ -1,22 +1,16 @@
 """reprolint driver: file discovery, rule application, CLI.
 
 ``python -m repro.lint [paths ...]`` lints ``src`` and ``tests`` by default
-with the fast AST rules (R0-R6); ``--deep`` adds the project-wide dataflow
-rules (F1-F5, see :mod:`repro.lint.flow`) plus the shrink-only
-``flow-baseline.txt``.  Output is human-readable ``path:line:col: RULE:
-message`` findings, ``--format json``, or ``--format sarif`` for code
-scanning uploads.  ``--changed <ref>`` restricts *reporting* to files
-changed since a git ref (the deep analysis still sees the whole project,
-so cross-module flows into changed files are not missed).
+with the fast AST rules (R0, R1, R3-R5); ``--deep`` adds the project-wide
+dataflow rules (F1, F2, F5, see :mod:`repro.lint.flow`).  Output is one
+``path:line:col: RULE: message`` line per finding and a summary line.
 
 Exit codes: 0 clean, 1 findings, 2 usage or internal errors.  Suppressed
-and baselined findings never affect the exit code but are always reported,
-so exemptions stay visible.
+findings never affect the exit code but are always reported, so exemptions
+stay visible.
 """
 
 import argparse
-import json
-import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,11 +18,6 @@ from pathlib import Path
 import repro.lint.flow.rules  # noqa: F401 - imports register the F rules
 import repro.lint.rules  # noqa: F401 - imports register the R rules
 from repro.lint.core import RULES, Finding, Module, Project
-from repro.lint.flow.baseline import (
-    BASELINE_FILENAME,
-    apply_baseline,
-    parse_baseline,
-)
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 
@@ -55,7 +44,6 @@ class LintResult:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
     files_checked: int = 0
 
@@ -65,16 +53,6 @@ class LintResult:
             return 2
         return 1 if self.findings else 0
 
-    def to_dict(self) -> dict:
-        return {
-            "files_checked": self.files_checked,
-            "findings": [f.to_dict() for f in self.findings],
-            "suppressed": [f.to_dict() for f in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
-            "errors": list(self.errors),
-            "exit_code": self.exit_code,
-        }
-
 
 def default_rules(deep: bool = False) -> list[str]:
     """Registry names selected when ``--rules`` is not given."""
@@ -82,17 +60,13 @@ def default_rules(deep: bool = False) -> list[str]:
             if deep or not RULES[name].deep]
 
 
-def lint_paths(paths, root=None, rules=None, deep=False,
-               baseline=None) -> LintResult:
+def lint_paths(paths, root=None, rules=None, deep=False) -> LintResult:
     """Lint every Python file under ``paths`` with the selected rules.
 
     ``root`` anchors relative paths in messages and sibling-source lookups
     (defaults to the current directory); ``rules`` restricts the run to a
     subset of registry names (explicitly named deep rules run even without
-    ``deep=True``); ``baseline`` is a set of flow-baseline fingerprints —
-    matching findings are reported separately and do not fail the run,
-    while stale entries (matching nothing) are errors so the baseline can
-    only shrink.
+    ``deep=True``).
     """
     root = Path(root) if root is not None else Path.cwd()
     result = LintResult()
@@ -122,51 +96,19 @@ def lint_paths(paths, root=None, rules=None, deep=False,
                 else:
                     result.findings.append(finding)
 
-    if baseline:
-        fresh, covered, stale = apply_baseline(result.findings, baseline)
-        result.findings = fresh
-        result.baselined = covered
-        for entry in sorted(stale):
-            result.errors.append(
-                f"stale {BASELINE_FILENAME} entry: {entry} (the finding is "
-                f"gone — delete the line so the baseline shrinks)")
-
     result.findings.sort()
     result.suppressed.sort()
-    result.baselined.sort()
     return result
-
-
-def changed_files(ref: str, root: Path) -> set[str] | None:
-    """Posix-relative paths changed since ``ref``; None if git fails."""
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", ref, "--"],
-            cwd=root, capture_output=True, text=True, timeout=60)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if proc.returncode != 0:
-        return None
-    return {line.strip() for line in proc.stdout.splitlines()
-            if line.strip()}
-
-
-def _filter_changed(result: LintResult, changed: set[str]) -> None:
-    result.findings = [f for f in result.findings if f.path in changed]
-    result.suppressed = [f for f in result.suppressed if f.path in changed]
-    result.baselined = [f for f in result.baselined if f.path in changed]
 
 
 def _render_human(result: LintResult) -> str:
     lines = [f.format() for f in result.findings]
     lines.extend(f.format() for f in result.suppressed)
-    lines.extend(f"{f.format()} (baselined)" for f in result.baselined)
     lines.extend(f"error: {message}" for message in result.errors)
     lines.append(
         f"reprolint: {result.files_checked} files, "
         f"{len(result.findings)} finding(s), "
         f"{len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined, "
         f"{len(result.errors)} error(s)")
     return "\n".join(lines)
 
@@ -183,69 +125,17 @@ def _render_rules() -> str:
     return "\n".join(lines)
 
 
-def _render_sarif(result: LintResult) -> str:
-    """Minimal SARIF 2.1.0 document for code-scanning uploads."""
-    names = sorted(RULES)
-    index = {name: position for position, name in enumerate(names)}
-    rules_meta = [
-        {
-            "id": name,
-            "shortDescription": {"text": RULES[name].title},
-            "fullDescription": {"text": RULES[name].rationale},
-            "properties": {"deep": RULES[name].deep},
-        }
-        for name in names
-    ]
-
-    def sarif_result(finding: Finding, suppression: str | None) -> dict:
-        entry = {
-            "ruleId": finding.rule,
-            "ruleIndex": index.get(finding.rule, -1),
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {"startLine": finding.line,
-                               "startColumn": finding.col},
-                },
-            }],
-        }
-        if suppression is not None:
-            entry["suppressions"] = [{"kind": suppression}]
-        return entry
-
-    results = [sarif_result(f, None) for f in result.findings]
-    results.extend(sarif_result(f, "inSource") for f in result.suppressed)
-    results.extend(sarif_result(f, "external") for f in result.baselined)
-    document = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "reprolint",
-                "informationUri": "docs/linting.md",
-                "rules": rules_meta,
-            }},
-            "results": results,
-        }],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Simulator-invariant static analysis for the Horus "
-                    "reproduction (fast rules R0-R6; deep dataflow rules "
-                    "F1-F5 with --deep; see docs/linting.md).",
+                    "reproduction (fast rules R0, R1, R3-R5; deep dataflow "
+                    "rules F1, F2, F5 with --deep; see docs/linting.md).",
         epilog="exit codes: 0 clean, 1 findings, "
                "2 usage or internal errors")
     parser.add_argument("paths", nargs="*", default=["src", "tests"],
                         help="files or directories to lint "
                              "(default: src tests)")
-    parser.add_argument("--format", choices=("human", "json", "sarif"),
-                        default="human", help="output format")
     parser.add_argument("--root", default=None,
                         help="project root for relative paths and "
                              "coverage-map lookups (default: cwd)")
@@ -255,14 +145,7 @@ def main(argv=None) -> int:
                              "--deep")
     parser.add_argument("--deep", action="store_true",
                         help="also run the project-wide dataflow rules "
-                             "(F1-F5) and apply flow-baseline.txt")
-    parser.add_argument("--changed", metavar="REF", default=None,
-                        help="report only findings in files changed since "
-                             "the given git ref (analysis still covers the "
-                             "whole project)")
-    parser.add_argument("--baseline", default=None,
-                        help="flow baseline file (default: "
-                             f"<root>/{BASELINE_FILENAME} under --deep)")
+                             "(F1, F2, F5)")
     parser.add_argument("--list-rules", action="store_true",
                         help="describe every registered rule and exit")
     args = parser.parse_args(argv)
@@ -271,38 +154,14 @@ def main(argv=None) -> int:
         print(_render_rules())
         return 0
 
-    root = Path(args.root) if args.root is not None else Path.cwd()
-
     rules = None
     if args.rules:
         rules = [name.strip().upper()
                  for name in args.rules.split(",") if name.strip()]
 
-    baseline = None
-    if args.deep or args.baseline:
-        baseline_path = Path(args.baseline) if args.baseline \
-            else root / BASELINE_FILENAME
-        if baseline_path.is_file():
-            baseline = parse_baseline(
-                baseline_path.read_text(encoding="utf-8"))
-
     result = lint_paths(args.paths, root=args.root, rules=rules,
-                        deep=args.deep, baseline=baseline)
-
-    if args.changed is not None:
-        changed = changed_files(args.changed, root)
-        if changed is None:
-            result.errors.append(
-                f"--changed: git diff against {args.changed!r} failed")
-        else:
-            _filter_changed(result, changed)
-
-    if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(_render_sarif(result))
-    else:
-        print(_render_human(result))
+                        deep=args.deep)
+    print(_render_human(result))
     return result.exit_code
 
 

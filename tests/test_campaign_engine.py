@@ -279,15 +279,19 @@ class TestInjectionMechanics:
         assert seen == [("w", 0), ("r", 0)]
 
     def test_op_hook_forces_scalar_batch_path(self, horus_system):
+        seen = []
         controller = horus_system.controller
-        controller.op_hook = lambda kind, address: None
+        controller.op_hook = lambda kind, address: seen.append(
+            (kind, address))
         try:
             # The batch path would bypass per-op hook firing; with a hook
-            # set it must fall back to the scalar loop.
+            # set it must fall back to the scalar loop, which fires it
+            # once per op, in order.
             results = controller.run_ops_batch(
                 [("w", 0, b"\x11" * 64), ("r", 0, None)])
         finally:
             controller.op_hook = None
+        assert seen == [("w", 0), ("r", 0)]
         assert results == [None, b"\x11" * 64]
 
     def test_campaign_cell_has_stable_coordinates(self, tiny_config):

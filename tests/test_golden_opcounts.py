@@ -17,6 +17,12 @@ request trace of the same episode run with a trace attached
 Counts and result text alone cannot catch a change that the scalar and
 batched paths share: what the drain writes, and in which order, can.
 
+Every episode then recovers, and where the scheme has a recovery (Base-LU's
+shadow dump, Horus's vault) its operation counts are pinned as
+``recovery_stats``.  ``base-lu-osiris`` is Base-LU with Osiris stop-loss
+counter recovery (``osiris_stop_loss=8``, as ``ablation-availability`` runs
+it), so a recovery that skips or doubles a counter read shows up here too.
+
 The fixture is additionally cross-checked against the closed forms in
 :mod:`repro.core.analytic`: Horus episodes must match ``horus_drain_cost``
 exactly, baseline episodes must satisfy its hard invariants — so a
@@ -38,13 +44,19 @@ from repro.sharding.system import nvm_image_sha256
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "drain_op_counts.json"
 SCALES = (512, 256, 128)
+OSIRIS = "base-lu-osiris"
+EPISODES = SCHEMES + (OSIRIS,)
 TRACED = ((128, "base-lu"), (128, "base-eu"))
 """Episodes whose request trace is pinned too: the baseline drains, whose
 metadata walk the scalar spec and the batched segment share."""
 
 
 def episode_counts(scale: int, scheme: str, *, traced: bool = False) -> dict:
-    system = SecureEpdSystem(SystemConfig.scaled(scale), scheme=scheme)
+    if scheme == OSIRIS:
+        system = SecureEpdSystem(SystemConfig.scaled(scale), scheme="base-lu",
+                                 osiris_stop_loss=8)
+    else:
+        system = SecureEpdSystem(SystemConfig.scaled(scale), scheme=scheme)
     system.fill_worst_case(seed=FILL_SEED)
     if traced:
         system.nvm.trace = []
@@ -58,6 +70,9 @@ def episode_counts(scale: int, scheme: str, *, traced: bool = False) -> dict:
     }
     if traced:
         counts["request_trace_sha256"] = trace_sha256(system.nvm.trace)
+    recovery = system.recover()
+    if recovery is not None:
+        counts["recovery_stats"] = recovery.stats.snapshot()
     return counts
 
 
@@ -73,7 +88,7 @@ def trace_sha256(trace: list[tuple[int, bool]]) -> str:
 
 def current_counts() -> dict:
     counts = {str(scale): {scheme: episode_counts(scale, scheme)
-                           for scheme in SCHEMES}
+                           for scheme in EPISODES}
               for scale in SCALES}
     for scale, scheme in TRACED:
         counts[str(scale)][scheme]["request_trace_sha256"] = episode_counts(
@@ -93,7 +108,7 @@ def golden() -> dict:
 
 class TestGoldenOpCounts:
     @pytest.mark.parametrize("scale", SCALES)
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", EPISODES)
     def test_simulator_matches_fixture(self, golden, scale, scheme):
         expected = dict(golden[str(scale)][scheme])
         expected.pop("request_trace_sha256", None)

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.common.errors import AddressError
-from repro.faults.plan import FaultPlan, PowerCut, TornWrite
+from repro.faults.plan import (
+    AdversaryAt,
+    BitFlip,
+    DroppedWrite,
+    FaultPlan,
+    PowerCut,
+    TornWrite,
+)
 from repro.mem.nvm import NvmDevice
 from repro.mem.regions import MemoryLayout
 from repro.mem.wear import WearTracker
@@ -275,6 +282,87 @@ class TestWriteBatch:
         data = device.wear.wear_of("data")
         assert data.blocks_written == 5
         assert data.max_writes_per_block == 3
+
+
+GUARDS = {
+    "trace": None,
+    "power-cut": lambda: PowerCut(after_writes=5),
+    "dropped-write": lambda: DroppedWrite(at_write=3),
+    "torn-write": lambda: TornWrite(at_write=7),
+    "bit-flip": lambda: BitFlip(at_write=4, byte_offset=9),
+    "adversary": lambda: AdversaryAt(at_write=6, action=lambda: None),
+}
+"""The scalar-degradation guards, one at a time: a request trace alone,
+or one fault class alone with no trace, so that each guard is the only
+reason for a grouped call to leave its grouped path."""
+
+
+def _guarded(guard: str) -> NvmDevice:
+    device = NvmDevice(1 << 20, SimStats())
+    fault = GUARDS[guard]
+    if fault is None:
+        device.trace = []
+    else:
+        device.fault_plan = FaultPlan([fault()])
+    return device
+
+
+def _observables(device: NvmDevice) -> dict:
+    plan = device.fault_plan
+    return {
+        "image": device.backend.image(),
+        "stats": device.stats.snapshot(),
+        "trace": device.trace,
+        "lost writes": device.lost_writes,
+        "fault events": None if plan is None else plan.events,
+    }
+
+
+class TestGroupedIoUnderGuards:
+    """The grouped entry points, under each guard alone, leave what the
+    scalar request loop leaves: image, stats, request trace, lost writes
+    and fault events."""
+
+    READS = {
+        "read_arena": lambda device, addresses: bytes(
+            device.read_arena(addresses, ReadKind.DATA)),
+        "read_batch": lambda device, addresses: b"".join(
+            device.read_batch(addresses, ReadKind.DATA)),
+    }
+
+    @pytest.mark.parametrize("guard", list(GUARDS))
+    def test_write_arena_equals_the_scalar_loop(self, guard):
+        items = _batch_items()
+        grouped = _guarded(guard)
+        assert not grouped.grouped_io
+        grouped.write_arena([address for address, _, _ in items],
+                            b"".join(data for _, data, _ in items),
+                            [kind for _, _, kind in items])
+        scalar = _guarded(guard)
+        for address, data, kind in items:
+            scalar.write(address, data, kind)
+        assert _observables(grouped) == _observables(scalar)
+        if grouped.fault_plan is None:
+            assert len(grouped.trace) == len(items)
+        else:
+            assert grouped.fault_plan.events, "the fault never fired"
+
+    @pytest.mark.parametrize("entry", list(READS))
+    def test_grouped_read_under_trace_equals_the_scalar_loop(self, entry):
+        """Reads pass fault plans untouched; a trace alone must still see
+        one request per block, in order."""
+        items = _batch_items()
+        addresses = [address for address, _, _ in items]
+        grouped, scalar = _guarded("trace"), _guarded("trace")
+        for device in (grouped, scalar):
+            for address, data, kind in items:
+                device.write(address, data, kind)
+        out = self.READS[entry](grouped, addresses)
+        assert out == b"".join(scalar.read(address, ReadKind.DATA)
+                               for address in addresses)
+        assert _observables(grouped) == _observables(scalar)
+        assert grouped.trace[len(items):] == [
+            (address, False) for address in addresses]
 
 
 class TestUndoJournal:

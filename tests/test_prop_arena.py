@@ -1,34 +1,26 @@
 """Property-based equivalence: arena kernels vs the scalar primitives.
 
 The arena substrate (:mod:`repro.crypto.arena`) promises *value
-transparency*: whether the numpy u64 lanes or the pure-Python fallback
-ran, every kernel's output is byte-identical to the scalar spelling it
-replaces.  This suite holds each kernel to that promise — over empty,
-singleton and N-element inputs, duplicate addresses, counters past the
-u64 range (which must transparently fall back), and both kernel flavors
-(setting the arena's numpy handle to None is exactly a numpy-less
-install), the records kernels that feed every batched hash included — and
-pins the arena-backed ``generate_pads`` / ``encrypt_blocks`` /
-``compute_block_macs`` forms to the scalar primitives across every
-MacDomain.
+transparency*: whether the numpy u64 lanes or the small-input and
+arbitrary-precision Python paths ran, every kernel's output is
+byte-identical to the scalar spelling it replaces.  This suite holds each
+kernel to that promise — over empty, singleton and N-element inputs (both
+sides of each kernel's size threshold), duplicate addresses, and counters
+past the u64 range (which must transparently fall back), the records
+kernels that feed every batched hash included — and pins the arena-backed
+``generate_pads`` / ``encrypt_blocks`` / ``compute_block_macs`` forms to
+the scalar primitives across every MacDomain.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-
-# The 'kernel' fixture only patches the numpy handle for the duration of
-# the test, identically for every generated example — not resetting it
-# between examples is exactly the intent.
-_KERNEL_SETTINGS = {
-    "suppress_health_check": [HealthCheck.function_scoped_fixture]}
 
 from repro.common.constants import CACHE_LINE_SIZE, MAC_SIZE
 from repro.crypto import arena, batch
 from repro.crypto.arena import (
     BLOCK_RECORD_SIZE,
     FRAME_SIZE,
-    arena_accelerated,
     block_frame_records,
     frame_buffer,
     pack_u64,
@@ -45,10 +37,6 @@ from repro.crypto.primitives import (
     int_field,
 )
 from tests.conftest import examples
-
-_NUMPY = arena._np
-"""The real numpy handle (None on a numpy-less install), captured before
-any test patches it."""
 
 u64s = st.integers(0, 2**64 - 1)
 wide = st.integers(0, 2**128 - 1)
@@ -68,19 +56,6 @@ def work_lists(draw, min_size=0, max_size=12, counter_strategy=wide):
     ctr_list = draw(st.lists(counter_strategy, min_size=size,
                              max_size=size))
     return addr_list, ctr_list
-
-
-@pytest.fixture(params=["lanes", "pure"])
-def kernel(request, monkeypatch):
-    """Run the test under both kernel flavors (numpy lanes, pure Python).
-
-    The pure leg always runs; the lanes leg is exercised when numpy is
-    importable, otherwise it degenerates to the pure path (matching a
-    numpy-less install).
-    """
-    if request.param == "pure":
-        monkeypatch.setattr(arena, "_np", None)
-    return request.param
 
 
 class TestPackU64:
@@ -158,13 +133,13 @@ buffer_types = st.sampled_from([bytes, bytearray, memoryview])
 
 class TestRecords:
     """The records kernels: C-built ``bytes`` records, one per item, equal
-    to the slice each replaces under both kernel flavors."""
+    to the slice each replaces on both sides of the size threshold."""
 
     @given(size=st.sampled_from([8, FRAME_SIZE, CACHE_LINE_SIZE,
                                  BLOCK_RECORD_SIZE]),
            count=record_counts, wrap=buffer_types, data=st.data())
-    @settings(max_examples=examples(80), **_KERNEL_SETTINGS)
-    def test_records_cut_the_buffer(self, kernel, size, count, wrap, data):
+    @settings(max_examples=examples(80))
+    def test_records_cut_the_buffer(self, size, count, wrap, data):
         raw = data.draw(st.binary(min_size=size * count,
                                   max_size=size * count))
         cut = records(wrap(raw), size)
@@ -172,16 +147,16 @@ class TestRecords:
         assert all(type(record) is bytes for record in cut)
 
     @given(work=work_lists(max_size=3 * arena._MIN_RECORD_LANES))
-    @settings(max_examples=examples(50), **_KERNEL_SETTINGS)
-    def test_frame_records_are_the_frames(self, kernel, work):
+    @settings(max_examples=examples(50))
+    def test_frame_records_are_the_frames(self, work):
         addrs, ctrs = work
         assert records(frame_buffer(addrs, ctrs), FRAME_SIZE) == [
             int_field(a) + int_field(c, 16) for a, c in zip(addrs, ctrs)]
 
     @given(work=work_lists(max_size=3 * arena._MIN_RECORD_LANES),
            wrap=buffer_types, data=st.data())
-    @settings(max_examples=examples(50), **_KERNEL_SETTINGS)
-    def test_block_frame_records_join_block_and_frame(self, kernel, work,
+    @settings(max_examples=examples(50))
+    def test_block_frame_records_join_block_and_frame(self, work,
                                                       wrap, data):
         addrs, ctrs = work
         payload = [data.draw(blocks) for _ in addrs]
@@ -195,16 +170,16 @@ class TestRecords:
 
     @given(size=st.sampled_from([FRAME_SIZE, CACHE_LINE_SIZE]),
            count=record_counts, extra=st.integers(1, 23))
-    @settings(max_examples=examples(30), **_KERNEL_SETTINGS)
-    def test_records_reject_wrong_lengths(self, kernel, size, count, extra):
+    @settings(max_examples=examples(30))
+    def test_records_reject_wrong_lengths(self, size, count, extra):
         with pytest.raises(ValueError, match="not a multiple"):
             records(bytes(size * count + extra), size)
 
     @given(count=record_counts, skew=st.sampled_from([-1, 1]),
            side=st.sampled_from(["blocks", "frames"]))
-    @settings(max_examples=examples(30), **_KERNEL_SETTINGS)
+    @settings(max_examples=examples(30))
     def test_block_frame_records_reject_mismatched_lengths(
-            self, kernel, count, skew, side):
+            self, count, skew, side):
         """A block buffer cut mid-block, or a frame buffer one byte off,
         raises before any record is built."""
         block_bytes = CACHE_LINE_SIZE * count
@@ -243,11 +218,11 @@ class TestXorBytes:
 
 class TestArenaBackedBatchParity:
     """The arena-fed batch forms equal the scalar primitives byte for
-    byte, under both kernel flavors."""
+    byte."""
 
     @given(key=keys, work=work_lists())
-    @settings(max_examples=examples(60), **_KERNEL_SETTINGS)
-    def test_generate_pads_with_frame_buffer(self, kernel, key, work):
+    @settings(max_examples=examples(60))
+    def test_generate_pads_with_frame_buffer(self, key, work):
         addrs, ctrs = work
         frames = frame_buffer(addrs, ctrs)
         pads = batch.generate_pads(key, addrs, ctrs, frames)
@@ -256,8 +231,8 @@ class TestArenaBackedBatchParity:
                 generate_pad(key, address, counter)
 
     @given(key=keys, work=work_lists(), data=st.data())
-    @settings(max_examples=examples(60), **_KERNEL_SETTINGS)
-    def test_encrypt_blocks_from_arena(self, kernel, key, work, data):
+    @settings(max_examples=examples(60))
+    def test_encrypt_blocks_from_arena(self, key, work, data):
         addrs, ctrs = work
         payload = [data.draw(blocks) for _ in addrs]
         ciphertext = batch.encrypt_blocks(
@@ -269,8 +244,8 @@ class TestArenaBackedBatchParity:
                 key, address, counter, payload[i])
 
     @given(key=keys, work=work_lists(), domain=domains, data=st.data())
-    @settings(max_examples=examples(60), **_KERNEL_SETTINGS)
-    def test_compute_block_macs_from_arena(self, kernel, key, work,
+    @settings(max_examples=examples(60))
+    def test_compute_block_macs_from_arena(self, key, work,
                                            domain, data):
         addrs, ctrs = work
         payload = [data.draw(blocks) for _ in addrs]
@@ -283,36 +258,3 @@ class TestArenaBackedBatchParity:
             assert mac == compute_mac(
                 key, block + int_field(address, 8) + int_field(counter, 16),
                 domain=domain)
-
-    @given(work=work_lists())
-    @settings(max_examples=examples(40), **_KERNEL_SETTINGS)
-    def test_kernels_are_value_transparent(self, monkeypatch, work):
-        """Pure vs lanes output is identical for every kernel (the
-        numpy-less CI leg holds the same oracle)."""
-        addrs, ctrs = work
-        outputs = {}
-        for flavor, handle in (("lanes", _NUMPY), ("pure", None)):
-            monkeypatch.setattr(arena, "_np", handle)
-            frames = frame_buffer(addrs, ctrs)
-            outputs[flavor] = (
-                pack_u64(addrs),
-                tile_u64(addrs, 8),
-                frames,
-                xor_bytes(pack_u64(addrs), pack_u64(addrs[::-1])),
-                records(frames, FRAME_SIZE),
-                records(tile_u64(addrs, 8), CACHE_LINE_SIZE),
-                block_frame_records(tile_u64(addrs, 8), frames),
-            )
-        assert outputs["lanes"] == outputs["pure"]
-
-    def test_accelerated_gate(self, monkeypatch):
-        assert arena_accelerated() is (_NUMPY is not None)
-        monkeypatch.setattr(arena, "_np", None)
-        assert arena_accelerated() is False
-
-    @pytest.mark.parametrize("value", ["0", "1"])
-    def test_environment_does_not_select_the_kernel(self, monkeypatch,
-                                                    value):
-        """Only the install decides: a stale ``REPRO_ARENA`` is ignored."""
-        monkeypatch.setenv("REPRO_ARENA", value)
-        assert arena_accelerated() is (_NUMPY is not None)
