@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-full bench-e2e experiments experiments-full examples lint lint-deep typecheck clean
+.PHONY: test bench bench-full bench-e2e experiments experiments-full examples lint typecheck clean
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
@@ -17,11 +17,6 @@ lint:
 	else \
 		echo "ruff not installed; skipping (CI runs it)"; \
 	fi
-
-# The cross-module dataflow rules (F1, F2, F5) on top of the fast rules;
-# slower (whole-project call graph + taint fixed point).
-lint-deep:
-	PYTHONPATH=src $(PYTHON) -m repro.lint --deep src tests
 
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \

@@ -98,16 +98,6 @@ def generate_pads(key: bytes, addresses: Sequence[int],
     return b"".join(chunks)
 
 
-def xor_buffers(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length buffers in one bulk operation.
-
-    With 64 B inputs this is exactly ``xor_block``; over a whole episode's
-    concatenated blocks it replaces N int conversions with one pass (u64
-    lanes when the arena is accelerated, one big-int op otherwise).
-    """
-    return xor_bytes(a, b)
-
-
 def encrypt_blocks(key: bytes, addresses: Sequence[int],
                    counters: Sequence[int],
                    plaintext: bytes | bytearray | memoryview,
@@ -125,8 +115,8 @@ def encrypt_blocks(key: bytes, addresses: Sequence[int],
             f"{len(plaintext)} B for {len(addresses)} addresses")
     if not addresses:
         return b""
-    return xor_buffers(plaintext,
-                       generate_pads(key, addresses, counters, frames))
+    return xor_bytes(plaintext,
+                     generate_pads(key, addresses, counters, frames))
 
 
 decrypt_blocks = encrypt_blocks

@@ -96,16 +96,6 @@ class MacEngine:
         h.update(int_field(counter, 16))
         return h.digest()
 
-    def node_mac(self, kind: MacKind, content: bytes,
-                 address: int) -> bytes:
-        """MAC over a 64 B metadata block bound to its address (tree slots),
-        always in the node domain."""
-        self._stats.macs[kind] += 1
-        h = self._states[MacDomain.NODE].copy()
-        h.update(content)
-        h.update(int_field(address))
-        return h.digest()
-
     def digest_mac(self, kind: MacKind, content: bytes, *,
                    domain: MacDomain) -> bytes:
         """MAC over raw content (tree nodes, counter blocks, Horus-DLM

@@ -7,16 +7,17 @@ region, while the full in-place secure write happens in the background.
 Horus is the same insight scaled from the WPQ to the whole cache hierarchy
 — implementing both makes the lineage measurable.
 
-Model: ``persist`` encrypts the line under the MSU counter and writes one
-staging block (+1/8 coalesced address blocks and MAC blocks, as in Horus) —
-that is the critical path.  A background queue later replays entries
-through the ordinary secure controller; entries still staged at a crash are
+Model: ``persist`` encrypts the line under the MSU counter, MACs it, and
+writes one staging block plus an address block that carries the MAC
+(costed as 1/8 of a write, coalesced as in Horus) — that is the critical
+path.  A background queue later replays entries through the ordinary
+secure controller; entries still staged at a crash are MAC-checked and
 replayed at recovery, exactly like a tiny CHV.
 """
 
 from collections import deque
 
-from repro.common.constants import CACHE_LINE_SIZE
+from repro.common.constants import CACHE_LINE_SIZE, MAC_SIZE
 from repro.common.errors import ConfigError, IntegrityError, RecoveryError
 from repro.crypto.counters import DrainCounter
 from repro.crypto.primitives import MacDomain
@@ -48,7 +49,11 @@ class DolosAdrSystem(AdrSecureSystem):
     # ------------------------------------------------------------------
 
     def persist(self, address: int) -> None:
-        """Critical path: encrypt under the MSU counter, stage, done."""
+        """Critical path: encrypt under the MSU counter, stage, done.
+
+        The staged address block holds the line's address in bytes 0-7
+        and its MAC in bytes 8-15, so recovery authenticates the entry
+        before it decrypts anything."""
         self.layout.require_data_address(address)
         cached = self._cached_line(address)
         if cached is None:
@@ -59,11 +64,11 @@ class DolosAdrSystem(AdrSecureSystem):
             self._drain_background(force_all=True)
         counter = self._msu_counter.next()
         ciphertext = self.controller.aes.encrypt(address, counter, data)
-        self.controller.mac.block_mac(MacKind.CHV_DATA, ciphertext,
-                                      address, counter,
-                                      domain=MacDomain.CHV_DATA)
+        mac_value = self.controller.mac.block_mac(
+            MacKind.CHV_DATA, ciphertext, address, counter,
+            domain=MacDomain.CHV_DATA)
         entry = self._staging.block_at((counter % self._ring_slots) * 2)
-        self.nvm.write(entry, address.to_bytes(8, "little")
+        self.nvm.write(entry, (address.to_bytes(8, "little") + mac_value)
                        .ljust(CACHE_LINE_SIZE, b"\0"), WriteKind.CHV_ADDRESS)
         self.nvm.write(entry + CACHE_LINE_SIZE, ciphertext,
                        WriteKind.CHV_DATA)
@@ -98,7 +103,9 @@ class DolosAdrSystem(AdrSecureSystem):
 
     def recover(self) -> int:
         """Replay staged entries from the persistent MSU region through the
-        full secure path (verifying each against its MSU counter).
+        full secure path, each verified first: its stored address, and its
+        stored MAC over (ciphertext, address, MSU counter), or
+        :class:`IntegrityError`.
 
         In hardware, only the count of staged entries and the MSU counter
         are registers; everything else (addresses, ciphertexts) comes back
@@ -117,9 +124,13 @@ class DolosAdrSystem(AdrSecureSystem):
             if stored != address:
                 raise IntegrityError(
                     f"MSU staging entry address mismatch at {slot_base:#x}")
-            self.controller.mac.block_mac(MacKind.VERIFY, ciphertext,
-                                          stored, counter,
-                                          domain=MacDomain.CHV_DATA)
+            computed = self.controller.mac.block_mac(
+                MacKind.VERIFY, ciphertext, stored, counter,
+                domain=MacDomain.CHV_DATA)
+            if raw_address[8:8 + MAC_SIZE] != computed:
+                raise IntegrityError(
+                    f"MSU staging entry MAC mismatch at {slot_base:#x}",
+                    stored)
             plaintext = self.controller.aes.decrypt(stored, counter,
                                                     ciphertext)
             self.controller.write(stored, plaintext)

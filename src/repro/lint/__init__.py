@@ -2,8 +2,10 @@
 
 A rule lives here only while no type, runtime check or tier-1 test catches
 its defect (``docs/linting.md`` records the verdicts of the rules that
-went).  What stays encodes the paper's security invariants or checks
-something nothing else checks:
+went).  The paper's security invariants are checked where they run, by
+tier-1 tests (``tests/test_security_invariants.py`` and the tenant-key
+differential in ``tests/test_sharding_differential.py``); what stays here
+checks something nothing else checks:
 
 ``R1`` determinism
     no wall-clock or entropy imports inside the simulator core packages;
@@ -17,26 +19,17 @@ something nothing else checks:
 ``R0`` suppression hygiene
     every ``# reprolint: disable=...`` comment must name registered rules.
 
-On top of the fast AST rules, ``--deep`` runs the reproflow dataflow
-engine (:mod:`repro.lint.flow`): a call graph over ``src/repro``, per-
-function taint propagation, and interprocedural summaries to a fixed
-point, powering **F1** key-domain taint, **F2** plaintext escape and **F5**
-counter monotonicity.
-
-Run it as ``python -m repro.lint src tests`` (exit 0 = clean) or
-``python -m repro.lint --deep src tests``; see ``docs/linting.md`` for rule
-details, suppression syntax (``# reprolint: disable=R4``), and how to add
-a rule.
+Run it as ``python -m repro.lint src tests`` (exit 0 = clean); see
+``docs/linting.md`` for rule details, suppression syntax
+(``# reprolint: disable=R4``), and how to add a rule.
 """
 
 from repro.lint.core import RULES, Finding, Module, Project, Rule, register
-from repro.lint.flow.rules import FlowRule
 from repro.lint.runner import LintResult, lint_paths, main
 
 __all__ = [
     "RULES",
     "Finding",
-    "FlowRule",
     "LintResult",
     "Module",
     "Project",

@@ -148,9 +148,6 @@ class Rule:
     title = ""
     rationale = ""
     scope: tuple[str, ...] = ()
-    deep = False
-    """Deep rules (the flow family) run only under ``--deep``: they need a
-    whole-project fixed point and are too slow for the per-save fast path."""
 
     def applies(self, module: Module) -> bool:
         if not self.scope:

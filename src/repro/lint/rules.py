@@ -3,8 +3,7 @@
 Each rule encodes an invariant a past bug (or a near-miss) showed to be
 load-bearing; ``docs/linting.md`` links every rule to its motivating
 incident.  Rules are pure AST analyses: no imports of the checked code, no
-execution, so the lint can run on a broken tree.  (The deep flow rules
-F1, F2 and F5 live in :mod:`repro.lint.flow.rules`.)
+execution, so the lint can run on a broken tree.
 """
 
 import ast

@@ -1,8 +1,7 @@
 """reprolint driver: file discovery, rule application, CLI.
 
 ``python -m repro.lint [paths ...]`` lints ``src`` and ``tests`` by default
-with the fast AST rules (R0, R1, R3-R5); ``--deep`` adds the project-wide
-dataflow rules (F1, F2, F5, see :mod:`repro.lint.flow`).  Output is one
+with the AST rules (R0, R1, R3-R5).  Output is one
 ``path:line:col: RULE: message`` line per finding and a summary line.
 
 Exit codes: 0 clean, 1 findings, 2 usage or internal errors.  Suppressed
@@ -15,7 +14,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import repro.lint.flow.rules  # noqa: F401 - imports register the F rules
 import repro.lint.rules  # noqa: F401 - imports register the R rules
 from repro.lint.core import RULES, Finding, Module, Project
 
@@ -54,23 +52,16 @@ class LintResult:
         return 1 if self.findings else 0
 
 
-def default_rules(deep: bool = False) -> list[str]:
-    """Registry names selected when ``--rules`` is not given."""
-    return [name for name in sorted(RULES)
-            if deep or not RULES[name].deep]
-
-
-def lint_paths(paths, root=None, rules=None, deep=False) -> LintResult:
+def lint_paths(paths, root=None, rules=None) -> LintResult:
     """Lint every Python file under ``paths`` with the selected rules.
 
     ``root`` anchors relative paths in messages and sibling-source lookups
     (defaults to the current directory); ``rules`` restricts the run to a
-    subset of registry names (explicitly named deep rules run even without
-    ``deep=True``).
+    subset of registry names (default: all of them).
     """
     root = Path(root) if root is not None else Path.cwd()
     result = LintResult()
-    selected = sorted(rules) if rules is not None else default_rules(deep)
+    selected = sorted(rules if rules is not None else RULES)
     unknown = [name for name in selected if name not in RULES]
     if unknown:
         result.errors.append(f"unknown rule(s): {', '.join(unknown)}")
@@ -118,8 +109,7 @@ def _render_rules() -> str:
     for name in sorted(RULES):
         rule = RULES[name]
         scope = ", ".join(rule.scope) if rule.scope else "all files"
-        flavor = " [deep]" if rule.deep else ""
-        lines.append(f"{name}{flavor}  {rule.title}")
+        lines.append(f"{name}  {rule.title}")
         lines.append(f"    scope: {scope}")
         lines.append(f"    {rule.rationale}")
     return "\n".join(lines)
@@ -129,8 +119,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Simulator-invariant static analysis for the Horus "
-                    "reproduction (fast rules R0, R1, R3-R5; deep dataflow "
-                    "rules F1, F2, F5 with --deep; see docs/linting.md).",
+                    "reproduction (rules R0, R1, R3-R5; see "
+                    "docs/linting.md).",
         epilog="exit codes: 0 clean, 1 findings, "
                "2 usage or internal errors")
     parser.add_argument("paths", nargs="*", default=["src", "tests"],
@@ -141,11 +131,7 @@ def main(argv=None) -> int:
                              "coverage-map lookups (default: cwd)")
     parser.add_argument("--rules", default=None,
                         help="comma-separated subset of rules to run "
-                             "(e.g. R1,F2); named deep rules run without "
-                             "--deep")
-    parser.add_argument("--deep", action="store_true",
-                        help="also run the project-wide dataflow rules "
-                             "(F1, F2, F5)")
+                             "(e.g. R1,R4)")
     parser.add_argument("--list-rules", action="store_true",
                         help="describe every registered rule and exit")
     args = parser.parse_args(argv)
@@ -159,8 +145,7 @@ def main(argv=None) -> int:
         rules = [name.strip().upper()
                  for name in args.rules.split(",") if name.strip()]
 
-    result = lint_paths(args.paths, root=args.root, rules=rules,
-                        deep=args.deep)
+    result = lint_paths(args.paths, root=args.root, rules=rules)
     print(_render_human(result))
     return result.exit_code
 

@@ -76,13 +76,6 @@ class TestMacEngine:
             assert engine.digest_mac(compute, bytes(64), domain=domain) == \
                 engine.digest_mac(MacKind.VERIFY, bytes(64), domain=domain)
 
-    def test_node_and_digest_macs_differ_in_binding(self):
-        engine = MacEngine(SimStats())
-        content = bytes(64)
-        assert engine.node_mac(MacKind.VERIFY, content, 0) != \
-            engine.digest_mac(MacKind.VERIFY, content,
-                              domain=MacDomain.NODE)
-
 
 
 class TestKeyedForks:
@@ -102,8 +95,6 @@ class TestKeyedForks:
             domain=domain)
         assert engine.digest_mac(kind, self.CONTENT, domain=domain) == \
             compute_mac(self.KEY, self.CONTENT, domain=domain)
-        assert engine.node_mac(kind, self.CONTENT, 4096) == compute_mac(
-            self.KEY, self.CONTENT, int_field(4096), domain=MacDomain.NODE)
 
     def test_forks_do_not_leak_state_between_calls(self):
         engine = MacEngine(SimStats(), key=self.KEY)
@@ -123,8 +114,6 @@ class TestKeyedForks:
             assert tenant.digest_mac(kind, self.CONTENT,
                                      domain=MacDomain.NODE) == \
                 master.digest_mac(kind, self.CONTENT, domain=MacDomain.NODE)
-            assert tenant.node_mac(kind, self.CONTENT, 8 * 64) == \
-                master.node_mac(kind, self.CONTENT, 8 * 64)
         # Block MACs stay per-tenant: tenant 1's differs from the master's.
         assert tenant.block_mac(MacKind.DATA_PROTECT, self.CONTENT, 8 * 64,
                                 3, domain=MacDomain.DATA) != master.block_mac(

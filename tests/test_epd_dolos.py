@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.constants import CACHE_LINE_SIZE
+from repro.common.errors import ConfigError, IntegrityError
 from repro.epd.adr import AdrSecureSystem
 from repro.epd.dolos import DolosAdrSystem
 
@@ -57,6 +58,30 @@ class TestPersistSemantics:
     def test_rejects_bad_batch(self, tiny_config):
         with pytest.raises(ConfigError):
             DolosAdrSystem(tiny_config, background_batch=0)
+
+
+def flip_bit(dolos: DolosAdrSystem, address: int, offset: int) -> None:
+    """Flip the low bit of byte ``offset`` of the block at ``address``."""
+    block = bytearray(dolos.nvm.backend.read_block(address))
+    block[offset] ^= 1
+    dolos.nvm.backend.corrupt_block(address, bytes(block))
+
+
+class TestStagingRingIsAuthenticated:
+    """A staged entry is its address block (address, then MAC) and its
+    ciphertext block; recovery checks the MAC before it decrypts, so a
+    tampered entry is detected instead of replayed as wrong data."""
+
+    @pytest.mark.parametrize("block, offset", [(1, 0), (0, 8)],
+                             ids=["ciphertext-bit", "mac-byte"])
+    def test_tampered_entry_fails_recovery(self, dolos, block, offset):
+        dolos.write(0, payload(1))
+        dolos.persist(0)
+        entry = dolos._staging.block_at(0)
+        flip_bit(dolos, entry + block * CACHE_LINE_SIZE, offset)
+        dolos.crash()
+        with pytest.raises(IntegrityError, match="MAC mismatch"):
+            dolos.recover()
 
 
 class TestCriticalPathAdvantage:

@@ -27,7 +27,6 @@ from repro.crypto.primitives import (
     encrypt_block,
     generate_pad,
     int_field,
-    xor_block,
 )
 from repro.stats.counters import SimStats
 from repro.stats.events import MacKind
@@ -153,19 +152,6 @@ class TestPadEquivalence:
         frames = frame_buffer(addrs, ctrs)
         assert batch.generate_pads(key, addrs, ctrs, frames) == \
             batch.generate_pads(key, addrs, ctrs)
-
-    @given(a=blocks, b=blocks)
-    @settings(max_examples=examples(100))
-    def test_xor_buffers_matches_xor_block(self, a, b):
-        assert batch.xor_buffers(a, b) == xor_block(a, b)
-
-    @given(buffers=st.integers(0, 8).flatmap(
-        lambda n: st.tuples(st.binary(min_size=n, max_size=n),
-                            st.binary(min_size=n, max_size=n))))
-    @settings(max_examples=examples(100))
-    def test_xor_buffers_is_an_involution(self, buffers):
-        a, b = buffers
-        assert batch.xor_buffers(batch.xor_buffers(a, b), b) == a
 
 
 class TestEncryptionEquivalence:

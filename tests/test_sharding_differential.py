@@ -18,6 +18,7 @@ import pytest
 from repro.common.config import SystemConfig
 from repro.common.errors import AddressError, ConfigError
 from repro.core.system import SecureEpdSystem
+from repro.sharding.keys import MASTER_TENANT, TenantKeyring
 from repro.sharding.pool import (
     ShardRunSpec,
     make_plan,
@@ -26,7 +27,7 @@ from repro.sharding.pool import (
     run_shard,
 )
 from repro.sharding.router import ShardRouter
-from repro.sharding.system import nvm_image_sha256
+from repro.sharding.system import ShardedSecureSystem, nvm_image_sha256
 from repro.stats.runtime import RuntimePerfModel
 from repro.workloads.replay import replay
 from repro.workloads.tenantmix import TenantMixer
@@ -41,6 +42,37 @@ def spec_for(config, num_shards, scheme, *, ops=600, tenants=8, seed=13,
     return ShardRunSpec(config=config, num_shards=num_shards, scheme=scheme,
                         plan=plan, drain_seed=DRAIN_SEED,
                         tenant_keys=tenant_keys)
+
+
+def assert_only_the_data_path_is_tenant_keyed(keyed, master, phase):
+    """Per shard: a tenant-keyed fleet's counter blocks, tree nodes and
+    root register equal a master-keyed fleet's, and each tenant data block
+    on its medium, with each MAC block over one, differs."""
+    for extent, tenant, plain in zip(keyed.router.extents, keyed.shards,
+                                     master.shards):
+        where = f"{phase}, shard {extent.shard}"
+        layout = tenant.layout
+        owners = keyed.keyring.shard_view(extent.base, extent.size)
+        image = tenant.nvm.backend.image()
+        reference = plain.nvm.backend.image()
+        assert image.keys() == reference.keys(), where
+        assert tenant.controller.root_mac == plain.controller.root_mac, \
+            where
+        metadata = [address for address in image
+                    if layout.counters.contains(address)
+                    or layout.tree.contains(address)]
+        data = [address for address in image
+                if layout.data.contains(address)
+                and owners.tenant_of(address) != MASTER_TENANT]
+        macs = sorted({layout.mac_block_address(address)
+                       for address in data} & image.keys())
+        assert metadata and data and macs, \
+            f"{where}: {len(metadata)} metadata, {len(data)} data and " \
+            f"{len(macs)} MAC blocks on the medium"
+        assert [address for address in metadata
+                if image[address] != reference[address]] == [], where
+        assert [address for address in data + macs
+                if image[address] == reference[address]] == [], where
 
 
 class TestShardVsSoloIdentity:
@@ -59,6 +91,16 @@ class TestShardVsSoloIdentity:
         assert tuple(run.observables for run in solo) == run_inprocess(spec)
 
     def test_tenant_keys_change_the_persisted_image(self, tiny_config):
+        """Tenant keys change the data path and nothing else.
+
+        Replayed on a tenant-keyed and on a master-keyed fleet, one mix
+        leaves, shard for shard, the same counter blocks, tree nodes and
+        root register (the integrity tree spans every tenant under the
+        master key), and a different block at every tenant data address
+        on the medium and every MAC block over one.  Each tenant's
+        footprint is eight times a shard's LLC, so counter and MAC blocks
+        are evicted to the medium during the replay; Base-EU's crash
+        flushes tree nodes home too."""
         keyed = run_inprocess(spec_for(tiny_config, 2, "horus-dlm"))
         master = run_inprocess(spec_for(tiny_config, 2, "horus-dlm",
                                         tenant_keys=False))
@@ -66,6 +108,21 @@ class TestShardVsSoloIdentity:
             [o.nvm_sha256 for o in master]
         # Same routed traffic either way: only the images differ.
         assert [o.ops for o in keyed] == [o.ops for o in master]
+
+        plan = make_plan(tiny_config, 2, 8, 20_000, master_seed=13,
+                         footprint_blocks=4096)
+        for scheme in ("base-lu", "base-eu", "horus-dlm"):
+            fleets = [ShardedSecureSystem(tiny_config, num_shards=2,
+                                          scheme=scheme, keyring=keyring)
+                      for keyring in (TenantKeyring(plan.extents()), None)]
+            for fleet in fleets:
+                fleet.replay(TenantMixer(plan).mix())
+            assert_only_the_data_path_is_tenant_keyed(
+                *fleets, f"{scheme} replay")
+            for fleet in fleets:
+                fleet.crash(seed=DRAIN_SEED)
+            assert_only_the_data_path_is_tenant_keyed(
+                *fleets, f"{scheme} crash")
 
 
     def test_scalar_fleet_equals_batched_fleet(self, tiny_config):

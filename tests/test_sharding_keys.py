@@ -190,11 +190,13 @@ class TestTenantKeyedMac:
         assert a != b
 
     def test_metadata_macs_stay_master_keyed(self):
-        """Node and digest MACs are identical to the master engine's — the
-        tree spans all tenants."""
+        """Tree-node and DLM second-level MACs are identical to the master
+        engine's — the tree spans all tenants."""
         tenant_mac, master_mac, _ = self.engines()
-        assert tenant_mac.node_mac(MacKind.TREE_UPDATE, BLOCK, 3 * LINE) == \
-            master_mac.node_mac(MacKind.TREE_UPDATE, BLOCK, 3 * LINE)
+        node = MacDomain.NODE
+        assert tenant_mac.digest_mac(MacKind.TREE_UPDATE, BLOCK,
+                                     domain=node) == \
+            master_mac.digest_mac(MacKind.TREE_UPDATE, BLOCK, domain=node)
         level2 = MacDomain.CHV_LEVEL2
         assert tenant_mac.digest_mac(MacKind.CHV_LEVEL2, BLOCK,
                                      domain=level2) == \
